@@ -63,10 +63,13 @@ bench-core:
 # violation (same seed must replay byte-identical, a different seed must
 # diverge), and the run's decision trace lands in des-smoke-trace.jsonl —
 # span JSONL that cmd/sbtrace renders unchanged (CI uploads it as an
-# artifact and does exactly that).
+# artifact and does exactly that). Then the plan replays (simfidelity and
+# the DC-failure drill) run on des at quick scale, without -race: that run's
+# time is LP setup, not concurrency.
 des-smoke:
 	$(GO) run -race ./cmd/sbexp -exp dessweep -scale quick \
 		-des-detect 30s -des-trace des-smoke-trace.jsonl
+	$(GO) run ./cmd/sbexp -exp simfidelity,drill -scale quick
 
 clean:
 	$(GO) clean ./...

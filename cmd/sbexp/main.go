@@ -26,7 +26,6 @@ import (
 	"switchboard"
 	"switchboard/internal/eval"
 	"switchboard/internal/model"
-	"switchboard/internal/sim"
 )
 
 var experiments = []struct {
@@ -353,22 +352,19 @@ func simFidelity(env *eval.Env) error {
 	}
 	fmt.Printf("plan mean ACL (fractional LP):  %.1f ms\n", res.PlanACL)
 	fmt.Printf("%-14s %8s %10s %10s %10s %10s\n", "policy", "calls", "overflow", "ACL", "maxCPU", "maxLink")
-	print := func(r *simResultRow) {
+	for _, row := range []struct {
+		name string
+		r    *eval.Replay
+	}{
+		{"plan", res.Plan},
+		{"greedy-local", res.Greedy},
+	} {
 		fmt.Printf("%-14s %8d %9.2f%% %8.1fms %10.2f %10.2f\n",
-			r.name, r.calls, 100*r.overflow, r.acl, r.maxCPU, r.maxLink)
+			row.name, row.r.Calls, 100*row.r.OverflowShare, row.r.MeanACLms, row.r.MaxCoreUtil, row.r.MaxLinkUtil)
 	}
-	print(&simResultRow{"plan", res.Plan.Calls, res.Plan.OverflowRate(), res.Plan.MeanACL, res.Plan.MaxCoreUtil, res.Plan.MaxLinkUtil})
-	print(&simResultRow{"greedy-local", res.Greedy.Calls, res.Greedy.OverflowRate(), res.Greedy.MeanACL, res.Greedy.MaxCoreUtil, res.Greedy.MaxLinkUtil})
 	fmt.Printf("unplanned-config calls: %d; stranded load %.2f cores / %.3f Gbps\n",
-		res.Plan.UnknownConfigs, res.Plan.StrandedCores, res.Plan.StrandedGbps)
+		res.Plan.Unplanned, res.Plan.StrandedCores, res.Plan.StrandedGbps)
 	return nil
-}
-
-type simResultRow struct {
-	name            string
-	calls           int
-	overflow, acl   float64
-	maxCPU, maxLink float64
 }
 
 func drill(env *eval.Env) error {
@@ -381,7 +377,7 @@ func drill(env *eval.Env) error {
 		"plan", "replaced", "overflow", "post-calls", "ACL before", "ACL after")
 	for _, row := range []struct {
 		name string
-		r    *sim.DrillResult
+		r    *eval.DrillRun
 	}{
 		{"with backup", res.WithBackup},
 		{"serving only", res.WithoutBackup},

@@ -1,18 +1,20 @@
 // Package des is Switchboard's deterministic discrete-event simulation
-// engine: a shared virtual clock, a binary-heap event queue keyed by
+// engine: a shared virtual clock, a 4-ary-heap event queue keyed by
 // (time, priority, sequence) for stable tie-breaking, and seeded splitmix64
 // RNG streams per entity, so the same seed and workload replay to the byte —
 // across runs, machines, and map-iteration shuffles.
 //
-// Where internal/sim is a call-level replay drill (it walks a pre-sorted
-// event list against one provisioning plan), des is a fleet laboratory: it
-// models the 12-DC world of internal/geo with per-(config, DC) latency and
-// link loads precomputed from internal/model, exposes pluggable policy
-// interfaces for placement, admission, and failover timing, injects DC
-// failure/recovery events mid-run, and sustains millions of calls per second
-// of simulated traffic on one core. The provisioning results in Table 4 of
-// the paper come from exactly this kind of trace-against-policy replay at
-// production scale.
+// It is the repo's one replay engine. As a fleet laboratory it models the
+// 12-DC world of internal/geo with per-(config, DC) latency and link loads
+// precomputed from internal/model, exposes pluggable policy interfaces for
+// placement, admission, and failover timing, injects DC failure/recovery
+// events mid-run, and sustains millions of calls per second of simulated
+// traffic on one core. As a plan checker it replays recorded calls
+// (RecordSource) against a provisioning plan's capacities on a fleet built
+// from the plan's load model (NewPlanFleet), under the plan-quota or
+// greedy-local policy; Engine.RunUntil splits a DC-failure drill's books at
+// the failure instant. The provisioning results in Table 4 of the paper come
+// from exactly this kind of trace-against-policy replay at production scale.
 //
 // The engine emits the same decision-trace record format as the live
 // controller — internal/obs/span JSONL with the controller's leg names

@@ -45,9 +45,9 @@ type Config struct {
 
 // Result is one run's aggregate outcome.
 type Result struct {
-	// Calls is the number of arrivals drawn from the source; Placed of
-	// those were hosted, Rejected refused by admission. Migrated counts
-	// failover re-placements (a call migrated twice counts twice).
+	// Calls is the number of arrivals processed; Placed of those were
+	// hosted, Rejected refused by admission. Migrated counts failover
+	// re-placements (a call migrated twice counts twice).
 	Calls    uint64
 	Placed   uint64
 	Rejected uint64
@@ -62,13 +62,16 @@ type Result struct {
 	MaxQueueLen   int
 	// PeakConcurrent is the most simultaneously hosted calls.
 	PeakConcurrent int
-	// MeanACLms averages the hosted latency over placements; RegretMeanMs
-	// averages the gap to each call's best available candidate (zero when
-	// every call lands latency-first).
-	MeanACLms    float64
-	RegretMeanMs float64
-	// MaxCoreUtil is the worst instantaneous cores/capacity ratio any DC
-	// reached; OverflowShare is Overflowed over placements.
+	// MeanACLms averages the hosted latency over placed arrivals;
+	// RegretMeanMs averages the gap to each call's best available candidate
+	// (zero when every call lands latency-first). MigratedACLms averages the
+	// latency of the DCs migrations landed on.
+	MeanACLms     float64
+	RegretMeanMs  float64
+	MigratedACLms float64
+	// MaxCoreUtil is the worst peak/capacity ratio (see Engine.Peaks) over
+	// DCs with at least one core provisioned (a ratio over an LP plan's
+	// residue capacity is noise); OverflowShare is Overflowed over Placed.
 	MaxCoreUtil   float64
 	OverflowShare float64
 	// DisruptedCallSeconds sums each migrated call's outage: from the later
@@ -84,13 +87,15 @@ type Engine struct {
 	f          *Fleet
 	src        Source
 	place      PlacementPolicy
+	rel        Releaser // place's release hook, if it has one
 	admit      AdmissionPolicy
 	fail       FailoverPolicy
 	tw         *Trace
 	policyName string
 
-	q   *Queue
-	seq uint64
+	q       *Queue
+	seq     uint64
+	started bool
 
 	polRng  Stream
 	failRng Stream
@@ -114,7 +119,9 @@ type Engine struct {
 	peakConcurrent int
 	aclSum         float64
 	regretSum      float64
-	maxUtil        float64
+	migACLSum      float64
+	peakCores      []float64
+	peakGbps       []float64
 	disruptedNs    float64
 }
 
@@ -152,7 +159,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		failedAt:   make([]int64, nDC),
 		dcHead:     make([]*Call, nDC),
 		scratch:    make([]int32, 0, nDC),
+		peakCores:  make([]float64, nDC),
+		peakGbps:   make([]float64, len(cfg.Fleet.CapGbps)),
 	}
+	e.rel, _ = cfg.Placement.(Releaser)
 	e.usage = Usage{
 		Cores:    make([]float64, nDC),
 		Gbps:     make([]float64, len(cfg.Fleet.CapGbps)),
@@ -176,7 +186,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 // heap-free queue operations plus pooled bookkeeping, which is what holds
 // 10M calls to single-digit seconds on one core.
 func (e *Engine) Run() (Result, error) {
-	e.scheduleNextArrival()
+	e.start()
 	for {
 		ev, ok := e.q.Pop()
 		if !ok {
@@ -187,6 +197,38 @@ func (e *Engine) Run() (Result, error) {
 	if err := e.tw.Close(); err != nil {
 		return Result{}, fmt.Errorf("des: decision trace: %w", err)
 	}
+	return e.result(), nil
+}
+
+// RunUntil processes every event before virtual time t and returns the
+// totals so far: the run as it stood the instant before t. A later Run
+// continues from there, so a drill can split its books at a failure.
+func (e *Engine) RunUntil(t time.Duration) Result {
+	e.start()
+	for len(e.q.heap) > 0 && e.q.heap[0].At < int64(t) {
+		ev, _ := e.q.Pop()
+		e.step(ev)
+	}
+	return e.result()
+}
+
+// Peaks returns copies of the most compute each DC, and bandwidth each link,
+// carried at once so far. They live on the engine rather than in Result so
+// that Result stays a comparable value.
+func (e *Engine) Peaks() (cores, gbps []float64) {
+	return append([]float64(nil), e.peakCores...), append([]float64(nil), e.peakGbps...)
+}
+
+// start schedules the first arrival, once.
+func (e *Engine) start() {
+	if !e.started {
+		e.started = true
+		e.scheduleNextArrival()
+	}
+}
+
+// result snapshots the running totals.
+func (e *Engine) result() Result {
 	r := Result{
 		Calls:                e.calls,
 		Placed:               e.placed,
@@ -197,7 +239,6 @@ func (e *Engine) Run() (Result, error) {
 		DroppedEvents:        e.q.Pushed() - e.q.Popped() - uint64(e.q.Len()),
 		MaxQueueLen:          e.q.MaxLen(),
 		PeakConcurrent:       e.peakConcurrent,
-		MaxCoreUtil:          e.maxUtil,
 		DisruptedCallSeconds: e.disruptedNs / 1e9,
 		TraceLines:           e.tw.Lines(),
 	}
@@ -206,7 +247,15 @@ func (e *Engine) Run() (Result, error) {
 		r.RegretMeanMs = e.regretSum / float64(e.placed)
 		r.OverflowShare = float64(e.overflowed) / float64(e.placed)
 	}
-	return r, nil
+	if e.migrated > 0 {
+		r.MigratedACLms = e.migACLSum / float64(e.migrated)
+	}
+	for x, peak := range e.peakCores {
+		if cap := e.usage.CapCores[x]; cap >= 1 {
+			r.MaxCoreUtil = max(r.MaxCoreUtil, peak/cap)
+		}
+	}
+	return r
 }
 
 // step dispatches one event. This is the engine's inner loop: everything it
@@ -216,6 +265,7 @@ func (e *Engine) Run() (Result, error) {
 //
 //sblint:hotpath
 func (e *Engine) step(ev Event) {
+	e.usage.Now = ev.At
 	switch ev.Kind {
 	case KindArrive:
 		e.arrive(ev)
@@ -242,7 +292,6 @@ func (e *Engine) scheduleNextArrival() {
 	call.id = a.ID
 	call.cfg = a.Cfg
 	call.end = a.At + a.Dur
-	e.calls++
 	e.seq++
 	e.q.Push(Event{At: a.At, Seq: e.seq, Pri: PriArrive, Kind: KindArrive, Call: call})
 }
@@ -263,26 +312,36 @@ func (e *Engine) release(c *Call) {
 }
 
 // candidates returns the config's feasible DCs with detected-down ones
-// filtered out, falling back to the unfiltered list when every candidate is
-// down (the call must land somewhere; real controllers do the same).
+// filtered out. When every candidate is down the call must still land
+// somewhere, so it falls back to the surviving DCs in ACL order, and to the
+// unfiltered list only when the whole fleet is down.
 func (e *Engine) candidates(c int32) []int32 {
 	cands := e.f.cands[c]
 	if e.nDown == 0 {
 		return cands
 	}
+	if s := e.alive(cands); len(s) > 0 {
+		return s
+	}
+	if s := e.alive(e.f.order[c]); len(s) > 0 {
+		return s
+	}
+	return cands
+}
+
+// alive filters detected-down DCs out of dcs into the scratch buffer.
+func (e *Engine) alive(dcs []int32) []int32 {
 	s := e.scratch[:0]
-	for _, x := range cands {
+	for _, x := range dcs {
 		if !e.usage.Down[x] {
 			s = append(s, x) //sblint:allowalloc(scratch is preallocated to the DC count)
 		}
-	}
-	if len(s) == 0 {
-		return cands
 	}
 	return s
 }
 
 func (e *Engine) arrive(ev Event) {
+	e.calls++
 	call := ev.Call
 	c := call.cfg
 	cands := e.candidates(c)
@@ -324,13 +383,14 @@ func (e *Engine) host(call *Call, dc int32, now int64) {
 	}
 	e.dcHead[dc] = call
 	e.usage.Cores[dc] += e.f.cores[call.cfg]
-	if cap := e.usage.CapCores[dc]; cap > 0 {
-		if u := e.usage.Cores[dc] / cap; u > e.maxUtil {
-			e.maxUtil = u
-		}
+	if u := e.usage.Cores[dc]; u > e.peakCores[dc] {
+		e.peakCores[dc] = u
 	}
 	for _, ll := range e.f.links[call.cfg][dc] {
 		e.usage.Gbps[ll.Link] += ll.Gbps
+		if g := e.usage.Gbps[ll.Link]; g > e.peakGbps[ll.Link] {
+			e.peakGbps[ll.Link] = g
+		}
 	}
 	e.concurrent++
 	if e.concurrent > e.peakConcurrent {
@@ -357,6 +417,9 @@ func (e *Engine) unhost(call *Call) {
 }
 
 func (e *Engine) depart(call *Call) {
+	if e.rel != nil {
+		e.rel.Release(e.f, call.cfg, call.dc, call.placedAt) //sblint:allowalloc(release is an injected interface; the built-in policy is allocation-free)
+	}
 	e.unhost(call)
 	e.release(call)
 }
@@ -404,6 +467,7 @@ func (e *Engine) sweep(ev Event) {
 			e.overflowed++
 		}
 		e.host(call, ndc, ev.At)
+		e.migACLSum += e.f.acl[call.cfg][ndc]
 		e.migrated++
 		migrated++
 		call = next

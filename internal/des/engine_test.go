@@ -2,6 +2,7 @@ package des
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -229,5 +230,150 @@ func TestRecordSourceReplay(t *testing.T) {
 	}
 	if res.RegretMeanMs != 0 {
 		t.Fatalf("lowest-acl with slack capacity should have zero regret, got %v", res.RegretMeanMs)
+	}
+}
+
+// singleCandidateRig replays calls of one config whose only candidate is DC
+// dc (a zero latency threshold leaves each config its lowest-ACL DC alone):
+// n calls from t=0 and n more from t=20m, all an hour long, with 100 cores
+// everywhere.
+func singleCandidateRig(t *testing.T, n int) (*Fleet, *RecordSource, int32) {
+	t.Helper()
+	w := geo.DefaultWorld()
+	origin := time.Date(2022, 9, 5, 0, 0, 0, 0, time.UTC)
+	var recs []*model.CallRecord
+	for i := 0; i < 2*n; i++ {
+		start := time.Duration(i) * time.Minute
+		if i >= n {
+			start = 20*time.Minute + time.Duration(i)*time.Second
+		}
+		recs = append(recs, &model.CallRecord{
+			ID: uint64(i + 1), Start: origin.Add(start), Duration: time.Hour,
+			Legs: []model.LegRecord{{Country: "DE", Media: model.Video}, {Country: "FR", Media: model.Video}},
+		})
+	}
+	src, err := NewRecordSource(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFleet(w, src.Configs(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cores := make([]float64, f.NumDCs())
+	for i := range cores {
+		cores[i] = 100
+	}
+	if err := f.SetCapacity(cores, make([]float64, len(f.CapGbps))); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Candidates(0)) != 1 {
+		t.Fatalf("config has %d candidates, want 1", len(f.Candidates(0)))
+	}
+	return f, src, f.Candidates(0)[0]
+}
+
+// TestEngineOnlyCandidateFails fails a config's only candidate: the sweep
+// must move its calls to the lowest-ACL surviving DC, and later arrivals
+// must follow them there rather than land on the dead DC.
+func TestEngineOnlyCandidateFails(t *testing.T) {
+	const n = 4
+	f, src, dead := singleCandidateRig(t, n)
+	e, err := NewEngine(Config{
+		Fleet: f, Source: src, Placement: LowestACL{},
+		Failover: FixedDetection{Delay: 30 * time.Second},
+		Failures: []DCFailure{{DC: dead, At: 10 * time.Minute}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Migrated != n {
+		t.Fatalf("migrated %d calls, want %d", res.Migrated, n)
+	}
+	one := f.Cores(0)
+	peaks, _ := e.Peaks()
+	if got := peaks[dead]; math.Abs(got-n*one) > 1e-9 {
+		t.Errorf("dead DC peaked at %g cores, want the %d pre-failure calls' %g", got, n, n*one)
+	}
+	survivor := f.order[0][1]
+	if got := peaks[survivor]; math.Abs(got-2*n*one) > 1e-9 {
+		t.Errorf("lowest-ACL survivor %d peaked at %g cores, want all %d calls' %g", survivor, got, 2*n, 2*n*one)
+	}
+	if want := f.ACL(0, survivor); res.MigratedACLms != want {
+		t.Errorf("migrations landed at ACL %g, want the survivor's %g", res.MigratedACLms, want)
+	}
+}
+
+// TestEngineMaxCoreUtilFloor checks a DC provisioned below one core — an LP
+// plan's residue — is left out of MaxCoreUtil instead of reporting a ratio
+// near 1e15, while its load still shows in the peaks.
+func TestEngineMaxCoreUtilFloor(t *testing.T) {
+	run := func(capacity float64) (Result, float64) {
+		f, src, dc := singleCandidateRig(t, 4)
+		f.CapCores[dc] = capacity
+		e, err := NewEngine(Config{Fleet: f, Source: src, Placement: LowestACL{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		peaks, _ := e.Peaks()
+		return res, peaks[dc]
+	}
+	res, peak := run(1e-15)
+	if res.MaxCoreUtil != 0 {
+		t.Errorf("MaxCoreUtil = %g over a residue-capacity DC, want 0", res.MaxCoreUtil)
+	}
+	if peak <= 0 || res.Overflowed != res.Calls {
+		t.Errorf("residue DC peak %g, overflowed %d of %d", peak, res.Overflowed, res.Calls)
+	}
+	if res, peak = run(1); res.MaxCoreUtil != peak {
+		t.Errorf("MaxCoreUtil = %g at one core, want the DC's peak %g", res.MaxCoreUtil, peak)
+	}
+}
+
+// TestEngineRunUntil splits a run at a failure: the snapshot counts only
+// arrivals processed before the split, and continuing to the end gives the
+// same books as an unsplit run.
+func TestEngineRunUntil(t *testing.T) {
+	run := func(split time.Duration) (Result, Result) {
+		f, src := testRig(t, 31, 20000, 1.25)
+		e, err := NewEngine(Config{
+			Fleet: f, Source: src, Placement: LowestACL{}, Seed: 31,
+			Failures: []DCFailure{{DC: 0, At: 9 * time.Hour, Recover: 11 * time.Hour}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before Result
+		if split > 0 {
+			before = e.RunUntil(split)
+		}
+		after, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return before, after
+	}
+	_, whole := run(0)
+	before, after := run(9 * time.Hour)
+	if whole != after {
+		t.Fatalf("split run diverged:\n whole: %+v\n split: %+v", whole, after)
+	}
+	// Count arrivals before the split straight from the source.
+	_, src := testRig(t, 31, 20000, 1.25)
+	var a Arrival
+	var want uint64
+	for src.Next(&a) && a.At < int64(9*time.Hour) {
+		want++
+	}
+	if before.Calls != want || before.Migrated != 0 {
+		t.Errorf("snapshot: calls %d migrated %d, want %d/0", before.Calls, before.Migrated, want)
 	}
 }

@@ -6,6 +6,8 @@ import (
 
 	"switchboard/internal/geo"
 	"switchboard/internal/model"
+	"switchboard/internal/provision"
+	"switchboard/internal/records"
 )
 
 // LinkLoad is one WAN link's bandwidth share of a hosted call.
@@ -30,6 +32,31 @@ type Fleet struct {
 	acl   [][]float64    // acl[c][x]: average call latency (ms) hosted at x
 	links [][][]LinkLoad // links[c][x]: per-link Gbps of a config-c call at x
 	cands [][]int32      // cands[c]: feasible DCs by ascending ACL (Eq 4 + min-ACL fallback)
+	order [][]int32      // order[c]: every DC by ascending ACL, the reroute list when all of cands[c] are down
+	plan  []int32        // plan[c]: index in the plan's config universe, -1 outside it (nil: not a plan fleet)
+}
+
+// newFleet allocates the per-config tables for cfgs over w.
+func newFleet(w *geo.World, cfgs []model.CallConfig) (*Fleet, error) {
+	if len(cfgs) == 0 {
+		return nil, fmt.Errorf("des: empty config universe")
+	}
+	for c, cfg := range cfgs {
+		if len(cfg.Spread) == 0 {
+			return nil, fmt.Errorf("des: config %d has an empty spread", c)
+		}
+	}
+	return &Fleet{
+		World:    w,
+		CapCores: make([]float64, len(w.DCs())),
+		CapGbps:  make([]float64, len(w.Links())),
+		cfgs:     cfgs,
+		cores:    make([]float64, len(cfgs)),
+		acl:      make([][]float64, len(cfgs)),
+		links:    make([][][]LinkLoad, len(cfgs)),
+		cands:    make([][]int32, len(cfgs)),
+		order:    make([][]int32, len(cfgs)),
+	}, nil
 }
 
 // NewFleet precomputes the placement tables for the config universe over w.
@@ -37,24 +64,12 @@ type Fleet struct {
 // config's ACL there stays under the threshold; a config no DC satisfies
 // falls back to its single lowest-ACL DC, like the provisioning LP does.
 func NewFleet(w *geo.World, cfgs []model.CallConfig, latThreshMs float64) (*Fleet, error) {
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("des: empty config universe")
+	f, err := newFleet(w, cfgs)
+	if err != nil {
+		return nil, err
 	}
-	nDC := len(w.DCs())
-	f := &Fleet{
-		World:    w,
-		CapCores: make([]float64, nDC),
-		CapGbps:  make([]float64, len(w.Links())),
-		cfgs:     cfgs,
-		cores:    make([]float64, len(cfgs)),
-		acl:      make([][]float64, len(cfgs)),
-		links:    make([][][]LinkLoad, len(cfgs)),
-		cands:    make([][]int32, len(cfgs)),
-	}
+	nDC := f.NumDCs()
 	for c, cfg := range cfgs {
-		if len(cfg.Spread) == 0 {
-			return nil, fmt.Errorf("des: config %d has an empty spread", c)
-		}
 		f.cores[c] = cfg.ComputeLoad()
 		f.acl[c] = make([]float64, nDC)
 		f.links[c] = make([][]LinkLoad, nDC)
@@ -62,32 +77,85 @@ func NewFleet(w *geo.World, cfgs []model.CallConfig, latThreshMs float64) (*Flee
 			f.acl[c][x] = cfg.ACL(w, x)
 			f.links[c][x] = pathLoads(w, cfg, x)
 		}
-		var cands []int32
-		for x := 0; x < nDC; x++ {
+		f.order[c] = byACL(f.acl[c])
+		for _, x := range f.order[c] {
 			if f.acl[c][x] <= latThreshMs {
-				cands = append(cands, int32(x))
+				f.cands[c] = append(f.cands[c], x)
 			}
 		}
-		if len(cands) == 0 {
-			best := 0
-			for x := 1; x < nDC; x++ {
-				if f.acl[c][x] < f.acl[c][best] {
-					best = x
-				}
-			}
-			cands = []int32{int32(best)}
+		if len(f.cands[c]) == 0 {
+			f.cands[c] = f.order[c][:1:1]
 		}
-		aclRow := f.acl[c]
-		sort.SliceStable(cands, func(i, j int) bool {
-			a, b := aclRow[cands[i]], aclRow[cands[j]]
-			if a != b {
-				return a < b
-			}
-			return cands[i] < cands[j]
-		})
-		f.cands[c] = cands
 	}
 	return f, nil
+}
+
+// NewPlanFleet builds the fleet a provisioning plan is replayed on; cfgs is
+// the replay's config universe (RecordSource.Configs). A config inside lm's
+// universe sees what the LP provisioned for: lm's estimator ACL and link
+// loads, and lm's Allowed candidates in ACL order. A config outside it
+// follows §5.4's unanticipated-config rule: estimator ACL, and every DC as a
+// candidate in order of latency from the config's majority country.
+func NewPlanFleet(lm *provision.LoadModel, est *records.LatencyEstimator, cfgs []model.CallConfig) (*Fleet, error) {
+	w := lm.World()
+	f, err := newFleet(w, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	planIx := make(map[string]int, len(lm.Demand().Configs))
+	for i, cfg := range lm.Demand().Configs {
+		planIx[cfg.Key()] = i
+	}
+	nDC := f.NumDCs()
+	f.plan = make([]int32, len(cfgs))
+	for c, cfg := range cfgs {
+		pc, planned := planIx[cfg.Key()]
+		f.plan[c] = -1
+		f.cores[c] = cfg.ComputeLoad()
+		f.acl[c] = make([]float64, nDC)
+		f.links[c] = make([][]LinkLoad, nDC)
+		for x := 0; x < nDC; x++ {
+			if !planned {
+				f.acl[c][x] = est.ACL(cfg, x)
+				f.links[c][x] = pathLoads(w, cfg, x)
+				continue
+			}
+			f.acl[c][x] = lm.ACL(pc, x)
+			for _, ll := range lm.LinkLoads(pc, x) {
+				f.links[c][x] = append(f.links[c][x], LinkLoad{Link: int32(ll.Link), Gbps: ll.Gbps})
+			}
+		}
+		if !planned {
+			maj, _ := cfg.Spread.Majority()
+			for _, x := range w.DCsByLatency(maj) {
+				f.cands[c] = append(f.cands[c], int32(x))
+			}
+			f.order[c] = f.cands[c]
+			continue
+		}
+		f.plan[c] = int32(pc)
+		allowed := make([]bool, nDC)
+		for _, x := range lm.Allowed(pc) {
+			allowed[x] = true
+		}
+		f.order[c] = byACL(f.acl[c])
+		for _, x := range f.order[c] {
+			if allowed[x] {
+				f.cands[c] = append(f.cands[c], x)
+			}
+		}
+	}
+	return f, nil
+}
+
+// byACL returns every DC by ascending ACL, ties by DC index.
+func byACL(acl []float64) []int32 {
+	dcs := make([]int32, len(acl))
+	for x := range dcs {
+		dcs[x] = int32(x)
+	}
+	sort.SliceStable(dcs, func(i, j int) bool { return acl[dcs[i]] < acl[dcs[j]] })
+	return dcs
 }
 
 // SetCapacity installs the provisioned capacities (copied).
@@ -118,6 +186,10 @@ func (f *Fleet) Links(c, x int32) []LinkLoad { return f.links[c][x] }
 
 // Candidates returns config c's latency-feasible DCs by ascending ACL.
 func (f *Fleet) Candidates(c int32) []int32 { return f.cands[c] }
+
+// Planned reports whether config c is inside the plan's config universe
+// (always false for a fleet not built by NewPlanFleet).
+func (f *Fleet) Planned(c int32) bool { return f.plan != nil && f.plan[c] >= 0 }
 
 // DCName returns the datacenter's name (for traces and reports).
 func (f *Fleet) DCName(x int32) string { return f.World.DCs()[x].Name }

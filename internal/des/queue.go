@@ -1,29 +1,22 @@
 package des
 
-import "switchboard/internal/model"
-
 // Event priorities at an equal instant. Departures run first so capacity
-// freed at time t is visible to arrivals at t (the invariant internal/sim
-// has always kept); fleet events (failure, recovery, detection sweeps) run
-// between, so a DC that fails at t rejects arrivals at t but still sees the
-// departures that emptied it.
+// freed at time t is visible to arrivals at t; fleet events (failure,
+// recovery, detection sweeps) run between, so a DC that fails at t rejects
+// arrivals at t but still sees the departures that emptied it.
 const (
 	PriDepart uint8 = iota
 	PriFleet
 	PriArrive
 )
 
-// Event kinds. KindReplayStart/KindReplayEnd carry *model.CallRecord
-// payloads for trace replay (internal/sim schedules through the same queue);
-// the remaining kinds carry engine payloads.
+// Event kinds. Arrivals and departures carry a Call; fleet events carry a DC.
 const (
 	KindArrive uint8 = iota
 	KindDepart
 	KindDCFail
 	KindDCRecover
 	KindSweep
-	KindReplayStart
-	KindReplayEnd
 )
 
 // Event is one scheduled occurrence. The total order is (At, Pri, Seq):
@@ -32,19 +25,15 @@ const (
 type Event struct {
 	// At is virtual nanoseconds since the run origin.
 	At int64
-	// Seq breaks ties deterministically. The engine assigns push order;
-	// internal/sim assigns call IDs, reproducing its historical
-	// equal-instant ordering.
+	// Seq breaks ties deterministically; the engine assigns push order.
 	Seq uint64
 	Pri uint8
 	// Kind selects the payload field below.
 	Kind uint8
 	// DC is the datacenter a fleet event concerns.
 	DC int32
-	// Call is the engine payload (arrival/departure bookkeeping).
+	// Call is the arrival/departure payload.
 	Call *Call
-	// Rec is the replay payload (internal/sim's record events).
-	Rec *model.CallRecord
 }
 
 // Queue is a 4-ary min-heap of events. The wider fan-out halves the sift
@@ -100,7 +89,7 @@ func (q *Queue) less(i, j int) bool {
 }
 
 // Push schedules ev. The sift-up moves displaced parents into the hole and
-// writes ev once at its final slot — per level that is one 40-byte store
+// writes ev once at its final slot — per level that is one 32-byte store
 // instead of a three-way swap's two, which matters when the heap has
 // outgrown cache.
 //

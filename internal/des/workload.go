@@ -251,6 +251,7 @@ type RecordSource struct {
 	recs   []*model.CallRecord
 	cfgs   []model.CallConfig
 	cfgIdx []int32 // per record, index into cfgs
+	calls  []int   // per config, how many records use it
 	pos    int
 }
 
@@ -286,8 +287,10 @@ func NewRecordSource(recs []*model.CallRecord) (*RecordSource, error) {
 			idx = int32(len(s.cfgs))
 			byKey[key] = idx
 			s.cfgs = append(s.cfgs, cfg)
+			s.calls = append(s.calls, 0)
 		}
 		s.cfgIdx[i] = idx
+		s.calls[idx]++
 	}
 	return s, nil
 }
@@ -297,6 +300,9 @@ func (s *RecordSource) Origin() time.Time { return s.origin }
 
 // Configs implements Source.
 func (s *RecordSource) Configs() []model.CallConfig { return s.cfgs }
+
+// Calls returns how many records use config c.
+func (s *RecordSource) Calls(c int32) int { return s.calls[c] }
 
 // Next implements Source.
 func (s *RecordSource) Next(a *Arrival) bool {

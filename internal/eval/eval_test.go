@@ -5,6 +5,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"switchboard/internal/des"
+	"switchboard/internal/model"
 )
 
 // sharedEnv is built once; experiments read it without mutating.
@@ -358,19 +361,44 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-func TestSimFidelity(t *testing.T) {
+// The quick-scale replay and drill results are built once and shared; tests
+// read them without mutating.
+var (
+	simOnce   sync.Once
+	simVal    *SimFidelityResult
+	simErr    error
+	drillOnce sync.Once
+	drillVal  *DrillResult
+	drillErr  error
+)
+
+func simFidelityQuick(t *testing.T) *SimFidelityResult {
+	t.Helper()
 	env := quickEnv(t)
-	res, err := SimFidelity(env)
-	if err != nil {
-		t.Fatal(err)
+	simOnce.Do(func() { simVal, simErr = SimFidelity(env) })
+	if simErr != nil {
+		t.Fatal(simErr)
 	}
+	return simVal
+}
+
+func drillQuick(t *testing.T) *DrillResult {
+	t.Helper()
+	env := quickEnv(t)
+	drillOnce.Do(func() { drillVal, drillErr = Drill(env) })
+	if drillErr != nil {
+		t.Fatal(drillErr)
+	}
+	return drillVal
+}
+
+func TestSimFidelity(t *testing.T) {
+	res := simFidelityQuick(t)
 	// Overflow comes from tail traffic outside the planned top-N config
 	// universe; at QuickConfig's coverage (~50%) that tail is large, so
 	// the bound is loose. The default scale lands near 5%.
-	for name, r := range map[string]interface {
-		OverflowRate() float64
-	}{"plan": res.Plan, "greedy": res.Greedy} {
-		if rate := r.OverflowRate(); rate > 0.25 {
+	for name, r := range map[string]*Replay{"plan": res.Plan, "greedy": res.Greedy} {
+		if rate := r.OverflowShare; rate > 0.25 {
 			t.Errorf("%s policy overflow rate %.3f for in-sample replay", name, rate)
 		}
 	}
@@ -379,17 +407,191 @@ func TestSimFidelity(t *testing.T) {
 	}
 	// Realized latencies should be in the same regime as the plan's
 	// fractional ACL (both policies follow latency-minimizing choices).
-	if res.Plan.MeanACL > 3*res.PlanACL+10 {
-		t.Errorf("realized plan ACL %.1f far above fractional %.1f", res.Plan.MeanACL, res.PlanACL)
+	if res.Plan.MeanACLms > 3*res.PlanACL+10 {
+		t.Errorf("realized plan ACL %.1f far above fractional %.1f", res.Plan.MeanACLms, res.PlanACL)
+	}
+	// Exact quick-scale books, pinned when the replay moved onto des (it
+	// reproduced the earlier dedicated replay loop call for call): a
+	// change here changes published simfidelity numbers and must be
+	// deliberate.
+	for _, pin := range []struct {
+		name string
+		r    *Replay
+		acl  float64
+	}{
+		{"plan", res.Plan, 19.623977623206571},
+		{"greedy", res.Greedy, 19.495322459791097},
+	} {
+		r := pin.r
+		if r.Calls != 4201 || r.Overflowed != 648 || r.Calls-r.Overflowed != 3553 || r.Unplanned != 2934 {
+			t.Errorf("%s books: calls %d overflowed %d unplanned %d, want 4201/648/2934",
+				pin.name, r.Calls, r.Overflowed, r.Unplanned)
+		}
+		if !approxEq(r.MeanACLms, pin.acl) {
+			t.Errorf("%s mean ACL %.17g, want %.17g", pin.name, r.MeanACLms, pin.acl)
+		}
+		if !approxEq(r.MaxCoreUtil, 1.9909411040184837) || !approxEq(r.StrandedCores, 2.084) {
+			t.Errorf("%s max CPU %.17g stranded %.17g cores", pin.name, r.MaxCoreUtil, r.StrandedCores)
+		}
+	}
+}
+
+// approxEq compares a pinned mean: the drill's after-failure ACL is
+// reassembled from des's running means, so its last bits may move.
+func approxEq(got, want float64) bool {
+	return math.Abs(got-want) <= 1e-12*math.Abs(want)
+}
+
+// Every record with legs is replayed, once per policy.
+func TestReplayEveryRecord(t *testing.T) {
+	env := quickEnv(t)
+	res := simFidelityQuick(t)
+	withLegs := 0
+	for _, r := range env.EvalRecords {
+		if len(r.Legs) > 0 {
+			withLegs++
+		}
+	}
+	if withLegs == 0 {
+		t.Fatal("no eval records with legs")
+	}
+	for name, r := range map[string]*Replay{"plan": res.Plan, "greedy": res.Greedy} {
+		if r.Calls != uint64(withLegs) {
+			t.Errorf("%s replayed %d of %d records", name, r.Calls, withLegs)
+		}
+	}
+}
+
+// Greedy-local replays the plan's own demand within its provisioned
+// capacity, bar the unplanned-config tail.
+func TestReplayGreedyLocal(t *testing.T) {
+	r := simFidelityQuick(t).Greedy
+	if r.Calls == 0 || r.Placed != r.Calls {
+		t.Fatalf("greedy placed %d of %d calls", r.Placed, r.Calls)
+	}
+	if rate := r.OverflowShare; rate > 0.25 {
+		t.Errorf("greedy overflow rate %.3f for in-sample replay", rate)
+	}
+	if r.MeanACLms <= 0 || r.MeanACLms > 120 {
+		t.Errorf("greedy mean ACL %.1f implausible", r.MeanACLms)
+	}
+	// Peaks were recorded somewhere on a provisioned DC.
+	if r.MaxCoreUtil <= 0 {
+		t.Error("no compute peaks recorded")
+	}
+}
+
+// The plan-quota policy follows a latency-minimizing plan, so its realized
+// latency stays within a factor of greedy-local's.
+func TestReplayPlanPolicy(t *testing.T) {
+	res := simFidelityQuick(t)
+	r := res.Plan
+	if r.Calls == 0 || r.Placed == 0 {
+		t.Fatalf("plan replay placed %d of %d calls", r.Placed, r.Calls)
+	}
+	if rate := r.OverflowShare; rate > 0.25 {
+		t.Errorf("plan policy overflow rate %.3f", rate)
+	}
+	if r.MeanACLms > 2*res.Greedy.MeanACLms+5 {
+		t.Errorf("plan ACL %.1f far above greedy %.1f", r.MeanACLms, res.Greedy.MeanACLms)
+	}
+}
+
+// replayQuick builds a replay rig over QuickConfig's memoized backup plan.
+func replayQuick(t *testing.T, recs []*model.CallRecord, capCores, capGbps []float64) *replayRig {
+	t.Helper()
+	env := quickEnv(t)
+	lm, _, _, err := env.SBWithBackup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig, err := newReplayRig(lm, env.Est, recs, capCores, capGbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rig
+}
+
+func TestReplayZeroCapacity(t *testing.T) {
+	env := quickEnv(t)
+	_, plan, _, err := env.SBWithBackup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := replayQuick(t, env.EvalRecords, make([]float64, len(plan.Cores)), make([]float64, len(plan.LinkGbps)))
+	res, err := rig.run(des.GreedyLocal{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Calls == 0 || res.Overflowed != res.Calls {
+		t.Errorf("with zero capacity, %d/%d overflowed", res.Overflowed, res.Calls)
+	}
+	if res.StrandedCores <= 0 || res.StrandedGbps <= 0 {
+		t.Errorf("zero-capacity run should report stranded load, got %g cores / %g Gbps", res.StrandedCores, res.StrandedGbps)
+	}
+}
+
+func TestReplayUnplannedConfig(t *testing.T) {
+	env := quickEnv(t)
+	_, plan, _, err := env.SBWithBackup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A config certainly outside the planned universe.
+	exotic := &model.CallRecord{
+		ID:       999999,
+		Start:    env.EvalStart.Add(time.Hour),
+		Duration: 20 * time.Minute,
+		Legs: []model.LegRecord{
+			{Participant: 1, Country: "NZ", Media: model.Video},
+			{Participant: 2, Country: "CL", Media: model.Video, JoinOffset: time.Minute},
+			{Participant: 3, Country: "KE", Media: model.Video, JoinOffset: time.Minute},
+		},
+	}
+	rig := replayQuick(t, []*model.CallRecord{exotic}, plan.Cores, plan.LinkGbps)
+	res, err := rig.run(des.GreedyLocal{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Calls != 1 || res.Unplanned != 1 {
+		t.Errorf("calls %d unplanned %d, want 1/1", res.Calls, res.Unplanned)
+	}
+	if res.MeanACLms <= 0 {
+		t.Error("an unplanned config should still get an ACL")
+	}
+}
+
+func TestReplayValidation(t *testing.T) {
+	env := quickEnv(t)
+	lm, plan, _, err := env.SBWithBackup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newReplayRig(lm, env.Est, env.EvalRecords, []float64{1}, plan.LinkGbps); err == nil {
+		t.Error("a mis-sized capacity vector should error")
+	}
+	rig := replayQuick(t, env.EvalRecords, plan.Cores, plan.LinkGbps)
+	if _, err := rig.run(nil); err == nil {
+		t.Error("a nil policy should error")
+	}
+}
+
+func TestDrillValidation(t *testing.T) {
+	env := quickEnv(t)
+	lm, plan, _, err := env.SBWithBackup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := drillRun(lm, env.Est, env.EvalRecords, plan, 99, env.EvalStart); err == nil {
+		t.Error("an invalid failed DC should error")
+	}
+	if _, err := drillRun(lm, env.Est, env.EvalRecords, plan, 0, env.EvalStart.AddDate(0, 0, 30)); err == nil {
+		t.Error("a failure after the last record should error")
 	}
 }
 
 func TestDrill(t *testing.T) {
-	env := quickEnv(t)
-	res, err := Drill(env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := drillQuick(t)
 	if res.WithBackup.Replaced == 0 || res.WithBackup.PostCalls == 0 {
 		t.Fatalf("drill displaced nothing: %+v", res.WithBackup)
 	}
@@ -397,6 +599,54 @@ func TestDrill(t *testing.T) {
 	if res.WithBackup.OverflowRateAfter() > res.WithoutBackup.OverflowRateAfter() {
 		t.Errorf("backup plan overflow %.3f above serving-only %.3f",
 			res.WithBackup.OverflowRateAfter(), res.WithoutBackup.OverflowRateAfter())
+	}
+	// Exact quick-scale books, pinned like TestSimFidelity's.
+	if res.FailedDC != "us-east" {
+		t.Errorf("failed DC %s, want us-east", res.FailedDC)
+	}
+	for _, pin := range []struct {
+		name                string
+		r                   *DrillRun
+		overflowed          uint64
+		aclBefore, aclAfter float64
+	}{
+		{"with backup", res.WithBackup, 599, 19.014876703183543, 35.761042994318181},
+		{"serving only", res.WithoutBackup, 1499, 17.097005903927908, 35.596964980492629},
+	} {
+		r := pin.r
+		if r.Replaced != 1 || r.PostCalls != 3474 || r.Overflowed != pin.overflowed {
+			t.Errorf("%s books: replaced %d post-calls %d overflowed %d, want 1/3474/%d",
+				pin.name, r.Replaced, r.PostCalls, r.Overflowed, pin.overflowed)
+		}
+		if !approxEq(r.MeanACLBefore, pin.aclBefore) || !approxEq(r.MeanACLAfter, pin.aclAfter) {
+			t.Errorf("%s ACL before/after %.17g/%.17g, want %.17g/%.17g",
+				pin.name, r.MeanACLBefore, r.MeanACLAfter, pin.aclBefore, pin.aclAfter)
+		}
+	}
+}
+
+// TestDrillBackupAbsorbsFailure is the point of backup provisioning: under a
+// DC failure mid-peak, the backup-provisioned plan absorbs the displaced and
+// subsequent calls, while a serving-only plan overflows strictly more.
+func TestDrillBackupAbsorbsFailure(t *testing.T) {
+	res := drillQuick(t)
+	b, s := res.WithBackup, res.WithoutBackup
+	if b.Replaced == 0 || b.PostCalls == 0 {
+		t.Fatalf("drill displaced nothing: %+v", b)
+	}
+	// The backup plan absorbs the planned demand; residual overflow comes
+	// from tail traffic outside the planned config universe (whose
+	// cushion headroom died with the DC) and integral burstiness.
+	if rate := b.OverflowRateAfter(); rate > 0.25 {
+		t.Errorf("backup plan post-failure overflow %.3f, want modest", rate)
+	}
+	if s.OverflowRateAfter() <= b.OverflowRateAfter() {
+		t.Errorf("serving-only overflow %.3f not above backup plan %.3f",
+			s.OverflowRateAfter(), b.OverflowRateAfter())
+	}
+	// Latency degrades gracefully, not catastrophically.
+	if b.MeanACLAfter > 4*b.MeanACLBefore+20 {
+		t.Errorf("post-failure ACL %.1f vs %.1f before", b.MeanACLAfter, b.MeanACLBefore)
 	}
 }
 

@@ -46,6 +46,21 @@ func flakyServer(t *testing.T) (addr string, accepted *atomic.Int64, stop func()
 	return l.Addr().String(), &n, func() { l.Close() }
 }
 
+// waitAccepted waits until the flaky server has counted at least want
+// connections: a dial completes once the kernel queues the connection, a
+// moment before the accept loop counts it.
+func waitAccepted(t *testing.T, accepted *atomic.Int64, want int64) int64 {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		got := accepted.Load()
+		if got >= want || time.Now().After(deadline) {
+			return got
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestClientPoisonedFailsFast(t *testing.T) {
 	srv, addr := startServer(t)
 	c, err := DialOptions(addr, fastOpts())
@@ -89,7 +104,7 @@ func TestClientNonIdempotentNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := accepted.Load(); got != 1 {
+	if got := waitAccepted(t, accepted, 1); got != 1 {
 		t.Fatalf("accepted = %d after dial", got)
 	}
 	// INCR died mid-flight: it may have executed server-side, so it must
@@ -104,7 +119,7 @@ func TestClientNonIdempotentNotRetried(t *testing.T) {
 	if _, err := c.Get("k"); err == nil {
 		t.Fatal("GET against flaky server succeeded")
 	}
-	if got := accepted.Load(); got < 3 {
+	if got := waitAccepted(t, accepted, 3); got < 3 {
 		t.Errorf("idempotent command not retried (%d connections)", got)
 	}
 }

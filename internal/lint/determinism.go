@@ -12,7 +12,6 @@ import (
 // methodology only holds if the same seed yields the same bytes.
 var deterministicPackages = []string{
 	"internal/trace",
-	"internal/sim",
 	"internal/des",
 	"internal/eval",
 	"internal/forecast",

@@ -531,7 +531,7 @@ func TestSeededViolationFails(t *testing.T) {
 // silence another.
 func TestAllowRequiresMatchingKey(t *testing.T) {
 	runFixture(t, DeterminismAnalyzer(), map[string]string{
-		"internal/sim/fixture.go": `package sim
+		"internal/des/fixture.go": `package des
 
 import "time"
 

@@ -194,7 +194,7 @@ func TestGatherConsistentWhileHammered(t *testing.T) {
 	for _, fam := range r.Gather() {
 		switch fam.Name {
 		case "sb_test_gather_total":
-			if got := uint64(fam.Points[0].Value); got != c.Value() {
+			if got := fam.Points[0].Count; got != c.Value() {
 				t.Errorf("gathered counter %d != live %d", got, c.Value())
 			}
 		case "sb_test_gather_seconds":

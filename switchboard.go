@@ -58,7 +58,6 @@ import (
 	"switchboard/internal/predict"
 	"switchboard/internal/provision"
 	"switchboard/internal/records"
-	"switchboard/internal/sim"
 	"switchboard/internal/trace"
 )
 
@@ -299,29 +298,8 @@ func BenchControllerThroughput(addr string, workers int, events []Event, targetR
 	return controller.BenchThroughput(addr, workers, events, targetRate)
 }
 
-// Call-level simulation.
-type (
-	// Simulator replays individual calls against provisioned capacities.
-	Simulator = sim.Simulator
-	// SimResult summarizes one simulation run.
-	SimResult = sim.Result
-	// SimPolicy chooses the hosting DC for each arriving call.
-	SimPolicy = sim.Policy
-	// SimUsage is the simulator's live resource view.
-	SimUsage = sim.Usage
-	// GreedyLocalPolicy is the realtime analogue of locality-first.
-	GreedyLocalPolicy = sim.GreedyLocalPolicy
-	// SimPlanPolicy follows a daily allocation plan's quotas.
-	SimPlanPolicy = sim.PlanPolicy
-	// Predictor forecasts a recurring call's config before joins (§8).
-	Predictor = controller.Predictor
-)
-
-// NewSimulator builds a call-level simulator over a load model and
-// provisioned capacities.
-func NewSimulator(lm *LoadModel, est *LatencyEstimator, capCores, capGbps []float64) (*Simulator, error) {
-	return sim.New(lm, est, capCores, capGbps)
-}
+// Predictor forecasts a recurring call's config before joins (§8).
+type Predictor = controller.Predictor
 
 // KV store.
 type (

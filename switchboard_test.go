@@ -135,21 +135,6 @@ func TestPublicControllerFlow(t *testing.T) {
 	}
 }
 
-func TestPublicSimulator(t *testing.T) {
-	buildPipeline(t)
-	s, err := switchboard.NewSimulator(pipe.lm, pipe.db.Estimator(15), pipe.plan.Cores, pipe.plan.LinkGbps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(pipe.recs, &switchboard.GreedyLocalPolicy{LM: pipe.lm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Calls != len(pipe.recs) {
-		t.Fatalf("simulated %d of %d", res.Calls, len(pipe.recs))
-	}
-}
-
 func TestPublicForecasting(t *testing.T) {
 	buildPipeline(t)
 	top := pipe.db.TopConfigs(1)
