@@ -2,7 +2,7 @@
 # (see README.md, "Developing").
 GO ?= go
 
-.PHONY: check check-race build vet fmt lint lint-json lint-fixtures test race bench bench-core des-smoke clean
+.PHONY: check check-race build vet fmt lint lint-json lint-fixtures test race bench bench-core des-smoke drill-smoke clean
 
 check: build vet fmt lint test
 
@@ -70,6 +70,13 @@ des-smoke:
 	$(GO) run -race ./cmd/sbexp -exp dessweep -scale quick \
 		-des-detect 30s -des-trace des-smoke-trace.jsonl
 	$(GO) run ./cmd/sbexp -exp simfidelity,drill -scale quick
+
+# Live-drill smoke: the four store/controller fault drills (chaos,
+# partition, shard, reshard) end to end at quick scale, through sbexp's
+# printers. Each drill fails the run on a replay error, a journal that never
+# drains, a failover that never lands or an unreadable audit.
+drill-smoke:
+	$(GO) run ./cmd/sbexp -exp chaos,partition,shard,reshard -scale quick
 
 clean:
 	$(GO) clean ./...

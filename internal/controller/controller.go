@@ -673,6 +673,18 @@ func (c *Controller) persistDone(obsT time.Time) {
 	}
 }
 
+// CallKeyPrefix is the prefix every call-state key under a key namespace
+// shares ("" is the unsharded layout): scanning it finds the namespace's
+// calls.
+func CallKeyPrefix(keyPrefix string) string { return keyPrefix + "call:" }
+
+// CallKey is call id's state key under a key namespace:
+// "<keyPrefix>call:<id>". Every reader and writer of call state spells the
+// key through here.
+func CallKey(keyPrefix string, id uint64) string {
+	return keyPrefix + "call:" + strconv.FormatUint(id, 10) //sblint:allowalloc(store key; written over the wire, so it must materialize)
+}
+
 // persist writes one call-state transition to the store. The store is an
 // availability optimization, not the source of truth for in-flight
 // decisions, so a write never blocks a worker beyond the client's own I/O
@@ -695,7 +707,7 @@ func (c *Controller) persist(ctx context.Context, id uint64, field, value string
 		sp.SetAttr("field", field)
 		defer sp.End()
 	}
-	key := c.keyPrefix + "call:" + strconv.FormatUint(id, 10) //sblint:allowalloc(store key; written over the wire, so it must materialize)
+	key := CallKey(c.keyPrefix, id)
 	obsT := c.obsStart()
 	c.storeMu.Lock()
 	defer c.persistDone(obsT)
@@ -857,14 +869,8 @@ func (c *Controller) RecoverCalls(ctx context.Context) (n int, err error) {
 			sp.End()
 		}()
 	}
-	prefix := c.keyPrefix + "call:"
-	type rec struct {
-		id     uint64
-		dc     int
-		frozen bool
-		cfg    model.CallConfig
-	}
-	var recs []rec
+	prefix := CallKeyPrefix(c.keyPrefix)
+	recs := make(map[uint64]*callState)
 	c.mu.Lock()
 	admit := c.recoverOK
 	c.mu.Unlock()
@@ -887,34 +893,18 @@ func (c *Controller) RecoverCalls(ctx context.Context) (n int, err error) {
 			c.storeMu.Unlock()
 			return 0, herr
 		}
-		if h["state"] == "ended" {
-			continue
+		if st, ok := c.recoveredState(h); ok {
+			recs[id] = st
 		}
-		dc, derr := strconv.Atoi(h["dc"])
-		if derr != nil || dc < 0 {
-			continue
-		}
-		r := rec{id: id, dc: dc}
-		if key := h["config"]; key != "" {
-			if cfg, cerr := model.ParseConfigKey(key); cerr == nil {
-				r.frozen = true
-				r.cfg = cfg
-			}
-		}
-		recs = append(recs, r)
 	}
 	c.storeMu.Unlock()
 
 	c.mu.Lock()
-	for _, r := range recs {
-		if _, dup := c.calls[r.id]; dup {
-			continue
+	for id, st := range recs {
+		if _, dup := c.calls[id]; !dup {
+			c.calls[id] = st
+			n++
 		}
-		if r.dc >= len(c.world.DCs()) {
-			continue
-		}
-		c.calls[r.id] = &callState{dc: r.dc, frozen: r.frozen, cfg: r.cfg}
-		n++
 	}
 	c.mu.Unlock()
 	if n > 0 {

@@ -325,6 +325,29 @@ func TestReplayMigrationRateSmall(t *testing.T) {
 	}
 }
 
+// TestCallKeyLayout pins the call-state key bytes: store audits and
+// external readers address calls as "<prefix>call:<id>".
+func TestCallKeyLayout(t *testing.T) {
+	for _, tc := range []struct{ prefix, key, scan string }{
+		{"", "call:42", "call:"},
+		{"shard/2/", "shard/2/call:42", "shard/2/call:"},
+	} {
+		if got := CallKey(tc.prefix, 42); got != tc.key {
+			t.Errorf("CallKey(%q, 42) = %q, want %q", tc.prefix, got, tc.key)
+		}
+		if got := CallKeyPrefix(tc.prefix); got != tc.scan {
+			t.Errorf("CallKeyPrefix(%q) = %q, want %q", tc.prefix, got, tc.scan)
+		}
+	}
+}
+
+func TestApplyRejectsUnknownKind(t *testing.T) {
+	c := newController(t, nil)
+	if err := c.Apply(context.Background(), Event{Kind: EventEnd + 1, CallID: 1}); err == nil {
+		t.Error("Apply accepted an unknown event kind")
+	}
+}
+
 func TestPeakEventRate(t *testing.T) {
 	start := time.Date(2022, 9, 5, 0, 0, 0, 0, time.UTC)
 	var events []Event

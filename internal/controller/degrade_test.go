@@ -123,18 +123,7 @@ func TestChaosJournalAndReplay(t *testing.T) {
 					restoreOnce.Do(proxy.Restore)
 				}
 				begin := time.Now()
-				var err error
-				switch e.Kind {
-				case EventStart:
-					_, err = ctrl.CallStartedWithSeries(context.Background(), e.CallID, e.Country, e.SeriesID, e.Time)
-				case EventJoin:
-					ctrl.persist(context.Background(), e.CallID, "join:"+string(e.Country), e.Media.String())
-				case EventFreeze:
-					_, _, err = ctrl.ConfigKnown(context.Background(), e.CallID, e.Config, e.Time)
-				case EventEnd:
-					err = ctrl.CallEnded(context.Background(), e.CallID)
-				}
-				if err != nil {
+				if err := ctrl.Apply(context.Background(), e); err != nil {
 					errCh <- err
 					return
 				}

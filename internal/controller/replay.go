@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -125,23 +124,31 @@ func PeakEventRate(events []Event) float64 {
 	return float64(peak) / model.SlotDuration.Seconds()
 }
 
+// Apply feeds one event to the controller: the one mapping from event kinds
+// to call-control methods that every replay and drill goes through.
+func (c *Controller) Apply(ctx context.Context, e Event) error {
+	var err error
+	switch e.Kind {
+	case EventStart:
+		_, err = c.CallStartedWithSeries(ctx, e.CallID, e.Country, e.SeriesID, e.Time)
+	case EventJoin:
+		c.ParticipantJoined(ctx, e.CallID, e.Country, e.Media)
+	case EventFreeze:
+		_, _, err = c.ConfigKnown(ctx, e.CallID, e.Config, e.Time)
+	case EventEnd:
+		err = c.CallEnded(ctx, e.CallID)
+	default:
+		err = fmt.Errorf("controller: unknown event kind %v", e.Kind)
+	}
+	return err
+}
+
 // Replay feeds events through the controller in order, as the migration
 // experiment (§6.4) does. It returns the final stats.
 func (c *Controller) Replay(events []Event) (Stats, error) {
 	ctx := context.Background()
 	for _, e := range events {
-		var err error
-		switch e.Kind {
-		case EventStart:
-			_, err = c.CallStartedWithSeries(ctx, e.CallID, e.Country, e.SeriesID, e.Time)
-		case EventJoin:
-			c.ParticipantJoined(ctx, e.CallID, e.Country, e.Media)
-		case EventFreeze:
-			_, _, err = c.ConfigKnown(ctx, e.CallID, e.Config, e.Time)
-		case EventEnd:
-			err = c.CallEnded(ctx, e.CallID)
-		}
-		if err != nil {
+		if err := c.Apply(ctx, e); err != nil {
 			return c.Stats(), fmt.Errorf("controller: replay %v(%d): %w", e.Kind, e.CallID, err)
 		}
 	}
@@ -200,7 +207,7 @@ func BenchThroughput(addr string, workers int, events []Event, targetRate float6
 			c := clients[i]
 			minW[i] = time.Hour
 			for _, e := range queues[i] {
-				key := "call:" + strconv.FormatUint(e.CallID, 10)
+				key := CallKey("", e.CallID)
 				var err error
 				switch e.Kind {
 				case EventStart:

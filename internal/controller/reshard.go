@@ -83,8 +83,7 @@ func (c *Controller) RecoverCall(ctx context.Context, id uint64, altPrefix strin
 	if sp != nil {
 		defer sp.End()
 	}
-	idStr := strconv.FormatUint(id, 10)
-	ownKey := c.keyPrefix + "call:" + idStr
+	ownKey := CallKey(c.keyPrefix, id)
 
 	c.storeMu.Lock()
 	h, err := c.store.HGetAllContext(ctx, ownKey)
@@ -93,7 +92,7 @@ func (c *Controller) RecoverCall(ctx context.Context, id uint64, altPrefix strin
 		return false, err
 	}
 	if len(h) == 0 && altPrefix != "" && altPrefix != c.keyPrefix {
-		altKey := altPrefix + "call:" + idStr
+		altKey := CallKey(altPrefix, id)
 		if h, err = c.store.HGetAllContext(ctx, altKey); err != nil {
 			c.storeMu.Unlock()
 			return false, err
@@ -109,29 +108,38 @@ func (c *Controller) RecoverCall(ctx context.Context, id uint64, altPrefix strin
 	}
 	c.storeMu.Unlock()
 
-	if len(h) == 0 || h["state"] == "ended" {
+	st, ok := c.recoveredState(h)
+	if !ok {
 		return false, nil
 	}
-	dc, derr := strconv.Atoi(h["dc"])
-	if derr != nil || dc < 0 || dc >= len(c.world.DCs()) {
-		return false, nil
+	c.mu.Lock()
+	if _, dup := c.calls[id]; !dup {
+		c.calls[id] = st
+		c.metrics.ActiveCalls.Add(1)
+	}
+	c.mu.Unlock()
+	return true, nil
+}
+
+// recoveredState parses a persisted call-state hash into the state a
+// recovered call resumes with: its recorded DC, frozen with its recorded
+// config when one was persisted. ok is false for an absent or ended call and
+// for a record naming no valid DC.
+func (c *Controller) recoveredState(h map[string]string) (*callState, bool) {
+	if len(h) == 0 || h["state"] == "ended" {
+		return nil, false
+	}
+	dc, err := strconv.Atoi(h["dc"])
+	if err != nil || dc < 0 || dc >= len(c.world.DCs()) {
+		return nil, false
 	}
 	st := &callState{dc: dc}
 	if key := h["config"]; key != "" {
-		if cfg, cerr := model.ParseConfigKey(key); cerr == nil {
-			st.frozen = true
-			st.cfg = cfg
+		if cfg, err := model.ParseConfigKey(key); err == nil {
+			st.frozen, st.cfg = true, cfg
 		}
 	}
-	c.mu.Lock()
-	if _, dup := c.calls[id]; dup {
-		c.mu.Unlock()
-		return true, nil
-	}
-	c.calls[id] = st
-	c.mu.Unlock()
-	c.metrics.ActiveCalls.Add(1)
-	return true, nil
+	return st, true
 }
 
 // EvictCalls drops every in-memory call matching evict, releasing planned

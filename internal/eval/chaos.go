@@ -1,21 +1,12 @@
 package eval
 
 import (
-	"context"
-	"fmt"
-	"net"
-	"strconv"
 	"time"
 
 	"switchboard/internal/controller"
 	"switchboard/internal/faults"
 	"switchboard/internal/kvstore"
-	"switchboard/internal/model"
 )
-
-// chaosMaxCalls bounds the replayed call set so the drill (two full replays
-// plus a per-call audit) stays fast.
-const chaosMaxCalls = 1500
 
 // ChaosResult reports the fault-injection drill: the same event stream
 // replayed twice — once against a healthy store, once through the chaos
@@ -46,159 +37,85 @@ type ChaosResult struct {
 // proxy (injected latency plus a full store partition for the middle third
 // of the stream) and audits that graceful degradation lost nothing.
 func Chaos(env *Env, seed int64) (*ChaosResult, error) {
-	if env.EvalRecords == nil {
-		return nil, fmt.Errorf("eval: Chaos needs KeepEvalRecords")
+	d, err := newDrill(env, "Chaos")
+	if err != nil {
+		return nil, err
 	}
-	recs := env.EvalRecords
-	if len(recs) > chaosMaxCalls {
-		recs = recs[:chaosMaxCalls]
-	}
-	events := controller.BuildEvents(recs, controller.DefaultFreeze)
-	res := &ChaosResult{Calls: len(recs), Events: len(events), Seed: seed}
+	defer d.close()
+	res := &ChaosResult{Calls: len(d.recs), Events: len(d.events), Seed: seed}
 
-	newCtrl := func(addr string) (*controller.Controller, *kvstore.Client, error) {
-		client, err := kvstore.DialOptions(addr, kvstore.Options{
+	newCtrl := func(addr string) (*controller.Controller, error) {
+		client, err := d.dial(kvstore.Options{
 			DialTimeout: 250 * time.Millisecond,
 			IOTimeout:   250 * time.Millisecond,
 			MaxRetries:  -1,
 			BackoffMin:  10 * time.Millisecond,
 			BackoffMax:  50 * time.Millisecond,
 			Seed:        seed,
-		})
+		}, addr)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		ctrl, err := controller.New(controller.Config{
-			World: env.World,
-			Placer: &controller.MinACLPlacer{
-				ACLOf: func(cfg model.CallConfig, dc int) float64 { return cfg.ACL(env.World, dc) },
-				NDCs:  len(env.World.DCs()),
-			},
-			Store:         client,
-			ProbeInterval: 20 * time.Millisecond,
-		})
-		if err != nil {
-			_ = client.Close()
-			return nil, nil, err
-		}
-		return ctrl, client, nil
-	}
-
-	// replay drives the event stream; when proxy is non-nil the store is
-	// partitioned away for the middle third.
-	replay := func(ctrl *controller.Controller, proxy *faults.Proxy) (time.Duration, time.Duration, error) {
-		cutAt, restoreAt := len(events)/3, 2*len(events)/3
-		var maxStall time.Duration
-		// The chaos drill measures real wall-clock throughput and stalls of a
-		// live controller+kvstore under injected faults; the clock IS the
-		// measurement, not hidden state leaking into replayed outputs.
-		start := time.Now() //sblint:allow nondeterminism -- measuring real elapsed time
-		for i, e := range events {
-			if proxy != nil {
-				if i == cutAt {
-					proxy.Cut()
-				}
-				if i == restoreAt {
-					proxy.Restore()
-				}
-			}
-			opStart := time.Now() //sblint:allow nondeterminism -- measuring real per-op stall
-			var err error
-			switch e.Kind {
-			case controller.EventStart:
-				_, err = ctrl.CallStartedWithSeries(context.Background(), e.CallID, e.Country, e.SeriesID, e.Time)
-			case controller.EventJoin:
-				ctrl.ParticipantJoined(context.Background(), e.CallID, e.Country, e.Media)
-			case controller.EventFreeze:
-				_, _, err = ctrl.ConfigKnown(context.Background(), e.CallID, e.Config, e.Time)
-			case controller.EventEnd:
-				err = ctrl.CallEnded(context.Background(), e.CallID)
-			}
-			if err != nil {
-				return 0, 0, fmt.Errorf("eval: chaos replay %v(%d): %w", e.Kind, e.CallID, err)
-			}
-			if stall := time.Since(opStart); stall > maxStall { //sblint:allow nondeterminism -- measuring real per-op stall
-				maxStall = stall
-			}
-		}
-		return time.Since(start), maxStall, nil //sblint:allow nondeterminism -- measuring real elapsed time
+		return d.controller(client, 0, "")
 	}
 
 	// Clean run.
-	srv := kvstore.NewServer()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	_, addr, err := d.store()
 	if err != nil {
 		return nil, err
 	}
-	go func() { _ = srv.Serve(l) }()
-	ctrl, client, err := newCtrl(l.Addr().String())
-	if err != nil {
-		_ = srv.Close()
-		return nil, err
-	}
-	elapsed, _, err := replay(ctrl, nil)
-	_ = client.Close()
-	_ = srv.Close()
+	ctrl, err := newCtrl(addr)
 	if err != nil {
 		return nil, err
 	}
-	res.CleanEventsPerSec = float64(len(events)) / elapsed.Seconds()
+	if res.CleanEventsPerSec, err = d.replay(nil, to(ctrl), func(controller.Event, time.Duration) {}); err != nil {
+		return nil, err
+	}
 	res.CleanMigrated = ctrl.Stats().Migrated
 
 	// Chaos run: same stream through the proxy, with injected latency on
-	// top of the partition.
-	srv2 := kvstore.NewServer()
-	l2, err := net.Listen("tcp", "127.0.0.1:0")
+	// top of a store partition for the middle third of the stream.
+	_, addr2, err := d.store()
 	if err != nil {
 		return nil, err
 	}
-	go func() { _ = srv2.Serve(l2) }()
-	defer func() { _ = srv2.Close() }()
 	inj := faults.NewInjector(seed, faults.Rule{Kind: faults.Latency, Prob: 0.02, Delay: time.Millisecond})
-	proxy, err := faults.NewProxy(l2.Addr().String(), inj)
+	proxy, err := faults.NewProxy(addr2, inj)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = proxy.Close() }()
-	ctrl2, client2, err := newCtrl(proxy.Addr())
+	d.onClose(func() { _ = proxy.Close() })
+	ctrl2, err := newCtrl(proxy.Addr())
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = client2.Close() }()
-	elapsed2, maxStall, err := replay(ctrl2, proxy)
+	cutAt, restoreAt := len(d.events)/3, 2*len(d.events)/3
+	res.ChaosEventsPerSec, err = d.replay(func(i int) {
+		if i == cutAt {
+			proxy.Cut()
+		}
+		if i == restoreAt {
+			proxy.Restore()
+		}
+	}, to(ctrl2), func(_ controller.Event, took time.Duration) {
+		res.MaxStall = max(res.MaxStall, took)
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.ChaosEventsPerSec = float64(len(events)) / elapsed2.Seconds()
-	res.MaxStall = maxStall
 	res.ChaosMigrated = ctrl2.Stats().Migrated
 
-	// Heal and drain the journal, retrying through the client's backoff.
-	deadline := time.Now().Add(10 * time.Second) //sblint:allow nondeterminism -- real-time retry deadline
-	for {
-		if _, err := ctrl2.ReplayJournal(context.Background()); err == nil {
-			break
-		}
-		if time.Now().After(deadline) { //sblint:allow nondeterminism -- real-time retry deadline
-			return nil, fmt.Errorf("eval: chaos journal did not drain")
-		}
-		time.Sleep(20 * time.Millisecond)
+	// Heal and drain the journal.
+	if err := d.drainJournal(ctrl2); err != nil {
+		return nil, err
 	}
 	st := ctrl2.Stats()
 	res.Degraded, res.Replayed, res.Dropped = st.Degraded, st.Replayed, st.Dropped
 
 	// Audit: the store never lost data (only connectivity), so every call
 	// must have reached its terminal state.
-	reader, err := kvstore.Dial(l2.Addr().String())
-	if err != nil {
+	if res.LostTransitions, err = d.lost(addr2, unsharded); err != nil {
 		return nil, err
-	}
-	defer func() { _ = reader.Close() }()
-	for _, r := range recs {
-		v, err := reader.HGet("call:"+strconv.FormatUint(r.ID, 10), "state")
-		if err != nil || v != "ended" {
-			res.LostTransitions++
-		}
 	}
 	env.countRun("chaos")
 	if env.Obs != nil {

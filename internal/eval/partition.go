@@ -1,17 +1,13 @@
 package eval
 
 import (
-	"context"
 	"fmt"
-	"net"
-	"strconv"
 	"time"
 
 	"switchboard/internal/controller"
 	"switchboard/internal/faults"
 	"switchboard/internal/kvstore"
 	"switchboard/internal/kvstore/replica"
-	"switchboard/internal/model"
 )
 
 // PartitionResult reports the HA failover drill: the evaluation window's
@@ -54,44 +50,35 @@ type PartitionResult struct {
 // its failover timeout, and the client follows it, so the journal only has to
 // cover the promotion window.
 func PartitionDrill(env *Env, seed int64) (*PartitionResult, error) {
-	if env.EvalRecords == nil {
-		return nil, fmt.Errorf("eval: PartitionDrill needs KeepEvalRecords")
-	}
-	recs := env.EvalRecords
-	if len(recs) > chaosMaxCalls {
-		recs = recs[:chaosMaxCalls]
-	}
-	events := controller.BuildEvents(recs, controller.DefaultFreeze)
-	res := &PartitionResult{Calls: len(recs), Events: len(events), Seed: seed}
-
-	// Primary behind the chaos proxy, so the partition hits replication
-	// stream and client traffic alike.
-	psrv := kvstore.NewServer()
-	pl, err := net.Listen("tcp", "127.0.0.1:0")
+	d, err := newDrill(env, "PartitionDrill")
 	if err != nil {
 		return nil, err
 	}
-	go func() { _ = psrv.Serve(pl) }()
-	defer func() { _ = psrv.Close() }()
+	defer d.close()
+	res := &PartitionResult{Calls: len(d.recs), Events: len(d.events), Seed: seed}
+
+	// Primary behind the chaos proxy, so the partition hits replication
+	// stream and client traffic alike.
+	psrv, paddr, err := d.store()
+	if err != nil {
+		return nil, err
+	}
 	replica.NewPrimary(psrv, 0, replica.PrimaryOptions{
 		Heartbeat:  25 * time.Millisecond,
 		AckTimeout: 500 * time.Millisecond,
 	})
-	proxy, err := faults.NewProxy(pl.Addr().String(), nil)
+	proxy, err := faults.NewProxy(paddr, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = proxy.Close() }()
+	d.onClose(func() { _ = proxy.Close() })
 
 	// Hot standby syncing through the proxy; it must see the same silence
 	// the clients do.
-	ssrv := kvstore.NewServer()
-	sl, err := net.Listen("tcp", "127.0.0.1:0")
+	ssrv, saddr, err := d.store()
 	if err != nil {
 		return nil, err
 	}
-	go func() { _ = ssrv.Serve(sl) }()
-	defer func() { _ = ssrv.Close() }()
 	promoted := make(chan *replica.Primary, 1)
 	var promotedAt time.Time // written before the promoted send, read after the receive
 	standby := replica.NewStandby(ssrv, proxy.Addr(), replica.StandbyOptions{
@@ -105,105 +92,59 @@ func PartitionDrill(env *Env, seed int64) (*PartitionResult, error) {
 		},
 	})
 	go standby.Run()
-	defer standby.Stop()
+	d.onClose(standby.Stop)
 
-	client, err := kvstore.DialFailover([]string{proxy.Addr(), sl.Addr().String()}, kvstore.Options{
+	client, err := d.dial(kvstore.Options{
 		DialTimeout: 100 * time.Millisecond,
 		IOTimeout:   250 * time.Millisecond,
 		MaxRetries:  2,
 		BackoffMin:  10 * time.Millisecond,
 		BackoffMax:  50 * time.Millisecond,
 		Seed:        seed,
-	})
+	}, proxy.Addr(), saddr)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = client.Close() }()
-	ctrl, err := controller.New(controller.Config{
-		World: env.World,
-		Placer: &controller.MinACLPlacer{
-			ACLOf: func(cfg model.CallConfig, dc int) float64 { return cfg.ACL(env.World, dc) },
-			NDCs:  len(env.World.DCs()),
-		},
-		Store:         client,
-		ProbeInterval: 20 * time.Millisecond,
-	})
+	ctrl, err := d.controller(client, 0, "")
 	if err != nil {
 		return nil, err
 	}
 
-	// Replay, partitioning the primary a third of the way in. The failover
-	// drill measures real wall-clock promotion latency and stalls of a live
-	// replicated pair; the clock IS the measurement.
-	cutAt := len(events) / 3
+	// Replay, partitioning the primary a third of the way in.
+	cutAt := len(d.events) / 3
 	var partitionedAt time.Time
-	var maxStall time.Duration
-	start := time.Now() //sblint:allow nondeterminism -- measuring real elapsed time
-	for i, e := range events {
+	res.EventsPerSec, err = d.replay(func(i int) {
 		if i == cutAt {
 			proxy.Partition()
 			partitionedAt = time.Now() //sblint:allow nondeterminism -- promotion latency reference point
 		}
-		opStart := time.Now() //sblint:allow nondeterminism -- measuring real per-op stall
-		var err error
-		switch e.Kind {
-		case controller.EventStart:
-			_, err = ctrl.CallStartedWithSeries(context.Background(), e.CallID, e.Country, e.SeriesID, e.Time)
-		case controller.EventJoin:
-			ctrl.ParticipantJoined(context.Background(), e.CallID, e.Country, e.Media)
-		case controller.EventFreeze:
-			_, _, err = ctrl.ConfigKnown(context.Background(), e.CallID, e.Config, e.Time)
-		case controller.EventEnd:
-			err = ctrl.CallEnded(context.Background(), e.CallID)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("eval: partition replay %v(%d): %w", e.Kind, e.CallID, err)
-		}
-		if stall := time.Since(opStart); stall > maxStall { //sblint:allow nondeterminism -- measuring real per-op stall
-			maxStall = stall
-		}
+	}, to(ctrl), func(_ controller.Event, took time.Duration) {
+		res.MaxStall = max(res.MaxStall, took)
+	})
+	if err != nil {
+		return nil, err
 	}
-	elapsed := time.Since(start) //sblint:allow nondeterminism -- measuring real elapsed time
-	res.EventsPerSec = float64(len(events)) / elapsed.Seconds()
-	res.MaxStall = maxStall
 
 	// The standby must have promoted itself during the stream.
-	var newPrimary *replica.Primary
 	select {
-	case newPrimary = <-promoted:
+	case p := <-promoted:
+		res.PromotionLatency, res.ReplicatedSeq = promotedAt.Sub(partitionedAt), p.LastSeq()
 	case <-time.After(5 * time.Second):
 		return nil, fmt.Errorf("eval: standby never promoted after the partition")
 	}
-	res.PromotionLatency = promotedAt.Sub(partitionedAt)
-	res.ReplicatedSeq = newPrimary.LastSeq()
 
 	// Drain whatever the failover window journaled against the promoted
-	// standby, retrying through the client's backoff.
-	deadline := time.Now().Add(10 * time.Second) //sblint:allow nondeterminism -- real-time retry deadline
-	for {
-		if _, err := ctrl.ReplayJournal(context.Background()); err == nil {
-			break
-		}
-		if time.Now().After(deadline) { //sblint:allow nondeterminism -- real-time retry deadline
-			return nil, fmt.Errorf("eval: journal did not drain against the promoted standby")
-		}
-		time.Sleep(20 * time.Millisecond)
+	// standby.
+	if err := d.drainJournal(ctrl); err != nil {
+		return nil, err
 	}
 	st := ctrl.Stats()
 	res.Degraded, res.Replayed, res.Dropped = st.Degraded, st.Replayed, st.Dropped
 
 	// Audit against the promoted standby: every call must have reached its
 	// terminal state — replicated before the partition or replayed after.
-	reader, err := kvstore.Dial(sl.Addr().String())
-	if err != nil {
+	if res.LostTransitions, err = d.lost(saddr, unsharded); err != nil {
 		return nil, err
-	}
-	defer func() { _ = reader.Close() }()
-	for _, r := range recs {
-		v, err := reader.HGet("call:"+strconv.FormatUint(r.ID, 10), "state")
-		if err != nil || v != "ended" {
-			res.LostTransitions++
-		}
 	}
 
 	env.countRun("partition")

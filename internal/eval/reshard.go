@@ -3,13 +3,10 @@ package eval
 import (
 	"context"
 	"fmt"
-	"net"
-	"strconv"
 	"time"
 
 	"switchboard/internal/controller"
 	"switchboard/internal/kvstore"
-	"switchboard/internal/model"
 	"switchboard/internal/shard"
 )
 
@@ -58,85 +55,41 @@ const reshardDrillTo = 4
 // requires every call's terminal state under its post-split owner's prefix:
 // the split may slow writes (boundedly), but may not lose one.
 func ReshardDrill(env *Env, seed int64) (*ReshardResult, error) {
-	if env.EvalRecords == nil {
-		return nil, fmt.Errorf("eval: ReshardDrill needs KeepEvalRecords")
-	}
-	recs := env.EvalRecords
-	if len(recs) > chaosMaxCalls {
-		recs = recs[:chaosMaxCalls]
-	}
-	events := controller.BuildEvents(recs, controller.DefaultFreeze)
-	res := &ReshardResult{
-		Calls: len(recs), Events: len(events),
-		FromShards: drillShards, ToShards: reshardDrillTo, Seed: seed,
-	}
-
-	srv := kvstore.NewServer()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	d, err := newDrill(env, "ReshardDrill")
 	if err != nil {
 		return nil, err
 	}
-	go func() { _ = srv.Serve(l) }()
-	defer func() { _ = srv.Close() }()
-	addr := l.Addr().String()
+	defer d.close()
+	res := &ReshardResult{
+		Calls: len(d.recs), Events: len(d.events),
+		FromShards: drillShards, ToShards: reshardDrillTo, Seed: seed,
+	}
 
+	_, addr, err := d.store()
+	if err != nil {
+		return nil, err
+	}
 	ring, err := shard.NewRing(drillShards, 64)
 	if err != nil {
 		return nil, err
 	}
-	opts := kvstore.Options{
-		DialTimeout: 200 * time.Millisecond,
-		IOTimeout:   200 * time.Millisecond,
-		MaxRetries:  1,
-		BackoffMin:  10 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
-	}
-	var clients []*kvstore.Client
-	defer func() {
-		for _, c := range clients {
-			_ = c.Close()
-		}
-	}()
-	newCtrl := func(i int) (*controller.Controller, error) {
-		o := opts
-		o.Seed = seed + int64(i)
-		store, err := kvstore.DialOptions(addr, o)
-		if err != nil {
-			return nil, err
-		}
-		clients = append(clients, store)
-		return controller.New(controller.Config{
-			World: env.World,
-			Placer: &controller.MinACLPlacer{
-				ACLOf: func(cfg model.CallConfig, dc int) float64 { return cfg.ACL(env.World, dc) },
-				NDCs:  len(env.World.DCs()),
-			},
-			Store:         store,
-			KeyPrefix:     shard.KeyPrefix(i),
-			Shard:         i,
-			ProbeInterval: 20 * time.Millisecond,
-		})
-	}
+	newCtrl := func(i int) (*controller.Controller, error) { return d.shardController(addr, seed, i) }
 	ctrls := make([]*controller.Controller, drillShards)
 	for i := range ctrls {
 		if ctrls[i], err = newCtrl(i); err != nil {
 			return nil, err
 		}
 	}
-	m, err := shard.NewManager(shard.Config{
+	m, err := d.manager(shard.Config{
 		Ring:        ring,
 		ID:          "reshard-drill",
 		Controllers: ctrls,
 		ElectorStore: func(i int) (*kvstore.Client, error) {
-			o := opts
-			o.Seed = seed + 100 + int64(i)
-			return kvstore.DialOptions(addr, o)
+			return kvstore.DialOptions(addr, fleetOptions(seed+100+int64(i)))
 		},
 		NewController: newCtrl,
 		WatchStore: func() (*kvstore.Client, error) {
-			o := opts
-			o.Seed = seed + 200
-			return kvstore.DialOptions(addr, o)
+			return kvstore.DialOptions(addr, fleetOptions(seed+200))
 		},
 		EpochPoll: 50 * time.Millisecond,
 		Prefer:    []int{0, 1, 2},
@@ -147,22 +100,13 @@ func ReshardDrill(env *Env, seed int64) (*ReshardResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.Start()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		m.Stop(ctx)
-	}()
-
-	settle := time.Now().Add(10 * time.Second) //sblint:allow nondeterminism -- real-time settle deadline
-	for !(m.Owns(0) && m.Owns(1) && m.Owns(2)) {
-		if time.Now().After(settle) { //sblint:allow nondeterminism -- real-time settle deadline
-			return nil, fmt.Errorf("eval: reshard fleet never settled")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := d.waitUntil(10*time.Second, "fleet settled", func() bool {
+		return m.Owns(0) && m.Owns(1) && m.Owns(2)
+	}); err != nil {
+		return nil, err
 	}
 
-	coStore, err := kvstore.DialOptions(addr, func() kvstore.Options { o := opts; o.Seed = seed + 300; return o }())
+	coStore, err := kvstore.DialOptions(addr, fleetOptions(seed+300))
 	if err != nil {
 		return nil, err
 	}
@@ -182,18 +126,19 @@ func ReshardDrill(env *Env, seed int64) (*ReshardResult, error) {
 		_ = coStore.Close()
 		return nil, err
 	}
-	defer func() { _ = co.Close() }()
+	d.onClose(func() { _ = co.Close() })
+	coCtx, coCancel := context.WithTimeout(context.Background(), 60*time.Second)
+	d.onClose(coCancel)
 
 	// The split launches a third of the way into the stream and runs
 	// concurrently with it; splitDone carries the coordinator's verdict.
-	cutAt := len(events) / 3
+	// Every op routes exactly as the HTTP data plane does: BeginWrite, wait
+	// out a handoff hold, recover through the double-read window at cutover.
+	cutAt := len(d.events) / 3
 	splitDone := make(chan error, 1)
 	var splitStart time.Time
-	coCtx, coCancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer coCancel()
-
-	start := time.Now() //sblint:allow nondeterminism -- measuring real elapsed time
-	for i, e := range events {
+	held := false
+	res.EventsPerSec, err = d.replay(func(i int) {
 		if i == cutAt {
 			splitStart = time.Now() //sblint:allow nondeterminism -- split duration reference point
 			go func() {
@@ -201,71 +146,41 @@ func ReshardDrill(env *Env, seed int64) (*ReshardResult, error) {
 				splitDone <- err
 			}()
 		}
-		opStart := time.Now() //sblint:allow nondeterminism -- measuring real per-op stall
-		held := false
-		// Route exactly as the HTTP data plane does: BeginWrite, honor the
-		// handoff hold by waiting it out, recover through the double-read
-		// window at cutover.
-		var d shard.RouteDecision
+	}, func(e controller.Event) (*controller.Controller, func(), error) {
+		var rd shard.RouteDecision
 		var release func()
-		holdDeadline := time.Now().Add(10 * time.Second) //sblint:allow nondeterminism -- real-time hold deadline
-		for {
-			d, release = m.BeginWrite(e.CallID)
-			if !d.Held {
-				break
-			}
-			held = true
-			if time.Now().After(holdDeadline) { //sblint:allow nondeterminism -- real-time hold deadline
-				return nil, fmt.Errorf("eval: write hold on conf %d never lifted", e.CallID)
-			}
-			time.Sleep(5 * time.Millisecond)
+		held = false
+		if err := d.waitUntil(10*time.Second, "write hold lifted", func() bool {
+			rd, release = m.BeginWrite(e.CallID)
+			held = held || rd.Held
+			return !rd.Held
+		}); err != nil {
+			return nil, nil, err
 		}
-		ctrl := m.Controller(d.Shard)
+		ctrl := m.Serving(context.Background(), e.CallID, rd)
 		if ctrl == nil {
-			return nil, fmt.Errorf("eval: no controller for shard %d", d.Shard)
+			return nil, release, fmt.Errorf("no live controller for shard %d", rd.Shard)
 		}
-		if d.DoubleRead && !ctrl.Knows(e.CallID) {
-			_, _ = ctrl.RecoverCall(context.Background(), e.CallID, shard.KeyPrefix(d.OldShard))
-		}
-		switch e.Kind {
-		case controller.EventStart:
-			_, err = ctrl.CallStartedWithSeries(context.Background(), e.CallID, e.Country, e.SeriesID, e.Time)
-		case controller.EventJoin:
-			ctrl.ParticipantJoined(context.Background(), e.CallID, e.Country, e.Media)
-			err = nil
-		case controller.EventFreeze:
-			_, _, err = ctrl.ConfigKnown(context.Background(), e.CallID, e.Config, e.Time)
-		case controller.EventEnd:
-			err = ctrl.CallEnded(context.Background(), e.CallID)
-		}
-		if release != nil {
-			release()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("eval: reshard replay %v(%d): %w", e.Kind, e.CallID, err)
-		}
-		stall := time.Since(opStart) //sblint:allow nondeterminism -- measuring real per-op stall
+		return ctrl, release, nil
+	}, func(_ controller.Event, took time.Duration) {
 		if held {
 			res.HeldWrites++
-			if stall > res.MaxHeldStall {
-				res.MaxHeldStall = stall
-			}
-		} else if stall > res.MaxStall {
-			res.MaxStall = stall
+			res.MaxHeldStall = max(res.MaxHeldStall, took)
+		} else {
+			res.MaxStall = max(res.MaxStall, took)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	elapsed := time.Since(start) //sblint:allow nondeterminism -- measuring real elapsed time
-	res.EventsPerSec = float64(len(events)) / elapsed.Seconds()
 
 	if err := <-splitDone; err != nil {
 		return nil, fmt.Errorf("eval: split failed: %w", err)
 	}
-	converge := time.Now().Add(10 * time.Second) //sblint:allow nondeterminism -- real-time convergence deadline
-	for !(m.Phase() == shard.PhaseStable && m.Ring().Shards() == reshardDrillTo) {
-		if time.Now().After(converge) { //sblint:allow nondeterminism -- real-time convergence deadline
-			return nil, fmt.Errorf("eval: fleet never converged on the target ring")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := d.waitUntil(10*time.Second, "fleet converged on the target ring", func() bool {
+		return m.Phase() == shard.PhaseStable && m.Ring().Shards() == reshardDrillTo
+	}); err != nil {
+		return nil, err
 	}
 	res.SplitDuration = time.Since(splitStart) //sblint:allow nondeterminism -- split duration measurement
 	res.FinalEpoch = m.RingEpoch()
@@ -277,17 +192,8 @@ func ReshardDrill(env *Env, seed int64) (*ReshardResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	reader, err := kvstore.Dial(addr)
-	if err != nil {
+	if res.LostTransitions, err = d.lost(addr, func(id uint64) string { return shard.KeyPrefix(ringTo.Lookup(id)) }); err != nil {
 		return nil, err
-	}
-	defer func() { _ = reader.Close() }()
-	for _, r := range recs {
-		sh := ringTo.Lookup(r.ID)
-		v, err := reader.HGet(shard.KeyPrefix(sh)+"call:"+strconv.FormatUint(r.ID, 10), "state")
-		if err != nil || v != "ended" {
-			res.LostTransitions++
-		}
 	}
 
 	env.countRun("reshard")

@@ -1,16 +1,12 @@
 package eval
 
 import (
-	"context"
 	"fmt"
-	"net"
-	"strconv"
 	"time"
 
 	"switchboard/internal/controller"
 	"switchboard/internal/faults"
 	"switchboard/internal/kvstore"
-	"switchboard/internal/model"
 	"switchboard/internal/shard"
 )
 
@@ -56,82 +52,41 @@ const drillShards = 3
 // in-flight call state under each shard's key prefix, and the stream resumes,
 // while shard 2 serves throughout.
 func ShardDrill(env *Env, seed int64) (*ShardResult, error) {
-	if env.EvalRecords == nil {
-		return nil, fmt.Errorf("eval: ShardDrill needs KeepEvalRecords")
-	}
-	recs := env.EvalRecords
-	if len(recs) > chaosMaxCalls {
-		recs = recs[:chaosMaxCalls]
-	}
-	events := controller.BuildEvents(recs, controller.DefaultFreeze)
-	res := &ShardResult{Calls: len(recs), Events: len(events), Shards: drillShards, Seed: seed}
-
-	srv := kvstore.NewServer()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	d, err := newDrill(env, "ShardDrill")
 	if err != nil {
 		return nil, err
 	}
-	go func() { _ = srv.Serve(l) }()
-	defer func() { _ = srv.Close() }()
+	defer d.close()
+	res := &ShardResult{Calls: len(d.recs), Events: len(d.events), Shards: drillShards, Seed: seed}
 
+	_, addr, err := d.store()
+	if err != nil {
+		return nil, err
+	}
 	// Node A reaches the store only through the chaos proxy; Cut() is its
 	// kill switch. Node B dials direct — it survives.
-	proxy, err := faults.NewProxy(l.Addr().String(), nil)
+	proxy, err := faults.NewProxy(addr, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = proxy.Close() }()
-
+	d.onClose(func() { _ = proxy.Close() })
 	ring, err := shard.NewRing(drillShards, 64)
 	if err != nil {
 		return nil, err
 	}
-	opts := kvstore.Options{
-		DialTimeout: 200 * time.Millisecond,
-		IOTimeout:   200 * time.Millisecond,
-		MaxRetries:  1,
-		BackoffMin:  10 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
-	}
-	var clients []*kvstore.Client
-	defer func() {
-		for _, c := range clients {
-			_ = c.Close()
-		}
-	}()
 	newNode := func(via, id string, prefer []int, seed int64) (*shard.Manager, error) {
 		ctrls := make([]*controller.Controller, drillShards)
 		for i := range ctrls {
-			o := opts
-			o.Seed = seed + int64(i)
-			store, err := kvstore.DialOptions(via, o)
-			if err != nil {
-				return nil, err
-			}
-			clients = append(clients, store)
-			ctrls[i], err = controller.New(controller.Config{
-				World: env.World,
-				Placer: &controller.MinACLPlacer{
-					ACLOf: func(cfg model.CallConfig, dc int) float64 { return cfg.ACL(env.World, dc) },
-					NDCs:  len(env.World.DCs()),
-				},
-				Store:         store,
-				KeyPrefix:     shard.KeyPrefix(i),
-				Shard:         i,
-				ProbeInterval: 20 * time.Millisecond,
-			})
-			if err != nil {
+			if ctrls[i], err = d.shardController(via, seed, i); err != nil {
 				return nil, err
 			}
 		}
-		return shard.NewManager(shard.Config{
+		return d.manager(shard.Config{
 			Ring:        ring,
 			ID:          id,
 			Controllers: ctrls,
 			ElectorStore: func(i int) (*kvstore.Client, error) {
-				o := opts
-				o.Seed = seed + 100 + int64(i)
-				return kvstore.DialOptions(via, o)
+				return kvstore.DialOptions(via, fleetOptions(seed+100+int64(i)))
 			},
 			Prefer:        prefer,
 			TTL:           300 * time.Millisecond,
@@ -144,123 +99,70 @@ func ShardDrill(env *Env, seed int64) (*ShardResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := newNode(l.Addr().String(), "drill-b", []int{2}, seed+1000)
+	b, err := newNode(addr, "drill-b", []int{2}, seed+1000)
 	if err != nil {
 		return nil, err
 	}
-	a.Start()
-	b.Start()
-	stop := func(m *shard.Manager) {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		m.Stop(ctx)
-	}
-	defer stop(b)
-	defer stop(a)
 
 	// The fleet settles onto its preference map before the stream starts.
-	settle := time.Now().Add(10 * time.Second) //sblint:allow nondeterminism -- real-time settle deadline
-	for !(a.Owns(0) && a.Owns(1) && b.Owns(2)) {
-		if time.Now().After(settle) { //sblint:allow nondeterminism -- real-time settle deadline
-			return nil, fmt.Errorf("eval: shard fleet never settled")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := d.waitUntil(10*time.Second, "fleet settled on its preference map", func() bool {
+		return a.Owns(0) && a.Owns(1) && b.Owns(2)
+	}); err != nil {
+		return nil, err
 	}
 
-	// ownerFor routes an op to the live leader of the call's shard, waiting
-	// out the takeover window when the leader just died. After the kill
-	// node A is never consulted: like a load balancer dropping a dead
-	// backend, so no op can be acked into a journal that dies with it.
+	// Replay, killing node A a third of the way in. Each op routes to the
+	// live leader of the call's shard, waiting out the takeover window when
+	// the leader just died. After the kill node A is never consulted: like a
+	// load balancer dropping a dead backend, so no op can be acked into a
+	// journal that dies with it.
+	cutAt := len(d.events) / 3
 	killed := false
-	ownerFor := func(sh int) *controller.Controller {
-		deadline := time.Now().Add(10 * time.Second) //sblint:allow nondeterminism -- real-time takeover deadline
-		for {
-			if !killed && a.Owns(sh) {
-				return a.Controller(sh)
-			}
-			if b.Owns(sh) {
-				return b.Controller(sh)
-			}
-			if time.Now().After(deadline) { //sblint:allow nondeterminism -- real-time takeover deadline
-				return nil
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-
-	// Replay, killing node A a third of the way in. The drill measures real
-	// wall-clock takeover latency and stalls of a live fleet; the clock IS
-	// the measurement.
-	cutAt := len(events) / 3
-	promoted := make(chan time.Time, 1)
 	var cutTime time.Time
-	start := time.Now() //sblint:allow nondeterminism -- measuring real elapsed time
-	for i, e := range events {
+	var promoted <-chan time.Time
+	res.EventsPerSec, err = d.replay(func(i int) {
 		if i == cutAt {
 			killed = true
 			proxy.Cut()
 			cutTime = time.Now() //sblint:allow nondeterminism -- takeover latency reference point
-			go func() {
-				for !(b.Owns(0) && b.Owns(1)) {
-					time.Sleep(5 * time.Millisecond)
-				}
-				promoted <- time.Now() //sblint:allow nondeterminism -- takeover timestamp
-			}()
+			promoted = d.when(func() bool { return b.Owns(0) && b.Owns(1) })
 		}
+	}, func(e controller.Event) (*controller.Controller, func(), error) {
 		sh := ring.Lookup(e.CallID)
-		opStart := time.Now() //sblint:allow nondeterminism -- measuring real per-op stall
-		ctrl := ownerFor(sh)
-		if ctrl == nil {
-			return nil, fmt.Errorf("eval: no live leader for shard %d", sh)
-		}
-		var err error
-		switch e.Kind {
-		case controller.EventStart:
-			_, err = ctrl.CallStartedWithSeries(context.Background(), e.CallID, e.Country, e.SeriesID, e.Time)
-		case controller.EventJoin:
-			ctrl.ParticipantJoined(context.Background(), e.CallID, e.Country, e.Media)
-		case controller.EventFreeze:
-			_, _, err = ctrl.ConfigKnown(context.Background(), e.CallID, e.Config, e.Time)
-		case controller.EventEnd:
-			err = ctrl.CallEnded(context.Background(), e.CallID)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("eval: shard replay %v(%d): %w", e.Kind, e.CallID, err)
-		}
-		stall := time.Since(opStart) //sblint:allow nondeterminism -- measuring real per-op stall
-		if sh == 2 {
-			if stall > res.UntouchedMaxStall {
-				res.UntouchedMaxStall = stall
+		var ctrl *controller.Controller
+		err := d.waitUntil(10*time.Second, "a live shard leader", func() bool {
+			switch {
+			case !killed && a.Owns(sh):
+				ctrl = a.Controller(sh)
+			case b.Owns(sh):
+				ctrl = b.Controller(sh)
 			}
-		} else if stall > res.MaxStall {
-			res.MaxStall = stall
+			return ctrl != nil
+		})
+		return ctrl, nil, err
+	}, func(e controller.Event, took time.Duration) {
+		if ring.Lookup(e.CallID) == 2 {
+			res.UntouchedMaxStall = max(res.UntouchedMaxStall, took)
+		} else {
+			res.MaxStall = max(res.MaxStall, took)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	elapsed := time.Since(start) //sblint:allow nondeterminism -- measuring real elapsed time
-	res.EventsPerSec = float64(len(events)) / elapsed.Seconds()
 
-	var promotedAt time.Time
 	select {
-	case promotedAt = <-promoted:
+	case at := <-promoted:
+		res.PromotionLatency = at.Sub(cutTime)
 	case <-time.After(5 * time.Second):
 		return nil, fmt.Errorf("eval: survivor never took over the dead node's shards")
 	}
-	res.PromotionLatency = promotedAt.Sub(cutTime)
 
 	// Audit: every call's terminal state must be in the store under its
 	// shard's key prefix — written by whichever node led the shard when the
 	// op ran.
-	reader, err := kvstore.Dial(l.Addr().String())
-	if err != nil {
+	if res.LostTransitions, err = d.lost(addr, func(id uint64) string { return shard.KeyPrefix(ring.Lookup(id)) }); err != nil {
 		return nil, err
-	}
-	defer func() { _ = reader.Close() }()
-	for _, r := range recs {
-		sh := ring.Lookup(r.ID)
-		v, err := reader.HGet(shard.KeyPrefix(sh)+"call:"+strconv.FormatUint(r.ID, 10), "state")
-		if err != nil || v != "ended" {
-			res.LostTransitions++
-		}
 	}
 
 	env.countRun("shard")

@@ -19,7 +19,6 @@ import (
 	"switchboard/internal/model"
 	"switchboard/internal/obs"
 	"switchboard/internal/obs/span"
-	"switchboard/internal/shard"
 )
 
 // maxRequestBody caps request bodies; call-control messages are tiny, so
@@ -187,14 +186,8 @@ func (s *Server) callRoute(h callHandler) http.HandlerFunc {
 			s.Shards.heldResponse(d, w)
 			return
 		}
-		if m.Owns(d.Shard) {
-			ctrl := m.Controller(d.Shard)
-			if d.DoubleRead && !ctrl.Knows(probe.ID) {
-				// Cutover double-read: the call may still live under its
-				// pre-cutover owner's prefix; pull it forward before serving.
-				// Best effort — an unknown call stays a clean 404.
-				_, _ = ctrl.RecoverCall(r.Context(), probe.ID, shard.KeyPrefix(d.OldShard))
-			}
+		// An unknown call stays a clean 404 after the cutover double-read.
+		if ctrl := m.Serving(r.Context(), probe.ID, d); ctrl != nil {
 			h(ctrl, body, w, r)
 			return
 		}

@@ -317,7 +317,7 @@ func (m *Manager) runElectorLocked(i int) {
 // call state the previous leader persisted.
 func (m *Manager) lead(shard int, epoch int64) {
 	m.pollEpoch()
-	ctrl := m.controller(shard)
+	ctrl := m.Controller(shard)
 	ctrl.SetLease(LeaseKey(shard), epoch)
 	ctx := context.Background()
 	if _, err := ctrl.ReplayJournal(ctx); err != nil && m.cfg.Logger != nil {
@@ -406,13 +406,6 @@ func (m *Manager) Owned() []int {
 	return out
 }
 
-// controller returns shard i's controller.
-func (m *Manager) controller(shard int) *controller.Controller {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ctrls[shard]
-}
-
 // Controller returns shard i's controller (led or not), nil when out of
 // range.
 func (m *Manager) Controller(shard int) *controller.Controller {
@@ -431,15 +424,6 @@ func (m *Manager) Controllers() []*controller.Controller {
 	out := make([]*controller.Controller, len(m.ctrls))
 	copy(out, m.ctrls)
 	return out
-}
-
-// ControllerFor resolves a conference ID to its shard under the serving ring
-// and reports whether this process leads it; ctrl is the local controller for
-// that shard either way (callers must not route mutations through it unless
-// owned).
-func (m *Manager) ControllerFor(conf uint64) (ctrl *controller.Controller, shard int, owned bool) {
-	shard = m.route.Load().ring.Lookup(conf)
-	return m.controller(shard), shard, m.Owns(shard)
 }
 
 // Route resolves a conference ID under the current ring epoch without
@@ -480,6 +464,21 @@ func (m *Manager) BeginWrite(conf uint64) (RouteDecision, func()) {
 		m.movedInflight[shard]--
 		m.mu.Unlock()
 	}
+}
+
+// Serving returns the controller that serves conf under d here, nil when
+// this node does not lead d.Shard. In the cutover double-read window it first
+// pulls a call the owner does not know forward from the pre-cutover owner's
+// prefix (best effort: a call found nowhere stays unknown).
+func (m *Manager) Serving(ctx context.Context, conf uint64, d RouteDecision) *controller.Controller {
+	if !m.Owns(d.Shard) {
+		return nil
+	}
+	ctrl := m.Controller(d.Shard)
+	if d.DoubleRead && !ctrl.Knows(conf) {
+		_, _ = ctrl.RecoverCall(ctx, conf, KeyPrefix(d.OldShard))
+	}
+	return ctrl
 }
 
 // Epoch returns the fencing epoch of shard's lease as last observed by this

@@ -146,10 +146,41 @@ func TestSingleNodeOwnsAll(t *testing.T) {
 		return len(m.Owned()) == 3
 	})
 	for conf := uint64(0); conf < 100; conf++ {
-		ctrl, sh, owned := m.ControllerFor(conf)
-		if !owned || ctrl == nil || ctrl.Shard() != sh {
-			t.Fatalf("ControllerFor(%d) = shard %d owned=%v ctrl.Shard()=%d", conf, sh, owned, ctrl.Shard())
+		d := m.Route(conf)
+		if ctrl := m.Serving(context.Background(), conf, d); ctrl == nil || ctrl.Shard() != d.Shard {
+			t.Fatalf("Serving(%d) on shard %d = %v, want the owned shard's controller", conf, d.Shard, ctrl)
 		}
+	}
+}
+
+// TestServing pins the cutover routing rule: an unowned shard serves
+// nothing here, and a double-read pulls a call the new owner does not know
+// forward from its pre-cutover owner's prefix.
+func TestServing(t *testing.T) {
+	addr := startStore(t)
+	m := newManager(t, addr, "node-a", 2, []int{0, 1}, 1)
+	cutover := RouteDecision{Shard: 1, DoubleRead: true, OldShard: 0}
+	const id = 7
+	if ctrl := m.Serving(context.Background(), id, cutover); ctrl != nil {
+		t.Fatal("Serving returned a controller for a shard this node does not lead")
+	}
+	m.Start()
+	await(t, "node to own both shards", 5*time.Second, func() bool { return len(m.Owned()) == 2 })
+
+	w := dialFast(t, addr, 50)
+	defer func() { _ = w.Close() }()
+	if err := w.HSet(controller.CallKey(KeyPrefix(0), id), "dc", "0"); err != nil {
+		t.Fatal(err)
+	}
+	ctrl := m.Serving(context.Background(), id, cutover)
+	if ctrl != m.Controller(1) {
+		t.Fatalf("Serving picked %v, want shard 1's controller", ctrl)
+	}
+	if !ctrl.Knows(id) {
+		t.Fatal("double-read did not recover the call from the old owner's prefix")
+	}
+	if dc, err := w.HGet(controller.CallKey(KeyPrefix(1), id), "dc"); err != nil || dc != "0" {
+		t.Fatalf("call state not copied forward: dc=%q err=%v", dc, err)
 	}
 }
 

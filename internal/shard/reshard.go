@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"switchboard/internal/controller"
 	"switchboard/internal/kvstore"
 	"switchboard/internal/obs/span"
 )
@@ -261,7 +262,7 @@ func (co *Coordinator) Abort(ctx context.Context) (ReshardState, error) {
 	// Delete the partial destination state: moving keys only ever copy into
 	// the added shards' prefixes, which carry nothing else pre-cutover.
 	for s := st.From; s < st.To; s++ {
-		prefix := KeyPrefix(s) + "call:"
+		prefix := controller.CallKeyPrefix(KeyPrefix(s))
 		err := co.retry(ctx, "abort.scan", func(ctx context.Context) error {
 			return co.locked(func() error {
 				keys, kerr := co.cfg.Store.KeysPrefixContext(ctx, prefix)
@@ -536,10 +537,72 @@ func (co *Coordinator) cutover(ctx context.Context, st *ReshardState) error {
 	return nil
 }
 
-// copyMoved scans every source shard's call keys and copies the ones whose
-// owner changes to the target ring. countProgress tracks Copied/Total and
-// checkpoints (the bulk pass); the delta pass skips the bookkeeping.
+// copyMoved copies every call key whose owner changes to the target ring.
+// countProgress tracks Copied/Total and checkpoints (the bulk pass); the
+// delta pass skips the bookkeeping.
 func (co *Coordinator) copyMoved(ctx context.Context, st *ReshardState, phase string, countProgress bool) error {
+	start, sinceCheckpoint := 0, 0
+	var shardDone func(s int) error
+	if countProgress {
+		start = st.NextShard
+		shardDone = func(s int) error {
+			st.NextShard, sinceCheckpoint = s+1, 0
+			return co.checkpoint(ctx, st)
+		}
+	}
+	return co.eachMoved(ctx, st, phase, start, func(src, dst string) error {
+		if countProgress {
+			st.Total++
+		}
+		if err := co.retry(ctx, phase+".copy", func(ctx context.Context) error {
+			return co.locked(func() error {
+				_, herr := co.cfg.Store.HCopyContext(ctx, src, dst)
+				return herr
+			})
+		}); err != nil {
+			return err
+		}
+		if countProgress {
+			st.Copied++
+			if sinceCheckpoint++; sinceCheckpoint >= reshardCheckpointEvery {
+				sinceCheckpoint = 0
+				if err := co.checkpoint(ctx, st); err != nil {
+					return err
+				}
+			}
+		}
+		co.hook(phase, "copied:"+src)
+		return nil
+	}, shardDone)
+}
+
+// retireMoved deletes moved keys from their source prefixes, each only after
+// verifying its copy exists under the new owner.
+func (co *Coordinator) retireMoved(ctx context.Context, st *ReshardState) error {
+	return co.eachMoved(ctx, st, "retire", 0, func(src, dst string) error {
+		return co.retry(ctx, "retire.del", func(ctx context.Context) error {
+			return co.locked(func() error {
+				h, herr := co.cfg.Store.HGetAllContext(ctx, dst)
+				if herr != nil {
+					return herr
+				}
+				if len(h) == 0 {
+					// The copy is missing (a write landed after the delta —
+					// see the failure matrix). Keep the source key: a stale
+					// duplicate is recoverable, a deleted original is not.
+					co.logf(slog.LevelWarn, "retire skipped: destination copy missing", "key", src)
+					return nil
+				}
+				return co.cfg.Store.DelContext(ctx, src)
+			})
+		})
+	}, nil)
+}
+
+// eachMoved scans the call keys of source shards start..From-1 and calls
+// moved(src, dst) for each key whose owner changes on the target ring, then
+// shardDone(s), when non-nil, once shard s is walked.
+func (co *Coordinator) eachMoved(ctx context.Context, st *ReshardState, phase string, start int, moved func(src, dst string) error, shardDone func(s int) error) error {
 	oldRing, err := NewRing(st.From, st.VNodes)
 	if err != nil {
 		return err
@@ -548,12 +611,8 @@ func (co *Coordinator) copyMoved(ctx context.Context, st *ReshardState, phase st
 	if err != nil {
 		return err
 	}
-	start := 0
-	if countProgress {
-		start = st.NextShard
-	}
 	for s := start; s < st.From; s++ {
-		prefix := KeyPrefix(s) + "call:"
+		prefix := controller.CallKeyPrefix(KeyPrefix(s))
 		var keys []string
 		if err := co.retry(ctx, phase+".scan", func(ctx context.Context) error {
 			return co.locked(func() error {
@@ -564,102 +623,19 @@ func (co *Coordinator) copyMoved(ctx context.Context, st *ReshardState, phase st
 		}); err != nil {
 			return err
 		}
-		var sinceCheckpoint int
 		for _, k := range keys {
 			id, perr := strconv.ParseUint(strings.TrimPrefix(k, prefix), 10, 64)
 			if perr != nil {
 				continue // not call state (a lease under the shard prefix)
 			}
-			dstShard := newRing.Lookup(id)
-			if dstShard == oldRing.Lookup(id) {
-				continue
-			}
-			if countProgress {
-				st.Total++
-			}
-			dst := KeyPrefix(dstShard) + "call:" + strconv.FormatUint(id, 10)
-			key := k
-			if err := co.retry(ctx, phase+".copy", func(ctx context.Context) error {
-				return co.locked(func() error {
-					_, herr := co.cfg.Store.HCopyContext(ctx, key, dst)
-					return herr
-				})
-			}); err != nil {
-				return err
-			}
-			if countProgress {
-				st.Copied++
-				sinceCheckpoint++
-				if sinceCheckpoint >= reshardCheckpointEvery {
-					sinceCheckpoint = 0
-					if err := co.checkpoint(ctx, st); err != nil {
-						return err
-					}
+			if dst := newRing.Lookup(id); dst != oldRing.Lookup(id) {
+				if err := moved(k, controller.CallKey(KeyPrefix(dst), id)); err != nil {
+					return err
 				}
 			}
-			co.hook(phase, "copied:"+key)
 		}
-		if countProgress {
-			st.NextShard = s + 1
-			if err := co.checkpoint(ctx, st); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// retireMoved deletes moved keys from their source prefixes, each only after
-// verifying its copy exists under the new owner.
-func (co *Coordinator) retireMoved(ctx context.Context, st *ReshardState) error {
-	oldRing, err := NewRing(st.From, st.VNodes)
-	if err != nil {
-		return err
-	}
-	newRing, err := NewRing(st.To, st.VNodes)
-	if err != nil {
-		return err
-	}
-	for s := 0; s < st.From; s++ {
-		prefix := KeyPrefix(s) + "call:"
-		var keys []string
-		if err := co.retry(ctx, "retire.scan", func(ctx context.Context) error {
-			return co.locked(func() error {
-				var kerr error
-				keys, kerr = co.cfg.Store.KeysPrefixContext(ctx, prefix)
-				return kerr
-			})
-		}); err != nil {
-			return err
-		}
-		for _, k := range keys {
-			id, perr := strconv.ParseUint(strings.TrimPrefix(k, prefix), 10, 64)
-			if perr != nil {
-				continue
-			}
-			dstShard := newRing.Lookup(id)
-			if dstShard == oldRing.Lookup(id) {
-				continue
-			}
-			dst := KeyPrefix(dstShard) + "call:" + strconv.FormatUint(id, 10)
-			key := k
-			if err := co.retry(ctx, "retire.del", func(ctx context.Context) error {
-				return co.locked(func() error {
-					h, herr := co.cfg.Store.HGetAllContext(ctx, dst)
-					if herr != nil {
-						return herr
-					}
-					if len(h) == 0 {
-						// The copy is missing (a write landed after the delta
-						// — see the failure matrix). Keep the source key: a
-						// stale duplicate is recoverable, a deleted original
-						// is not.
-						co.logf(slog.LevelWarn, "retire skipped: destination copy missing", "key", key)
-						return nil
-					}
-					return co.cfg.Store.DelContext(ctx, key)
-				})
-			}); err != nil {
+		if shardDone != nil {
+			if err := shardDone(s); err != nil {
 				return err
 			}
 		}

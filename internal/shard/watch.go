@@ -231,7 +231,7 @@ func (m *Manager) ensureShardsLocked(width int) bool {
 func (m *Manager) recoverShard(shard int) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*m.cfg.TTL)
 	defer cancel()
-	if n, err := m.controller(shard).RecoverCalls(ctx); err != nil {
+	if n, err := m.Controller(shard).RecoverCalls(ctx); err != nil {
 		if m.cfg.Logger != nil {
 			m.cfg.Logger.Warn("cutover call-state recovery failed", "shard", shard, "err", err)
 		}
