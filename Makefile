@@ -2,7 +2,7 @@
 # (see README.md, "Developing").
 GO ?= go
 
-.PHONY: check check-race build vet fmt lint lint-json lint-fixtures test race bench bench-core des-smoke drill-smoke clean
+.PHONY: check check-race build vet fmt lint lint-json lint-fixtures test race bench bench-core des-smoke drill-smoke perfbench-check clean
 
 check: build vet fmt lint test
 
@@ -77,6 +77,12 @@ des-smoke:
 # drains, a failover that never lands or an unreadable audit.
 drill-smoke:
 	$(GO) run ./cmd/sbexp -exp chaos,partition,shard,reshard -scale quick
+
+# The end-to-end benchmark (perfbench/) is its own module, so the targets
+# above never build it: vet and unit-test it here, so an internal API change
+# that breaks it fails CI rather than the next benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 clean:
 	$(GO) clean ./...

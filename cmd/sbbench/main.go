@@ -378,8 +378,8 @@ func main() {
 	// DES engine throughput: one fixed 200k-call day through the simulation
 	// queue (400k arrive/depart events), reported as ns per event so
 	// 1e9/ns_per_op is events/s. Informational — not in gatedBenchmarks: the
-	// engine's own BenchmarkEngine100k guards allocations, and a wall-clock
-	// gate on a shared runner would flake.
+	// engine's own TestEngineAllocsBounded guards allocations, and a
+	// wall-clock gate on a shared runner would flake.
 	desPoint, err := benchDES()
 	if err != nil {
 		log.Fatal(err)

@@ -2,12 +2,13 @@ package des
 
 import (
 	"testing"
+	"time"
 
 	"switchboard/internal/geo"
 )
 
 // benchRig builds a fixed 100k-call scenario outside the timed region.
-func benchRig(b *testing.B, calls int) Config {
+func benchRig(b testing.TB, calls int) Config {
 	b.Helper()
 	w := geo.DefaultWorld()
 	src, err := NewSynthSource(w, SynthConfig{Seed: 5, Calls: calls})
@@ -28,9 +29,9 @@ func benchRig(b *testing.B, calls int) Config {
 	return Config{Fleet: f, Source: src, Placement: LowestACL{}, Seed: 5}
 }
 
-// BenchmarkEngine100k measures the full engine loop: ns/op divided by
-// 200k events is the per-event cost cmd/sbbench reports as
-// core_des_events_per_sec.
+// BenchmarkEngine100k measures the full engine loop over a 100k-call day,
+// which is 200k events; it reports the cost per event as ns/event.
+// cmd/sbbench times a 200k-call day, 400k events, for its events/s point.
 func BenchmarkEngine100k(b *testing.B) {
 	const calls = 100_000
 	b.ReportAllocs()
@@ -47,4 +48,40 @@ func BenchmarkEngine100k(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(2*calls), "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(2*calls), "ns/event")
+}
+
+// TestEngineAllocsBounded runs BenchmarkEngine100k's rig, with its busiest DC
+// failing for two hours, and bounds the run's allocations: the engine's
+// fixed per-run slices plus a call-pool slab per 256 concurrent calls, never
+// an allocation per call or per event.
+func TestEngineAllocsBounded(t *testing.T) {
+	const calls, runs = 100_000, 2
+	cfg := benchRig(t, calls)
+	busiest := int32(0)
+	for x := 1; x < cfg.Fleet.NumDCs(); x++ {
+		if cfg.Fleet.CapCores[x] > cfg.Fleet.CapCores[busiest] {
+			busiest = int32(x)
+		}
+	}
+	cfg.Failures = []DCFailure{{DC: busiest, At: 13 * time.Hour, Recover: 15 * time.Hour}}
+	// AllocsPerRun runs once more to warm up; each run needs a fresh source.
+	var srcs []Source
+	for i := 0; i <= runs; i++ {
+		srcs = append(srcs, benchRig(t, calls).Source)
+	}
+	var res Result
+	allocs := testing.AllocsPerRun(runs, func() {
+		cfg.Source, srcs = srcs[0], srcs[1:]
+		var err error
+		if res, err = Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if res.Placed != calls || res.Migrated == 0 || res.DroppedEvents != 0 {
+		t.Fatalf("bad books: %+v", res)
+	}
+	if allocs > 32 {
+		t.Fatalf("Run allocated %v times, want at most 32", allocs)
+	}
 }

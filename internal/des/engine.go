@@ -93,9 +93,15 @@ type Engine struct {
 	tw         *Trace
 	policyName string
 
-	q       *Queue
-	seq     uint64
-	started bool
+	// The three event sources (queue.go). arrival is the pending arrival,
+	// due at pending.At, or nil when none is pending. seq counts pushes.
+	arrival  *Call
+	deps     departures
+	fleet    []fleetEvent
+	seq      uint64
+	events   uint64 // dispatched
+	maxQueue int    // pending-event high-water mark
+	started  bool
 
 	polRng  Stream
 	failRng Stream
@@ -152,7 +158,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		fail:       fail,
 		tw:         cfg.Trace,
 		policyName: cfg.Placement.Name(),
-		q:          NewQueue(4096),
+		deps:       make(departures, 0, 4096),
+		fleet:      make([]fleetEvent, 0, 3*len(cfg.Failures)),
 		polRng:     NewStream(cfg.Seed, StreamPolicy),
 		failRng:    NewStream(cfg.Seed, StreamFailover),
 		downTruth:  make([]bool, nDC),
@@ -171,28 +178,22 @@ func NewEngine(cfg Config) (*Engine, error) {
 		Down:     make([]bool, nDC),
 	}
 	for _, df := range cfg.Failures {
-		e.seq++
-		e.q.Push(Event{At: int64(df.At), Seq: e.seq, Pri: PriFleet, Kind: KindDCFail, DC: df.DC})
+		e.schedule(fleetFail, df.DC, int64(df.At))
 		if df.Recover > df.At {
-			e.seq++
-			e.q.Push(Event{At: int64(df.Recover), Seq: e.seq, Pri: PriFleet, Kind: KindDCRecover, DC: df.DC})
+			e.schedule(fleetRecover, df.DC, int64(df.Recover))
 		}
 	}
 	return e, nil
 }
 
-// Run drains the event queue and returns the aggregate result. Everything
-// downstream of the first Pop is the annotated hot path: one call costs two
-// heap-free queue operations plus pooled bookkeeping, which is what holds
+// Run drains the event sources and returns the aggregate result. Everything
+// step reaches is the annotated hot path: a call costs a slot fill, one
+// departure-heap push and pop, and pooled bookkeeping, which is what holds
 // 10M calls to single-digit seconds on one core.
 func (e *Engine) Run() (Result, error) {
 	e.start()
-	for {
-		ev, ok := e.q.Pop()
-		if !ok {
-			break
-		}
-		e.step(ev)
+	for src, at := e.next(); src != srcNone; src, at = e.next() {
+		e.step(src, at)
 	}
 	if err := e.tw.Close(); err != nil {
 		return Result{}, fmt.Errorf("des: decision trace: %w", err)
@@ -205,9 +206,8 @@ func (e *Engine) Run() (Result, error) {
 // continues from there, so a drill can split its books at a failure.
 func (e *Engine) RunUntil(t time.Duration) Result {
 	e.start()
-	for len(e.q.heap) > 0 && e.q.heap[0].At < int64(t) {
-		ev, _ := e.q.Pop()
-		e.step(ev)
+	for src, at := e.next(); src != srcNone && at < int64(t); src, at = e.next() {
+		e.step(src, at)
 	}
 	return e.result()
 }
@@ -235,9 +235,9 @@ func (e *Engine) result() Result {
 		Rejected:             e.rejected,
 		Migrated:             e.migrated,
 		Overflowed:           e.overflowed,
-		Events:               e.q.Popped(),
-		DroppedEvents:        e.q.Pushed() - e.q.Popped() - uint64(e.q.Len()),
-		MaxQueueLen:          e.q.MaxLen(),
+		Events:               e.events,
+		DroppedEvents:        e.seq - e.events - uint64(e.queued()),
+		MaxQueueLen:          e.maxQueue,
 		PeakConcurrent:       e.peakConcurrent,
 		DisruptedCallSeconds: e.disruptedNs / 1e9,
 		TraceLines:           e.tw.Lines(),
@@ -258,31 +258,89 @@ func (e *Engine) result() Result {
 	return r
 }
 
-// step dispatches one event. This is the engine's inner loop: everything it
-// reaches must stay heap-allocation-free outside the justified escapes
-// (queue growth, call-pool growth, sampled trace emission, and the injected
-// policy interfaces).
+// Event sources, in dispatch order at an equal instant.
+const (
+	srcNone uint8 = iota
+	srcDepart
+	srcFleet
+	srcArrive
+)
+
+// next names the source of the earliest pending event and its instant, by
+// the merge rule in queue.go; srcNone when nothing is pending.
+func (e *Engine) next() (src uint8, at int64) {
+	if e.arrival != nil {
+		src, at = srcArrive, e.pending.At
+	}
+	if len(e.fleet) > 0 && (src == srcNone || e.fleet[0].at <= at) {
+		src, at = srcFleet, e.fleet[0].at
+	}
+	if len(e.deps) > 0 && (src == srcNone || e.deps[0].at <= at) {
+		src, at = srcDepart, e.deps[0].at
+	}
+	return src, at
+}
+
+// step dispatches next's event. This is the engine's inner loop: everything
+// it reaches must stay heap-allocation-free outside the justified escapes
+// (departure-heap, fleet-list and call-pool growth, sampled trace emission,
+// and the injected policy interfaces).
 //
 //sblint:hotpath
-func (e *Engine) step(ev Event) {
-	e.usage.Now = ev.At
-	switch ev.Kind {
-	case KindArrive:
-		e.arrive(ev)
-	case KindDepart:
-		e.depart(ev.Call)
-	case KindDCFail:
-		e.dcFail(ev)
-	case KindSweep:
-		e.sweep(ev)
-	case KindDCRecover:
-		e.dcRecover(ev.DC)
+func (e *Engine) step(src uint8, at int64) {
+	e.events++
+	e.usage.Now = at
+	switch src {
+	case srcDepart:
+		e.depart(e.deps.pop())
+	case srcFleet:
+		ev := e.fleet[0]
+		e.fleet = e.fleet[:copy(e.fleet, e.fleet[1:])]
+		switch ev.kind {
+		case fleetFail:
+			e.dcFail(ev.dc, at)
+		case fleetSweep:
+			e.sweep(ev.dc, at)
+		default:
+			e.dcRecover(ev.dc)
+		}
+	default:
+		call := e.arrival
+		e.arrival = nil
+		e.arrive(call, at)
 	}
 }
 
-// scheduleNextArrival pulls one arrival from the source — the queue holds at
-// most one pending arrival, so queue depth tracks concurrency, not total
-// calls.
+// queued counts the events waiting in the three sources.
+func (e *Engine) queued() int {
+	n := len(e.deps) + len(e.fleet)
+	if e.arrival != nil {
+		n++
+	}
+	return n
+}
+
+// pushed counts one scheduled event and tracks the pending high-water mark.
+func (e *Engine) pushed() {
+	e.seq++
+	e.maxQueue = max(e.maxQueue, e.queued())
+}
+
+// schedule inserts a fleet event after every one due at or before at, which
+// keeps the list in (at, push order).
+func (e *Engine) schedule(kind uint8, dc int32, at int64) {
+	i := len(e.fleet)
+	for i > 0 && e.fleet[i-1].at > at {
+		i--
+	}
+	e.fleet = append(e.fleet, fleetEvent{}) //sblint:allowalloc(fleet list growth; at most three events per scheduled failure)
+	copy(e.fleet[i+1:], e.fleet[i:])
+	e.fleet[i] = fleetEvent{at: at, dc: dc, kind: kind}
+	e.pushed()
+}
+
+// scheduleNextArrival pulls one arrival from the source into the slot, so
+// pending events track concurrency, not total calls.
 func (e *Engine) scheduleNextArrival() {
 	if !e.src.Next(&e.pending) { //sblint:allowalloc(source is an injected interface; built-in sources are allocation-free)
 		return
@@ -292,17 +350,24 @@ func (e *Engine) scheduleNextArrival() {
 	call.id = a.ID
 	call.cfg = a.Cfg
 	call.end = a.At + a.Dur
-	e.seq++
-	e.q.Push(Event{At: a.At, Seq: e.seq, Pri: PriArrive, Kind: KindArrive, Call: call})
+	e.arrival = call
+	e.pushed()
 }
 
+// alloc takes a call from the free list, growing the pool a slab of 256 at a
+// time.
 func (e *Engine) alloc() *Call {
-	if c := e.free; c != nil {
-		e.free = c.next
-		c.next = nil
-		return c
+	if e.free == nil {
+		slab := make([]Call, 256) //sblint:allowalloc(call pool growth; steady state reuses departed calls)
+		for i := len(slab) - 1; i >= 0; i-- {
+			slab[i].next = e.free
+			e.free = &slab[i]
+		}
 	}
-	return &Call{} //sblint:allowalloc(call pool growth; steady state reuses departed calls)
+	c := e.free
+	e.free = c.next
+	c.next = nil
+	return c
 }
 
 func (e *Engine) release(c *Call) {
@@ -340,15 +405,14 @@ func (e *Engine) alive(dcs []int32) []int32 {
 	return s
 }
 
-func (e *Engine) arrive(ev Event) {
+func (e *Engine) arrive(call *Call, now int64) {
 	e.calls++
-	call := ev.Call
 	c := call.cfg
 	cands := e.candidates(c)
 	if e.admit != nil && !e.admit.Admit(e.f, c, cands, &e.usage) { //sblint:allowalloc(admission is an injected interface; built-in policies are allocation-free)
 		e.rejected++
 		if e.tw.Sampled(call.id) {
-			e.tw.EmitCall(e.f, &e.usage, call.id, ev.At, c, cands[0], cands, e.policyName, "rejected")
+			e.tw.EmitCall(e.f, &e.usage, call.id, now, c, cands[0], cands, e.policyName, "rejected")
 		}
 		e.release(call)
 		e.scheduleNextArrival()
@@ -361,14 +425,14 @@ func (e *Engine) arrive(ev Event) {
 		status = "overflow"
 	}
 	if e.tw.Sampled(call.id) {
-		e.tw.EmitCall(e.f, &e.usage, call.id, ev.At, c, dc, cands, e.policyName, status)
+		e.tw.EmitCall(e.f, &e.usage, call.id, now, c, dc, cands, e.policyName, status)
 	}
-	e.host(call, dc, ev.At)
+	e.host(call, dc, now)
 	e.placed++
 	e.aclSum += e.f.acl[c][dc]
 	e.regretSum += e.f.acl[c][dc] - e.f.acl[c][cands[0]]
-	e.seq++
-	e.q.Push(Event{At: call.end, Seq: e.seq, Pri: PriDepart, Kind: KindDepart, Call: call})
+	e.deps.push(departure{at: call.end, seq: e.seq + 1, call: call})
+	e.pushed()
 	e.scheduleNextArrival()
 }
 
@@ -427,24 +491,21 @@ func (e *Engine) depart(call *Call) {
 // dcFail marks ground truth and schedules the detection sweep. The gap
 // between the two is the failover policy's detection delay — arrivals keep
 // landing on the dead DC until the sweep, as they would in production.
-func (e *Engine) dcFail(ev Event) {
-	dc := ev.DC
+func (e *Engine) dcFail(dc int32, now int64) {
 	if e.downTruth[dc] {
 		return
 	}
 	e.downTruth[dc] = true
-	e.failedAt[dc] = ev.At
+	e.failedAt[dc] = now
 	delay := e.fail.DetectionDelay(dc, &e.failRng) //sblint:allowalloc(failover timing is an injected interface; built-in policies are allocation-free)
-	e.seq++
-	e.q.Push(Event{At: ev.At + int64(delay), Seq: e.seq, Pri: PriFleet, Kind: KindSweep, DC: dc})
+	e.schedule(fleetSweep, dc, now+int64(delay))
 }
 
 // sweep is failure detection: the controller finally sees the DC down and
 // migrates its calls to surviving candidates. Each call's disruption spans
 // from when it lost service (DC failing, or landing on the already-dead DC)
 // to now.
-func (e *Engine) sweep(ev Event) {
-	dc := ev.DC
+func (e *Engine) sweep(dc int32, now int64) {
 	if !e.downTruth[dc] {
 		return // recovered before detection: nothing to do
 	}
@@ -460,19 +521,19 @@ func (e *Engine) sweep(ev Event) {
 		if call.placedAt > from {
 			from = call.placedAt
 		}
-		e.disruptedNs += float64(ev.At - from)
+		e.disruptedNs += float64(now - from)
 		cands := e.candidates(call.cfg)
 		ndc := e.place.Choose(e.f, call.cfg, cands, &e.usage, &e.polRng) //sblint:allowalloc(placement is an injected interface; built-in policies are allocation-free)
 		if !e.usage.FitsCompute(ndc, e.f.cores[call.cfg]) {
 			e.overflowed++
 		}
-		e.host(call, ndc, ev.At)
+		e.host(call, ndc, now)
 		e.migACLSum += e.f.acl[call.cfg][ndc]
 		e.migrated++
 		migrated++
 		call = next
 	}
-	e.tw.EmitFailover(e.f, ev.At, dc, migrated, ev.At-e.failedAt[dc])
+	e.tw.EmitFailover(e.f, now, dc, migrated, now-e.failedAt[dc])
 }
 
 func (e *Engine) dcRecover(dc int32) {

@@ -239,24 +239,34 @@ func TestRecordSourceReplay(t *testing.T) {
 // everywhere.
 func singleCandidateRig(t *testing.T, n int) (*Fleet, *RecordSource, int32) {
 	t.Helper()
-	w := geo.DefaultWorld()
-	origin := time.Date(2022, 9, 5, 0, 0, 0, 0, time.UTC)
 	var recs []*model.CallRecord
 	for i := 0; i < 2*n; i++ {
 		start := time.Duration(i) * time.Minute
 		if i >= n {
 			start = 20*time.Minute + time.Duration(i)*time.Second
 		}
-		recs = append(recs, &model.CallRecord{
-			ID: uint64(i + 1), Start: origin.Add(start), Duration: time.Hour,
-			Legs: []model.LegRecord{{Country: "DE", Media: model.Video}, {Country: "FR", Media: model.Video}},
-		})
+		recs = append(recs, deFRCall(uint64(i+1), start, time.Hour))
 	}
+	return singleCandidateReplay(t, recs)
+}
+
+// deFRCall is a DE-FR video call starting at start past the rig's origin.
+func deFRCall(id uint64, start, dur time.Duration) *model.CallRecord {
+	return &model.CallRecord{
+		ID: id, Start: time.Date(2022, 9, 5, 0, 0, 0, 0, time.UTC).Add(start), Duration: dur,
+		Legs: []model.LegRecord{{Country: "DE", Media: model.Video}, {Country: "FR", Media: model.Video}},
+	}
+}
+
+// singleCandidateReplay builds singleCandidateRig's fleet for recs, which
+// must all be deFRCalls.
+func singleCandidateReplay(t *testing.T, recs []*model.CallRecord) (*Fleet, *RecordSource, int32) {
+	t.Helper()
 	src, err := NewRecordSource(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFleet(w, src.Configs(), 0)
+	f, err := NewFleet(geo.DefaultWorld(), src.Configs(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,74 +1,92 @@
 package des
 
 import (
+	"fmt"
 	"sort"
 	"testing"
+	"time"
+
+	"switchboard/internal/model"
 )
 
-// TestQueueOrdering pushes a shuffled schedule and checks the drain order is
-// exactly (At, Pri, Seq).
+// TestQueueOrdering pushes a shuffled schedule onto the departure heap and
+// checks the drain order is exactly (at, seq): ties on at go to the earlier
+// push.
 func TestQueueOrdering(t *testing.T) {
-	type key struct {
-		at  int64
-		pri uint8
-		seq uint64
-	}
 	rng := NewStream(7, 99)
-	var want []key
-	q := NewQueue(0)
+	var want []departure
+	var h departures
 	for i := 0; i < 5000; i++ {
-		k := key{
-			at:  int64(rng.Intn(64)),
-			pri: uint8(rng.Intn(3)),
-			seq: uint64(i),
-		}
-		want = append(want, k)
-		q.Push(Event{At: k.at, Pri: k.pri, Seq: k.seq})
+		d := departure{at: int64(rng.Intn(64)), seq: uint64(i), call: &Call{id: uint64(i)}}
+		want = append(want, d)
+		h.push(d)
 	}
 	sort.Slice(want, func(i, j int) bool {
-		a, b := want[i], want[j]
-		if a.at != b.at {
-			return a.at < b.at
+		if want[i].at != want[j].at {
+			return want[i].at < want[j].at
 		}
-		if a.pri != b.pri {
-			return a.pri < b.pri
-		}
-		return a.seq < b.seq
+		return want[i].seq < want[j].seq
 	})
-	for i, k := range want {
-		ev, ok := q.Pop()
-		if !ok {
-			t.Fatalf("queue empty after %d pops, want %d", i, len(want))
+	for i, d := range want {
+		if len(h) == 0 {
+			t.Fatalf("heap empty after %d pops, want %d", i, len(want))
 		}
-		if ev.At != k.at || ev.Pri != k.pri || ev.Seq != k.seq {
-			t.Fatalf("pop %d = (%d,%d,%d), want (%d,%d,%d)",
-				i, ev.At, ev.Pri, ev.Seq, k.at, k.pri, k.seq)
+		at, seq := h[0].at, h[0].seq
+		if c := h.pop(); at != d.at || seq != d.seq || c != d.call {
+			t.Fatalf("pop %d = (%d,%d,call %d), want (%d,%d,call %d)",
+				i, at, seq, c.id, d.at, d.seq, d.call.id)
 		}
 	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("queue should be empty")
-	}
-	if q.Pushed() != 5000 || q.Popped() != 5000 {
-		t.Fatalf("pushed/popped = %d/%d, want 5000/5000", q.Pushed(), q.Popped())
-	}
-	if q.MaxLen() != 5000 {
-		t.Fatalf("MaxLen = %d, want 5000", q.MaxLen())
+	if len(h) != 0 {
+		t.Fatalf("heap holds %d after draining", len(h))
 	}
 }
 
-// TestQueuePriorities checks the semantic ordering at one instant:
-// departures, then fleet events, then arrivals.
+// orderLog is a placement, release and failover policy that logs what the
+// engine asks of it, in order.
+type orderLog struct {
+	LowestACL
+	log []string
+}
+
+func (p *orderLog) Choose(f *Fleet, c int32, cands []int32, u *Usage, rng *Stream) int32 {
+	p.log = append(p.log, fmt.Sprintf("place@%v", time.Duration(u.Now)))
+	return p.LowestACL.Choose(f, c, cands, u, rng)
+}
+
+func (p *orderLog) Release(*Fleet, int32, int32, int64) { p.log = append(p.log, "depart") }
+
+func (p *orderLog) DetectionDelay(int32, *Stream) time.Duration {
+	p.log = append(p.log, "fail")
+	return time.Minute
+}
+
+// TestQueuePriorities checks the merge at one instant: a departure, a DC
+// failure and an arrival all due at 10m run departure, then fleet event,
+// then arrival, although they were scheduled in the opposite order (the
+// failure at engine construction, the departure at 0, the arrival last).
 func TestQueuePriorities(t *testing.T) {
-	q := NewQueue(4)
-	q.Push(Event{At: 10, Pri: PriArrive, Seq: 1, Kind: KindArrive})
-	q.Push(Event{At: 10, Pri: PriDepart, Seq: 2, Kind: KindDepart})
-	q.Push(Event{At: 10, Pri: PriFleet, Seq: 3, Kind: KindDCFail})
-	wantKinds := []uint8{KindDepart, KindDCFail, KindArrive}
-	for i, want := range wantKinds {
-		ev, ok := q.Pop()
-		if !ok || ev.Kind != want {
-			t.Fatalf("pop %d kind = %d (ok=%v), want %d", i, ev.Kind, ok, want)
-		}
+	f, src, dc := singleCandidateReplay(t, []*model.CallRecord{
+		deFRCall(1, 0, 10*time.Minute),
+		deFRCall(2, 10*time.Minute, 10*time.Minute),
+	})
+	p := &orderLog{}
+	res, err := Run(Config{
+		Fleet: f, Source: src, Placement: p, Failover: p,
+		Failures: []DCFailure{{DC: dc, At: 10 * time.Minute}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The arrival at 10m still lands on the dead DC (detection is a minute
+	// out), so the sweep at 11m migrates it.
+	want := []string{"place@0s", "depart", "fail", "place@10m0s", "place@11m0s", "depart"}
+	if fmt.Sprint(p.log) != fmt.Sprint(want) {
+		t.Fatalf("dispatch order %v, want %v", p.log, want)
+	}
+	if res.Events != 6 || res.MaxQueueLen != 3 || res.DroppedEvents != 0 {
+		t.Fatalf("queue audit: events %d, max pending %d, dropped %d; want 6/3/0",
+			res.Events, res.MaxQueueLen, res.DroppedEvents)
 	}
 }
 

@@ -20,9 +20,9 @@ type Arrival struct {
 }
 
 // Source produces the arrival stream, one call at a time in nondecreasing At
-// order. Pull-based generation keeps the event queue small: the engine holds
-// exactly one pending arrival at any moment, so a 10M-call run never
-// materializes 10M arrival events.
+// order. Pull-based generation keeps the pending events few: the engine holds
+// exactly one pending arrival at any moment, in a slot, so a 10M-call run
+// never materializes 10M arrival events.
 type Source interface {
 	// Next fills a with the next arrival, returning false at end of stream.
 	Next(a *Arrival) bool
