@@ -18,9 +18,9 @@ var (
 )
 
 // skipUnderShort marks the single-threaded LP-replay experiments that take
-// tens of seconds each (minutes under -race) and exercise no concurrency.
-// The race gate (make check-race) runs with -short; the plain gate still
-// runs them in full.
+// 1–5 s each (15–50 s under -race, on a 2-vCPU VM) and exercise no
+// concurrency. The race gate (make check-race) runs with -short; the plain
+// gate still runs them in full.
 func skipUnderShort(t *testing.T) {
 	t.Helper()
 	if testing.Short() || raceEnabled {

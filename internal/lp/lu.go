@@ -5,115 +5,167 @@ import (
 	"math"
 )
 
-// luFactor is a dense LU factorization with partial pivoting: P·A = L·U with
-// unit-diagonal L. It backs the revised simplex basis.
+// luFactor is an LU factorization with partial pivoting, P·A = L·U with
+// unit-diagonal L, that backs the revised simplex basis. The factors are kept
+// sparse: L by columns, U by rows (off-diagonal entries in ascending index
+// order) and U's diagonal apart. Buffers are reused across factorizations.
 type luFactor struct {
 	n    int
-	lu   []float64 // n×n row-major, L (strictly lower) and U packed together
 	perm []int     // perm[i] = original row index selected as the i-th pivot
+	diag []float64 // U's diagonal
+
+	// Column k of L is lIdx/lVal[lStart[k]:lStart[k+1]]; row k of U is
+	// uIdx/uVal[uStart[k]:uStart[k+1]].
+	lStart, uStart []int32
+	lIdx, uIdx     []int32
+	lVal, uVal     []float64
+
+	rows []int32   // elimination scratch: rows with a nonzero in the pivot column
+	work []float64 // solve scratch, length n
 }
 
-// luFactorize factors the n×n row-major matrix a. a is copied, not modified.
-// It returns an error when the matrix is numerically singular.
-func luFactorize(a []float64, n int) (*luFactor, error) {
-	f := &luFactor{
-		n:    n,
-		lu:   make([]float64, n*n),
-		perm: make([]int, n),
+// resize returns s with length n, reallocating only when it is too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	copy(f.lu, a)
+	return s[:n]
+}
+
+// factorize factors the n×n row-major matrix a, which it overwrites. It
+// returns an error when the matrix is numerically singular.
+//
+// Elimination is dense Gaussian elimination with partial pivoting — the first
+// row of largest magnitude, the same multipliers and update order — except
+// that it skips the terms whose pivot-row entry is zero. Every factor entry
+// therefore equals the dense elimination's bit for bit, up to the sign of a
+// zero, and the sparse solves below keep the dense loops' per-element order.
+func (f *luFactor) factorize(a []float64, n int) error {
+	f.n = n
+	f.perm = resize(f.perm, n)
 	for i := range f.perm {
 		f.perm[i] = i
 	}
-	lu := f.lu
+	f.diag, f.work = resize(f.diag, n), resize(f.work, n)
+	f.lStart, f.uStart = resize(f.lStart, n+1), resize(f.uStart, n+1)
+	f.lIdx, f.lVal, f.uIdx, f.uVal = f.lIdx[:0], f.lVal[:0], f.uIdx[:0], f.uVal[:0]
 	for k := 0; k < n; k++ {
 		// Partial pivoting: largest magnitude in column k at or below
-		// the diagonal.
-		p, best := k, math.Abs(lu[k*n+k])
+		// the diagonal. Rows with a zero there need no elimination.
+		p, best := k, math.Abs(a[k*n+k])
+		f.rows = f.rows[:0]
 		for i := k + 1; i < n; i++ {
-			if v := math.Abs(lu[i*n+k]); v > best {
-				p, best = i, v
+			if v := a[i*n+k]; v != 0 {
+				f.rows = append(f.rows, int32(i))
+				if v := math.Abs(v); v > best {
+					p, best = i, v
+				}
 			}
 		}
 		if best < 1e-13 {
-			return nil, fmt.Errorf("lp: singular basis (pivot %g at column %d)", best, k)
+			return fmt.Errorf("lp: singular basis (pivot %g at column %d)", best, k)
 		}
+		rk := a[k*n : k*n+n]
 		if p != k {
-			rk, rp := lu[k*n:k*n+n], lu[p*n:p*n+n]
+			rp := a[p*n : p*n+n]
 			for j := range rk {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			f.perm[k], f.perm[p] = f.perm[p], f.perm[k]
 		}
-		pivInv := 1 / lu[k*n+k]
-		for i := k + 1; i < n; i++ {
-			l := lu[i*n+k] * pivInv
-			if l == 0 {
-				continue
+		// Row k is final: it is U's row k, and its nonzeros are the only
+		// columns the rows below need updating in.
+		f.diag[k], f.uStart[k] = rk[k], int32(len(f.uIdx))
+		for j := k + 1; j < n; j++ {
+			if v := rk[j]; v != 0 {
+				f.uIdx, f.uVal = append(f.uIdx, int32(j)), append(f.uVal, v)
 			}
-			lu[i*n+k] = l
-			ri, rk := lu[i*n:i*n+n], lu[k*n:k*n+n]
-			for j := k + 1; j < n; j++ {
-				ri[j] -= l * rk[j]
+		}
+		uIdx, uVal := f.uIdx[f.uStart[k]:], f.uVal[f.uStart[k]:]
+		pivInv := 1 / rk[k]
+		for _, i := range f.rows {
+			l := a[int(i)*n+k] * pivInv
+			if l == 0 {
+				continue // also the old pivot row, if it moved to p with a zero
+			}
+			a[int(i)*n+k] = l
+			ri := a[int(i)*n : int(i)*n+n]
+			for t, j := range uIdx {
+				ri[j] -= l * uVal[t]
 			}
 		}
 	}
-	return f, nil
+	f.uStart[n] = int32(len(f.uIdx))
+	for k := 0; k < n; k++ {
+		f.lStart[k] = int32(len(f.lIdx))
+		for i := k + 1; i < n; i++ {
+			if v := a[i*n+k]; v != 0 {
+				f.lIdx, f.lVal = append(f.lIdx, int32(i)), append(f.lVal, v)
+			}
+		}
+	}
+	f.lStart[n] = int32(len(f.lIdx))
+	return nil
 }
 
 // solve overwrites b (length n) with the solution of A·x = b.
+//
+//sblint:hotpath
 func (f *luFactor) solve(b []float64) {
-	n, lu := f.n, f.lu
+	n, x := f.n, f.work
 	// Apply the row permutation: x = P·b.
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = b[f.perm[i]]
+	for i, p := range f.perm {
+		x[i] = b[p]
 	}
-	// Forward substitution with unit-diagonal L.
-	for i := 1; i < n; i++ {
-		ri := lu[i*n : i*n+n]
-		s := x[i]
-		for j := 0; j < i; j++ {
-			s -= ri[j] * x[j]
+	// Forward substitution with unit-diagonal L, column by column: x[j] is
+	// final once the columns before it are applied, and each x[i] takes its
+	// updates in ascending j, as a row-by-row loop would.
+	for j := 0; j < n; j++ {
+		if xj := x[j]; xj != 0 {
+			for k := f.lStart[j]; k < f.lStart[j+1]; k++ {
+				x[f.lIdx[k]] -= f.lVal[k] * xj
+			}
 		}
-		x[i] = s
 	}
-	// Back substitution with U.
+	// Back substitution with U, row by row.
 	for i := n - 1; i >= 0; i-- {
-		ri := lu[i*n : i*n+n]
 		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= ri[j] * x[j]
+		for k := f.uStart[i]; k < f.uStart[i+1]; k++ {
+			s -= f.uVal[k] * x[f.uIdx[k]]
 		}
-		x[i] = s / ri[i]
+		x[i] = s / f.diag[i]
 	}
 	copy(b, x)
 }
 
 // solveT overwrites b (length n) with the solution of Aᵀ·x = b.
 // Since P·A = L·U, Aᵀ = Uᵀ·Lᵀ·P, so we solve Uᵀy = b, Lᵀw = y, x = Pᵀw.
+//
+//sblint:hotpath
 func (f *luFactor) solveT(b []float64) {
-	n, lu := f.n, f.lu
-	// Uᵀ is lower triangular: forward substitution.
+	n, x := f.n, f.work
+	// Uᵀ is lower triangular: forward substitution, row of U by row, each
+	// b[i] taking its updates in ascending order before its division.
 	for i := 0; i < n; i++ {
-		s := b[i]
-		for j := 0; j < i; j++ {
-			s -= lu[j*n+i] * b[j]
+		bi := b[i] / f.diag[i]
+		b[i] = bi
+		if bi != 0 {
+			for k := f.uStart[i]; k < f.uStart[i+1]; k++ {
+				b[f.uIdx[k]] -= f.uVal[k] * bi
+			}
 		}
-		b[i] = s / lu[i*n+i]
 	}
-	// Lᵀ is unit upper triangular: back substitution.
+	// Lᵀ is unit upper triangular: back substitution, column of L by column.
 	for i := n - 2; i >= 0; i-- {
 		s := b[i]
-		for j := i + 1; j < n; j++ {
-			s -= lu[j*n+i] * b[j]
+		for k := f.lStart[i]; k < f.lStart[i+1]; k++ {
+			s -= f.lVal[k] * b[f.lIdx[k]]
 		}
 		b[i] = s
 	}
 	// x = Pᵀ·w: scatter through the permutation.
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[f.perm[i]] = b[i]
+	for i, p := range f.perm {
+		x[p] = b[i]
 	}
 	copy(b, x)
 }

@@ -6,9 +6,10 @@ import (
 )
 
 // solveRevised runs a two-phase revised simplex with an LU-factorized basis
-// and product-form (eta) updates. Constraint columns stay sparse, the basis
-// inverse is never formed explicitly, and the factorization is rebuilt every
-// Options.RefactorEvery basis changes to bound numerical drift.
+// and product-form (eta) updates. Constraint columns, the L and U factors and
+// the etas all stay sparse, the basis inverse is never formed explicitly, and
+// the factorization is rebuilt every Options.RefactorEvery basis changes to
+// bound numerical drift.
 func solveRevised(s *standard, opts Options) (*Solution, error) {
 	if s.m == 0 {
 		return solveDense(s, opts)
@@ -77,10 +78,13 @@ func solveRevised(s *standard, opts Options) (*Solution, error) {
 }
 
 // eta is one product-form basis update: the basis matrix was post-multiplied
-// by the identity with column r replaced by d = B⁻¹·a_entering.
+// by the identity with column r replaced by d = B⁻¹·a_entering. It keeps the
+// pivot d[r] and the other nonzeros of d, in ascending row order, as the
+// range [lo, hi) of the revised solver's eta arena.
 type eta struct {
-	r int
-	d []float64
+	r      int
+	piv    float64
+	lo, hi int
 }
 
 type revised struct {
@@ -99,8 +103,11 @@ type revised struct {
 	basicPos []int // basicPos[j] = row of basic variable j, else -1
 	xB       []float64
 
-	lu      *luFactor
+	bmat    []float64 // dense basis, factored in place
+	lu      luFactor
 	etas    []eta
+	etaIdx  []int32 // eta arena, reset at refactorization
+	etaVal  []float64
 	refactK int
 	tol     float64
 
@@ -109,8 +116,9 @@ type revised struct {
 	priceBlock  int
 	priceCursor int
 
-	// Scratch buffers reused across iterations.
-	scratch []float64
+	// Per-pivot buffers: the simplex multipliers and the entering
+	// column's direction.
+	y, d []float64
 }
 
 func newRevised(s *standard, opts Options) (*revised, error) {
@@ -156,7 +164,9 @@ func newRevised(s *standard, opts Options) (*revised, error) {
 		refactK:    opts.RefactorEvery,
 		tol:        opts.Tol,
 		priceBlock: opts.PartialPricing,
-		scratch:    make([]float64, m),
+		bmat:       make([]float64, m*m),
+		y:          make([]float64, m),
+		d:          make([]float64, m),
 	}
 	if err := rv.refactorize(); err != nil {
 		return nil, err
@@ -167,20 +177,18 @@ func newRevised(s *standard, opts Options) (*revised, error) {
 // refactorize rebuilds the LU factorization of the current basis, drops the
 // eta file, and recomputes the basic solution from scratch.
 func (rv *revised) refactorize() error {
-	m := rv.m
-	bmat := make([]float64, m*m)
+	m, bmat := rv.m, rv.bmat
+	clear(bmat)
 	for i, bj := range rv.basis {
 		idx, val := rv.colIdx[bj], rv.colVal[bj]
 		for k, r := range idx {
 			bmat[int(r)*m+i] = val[k]
 		}
 	}
-	lu, err := luFactorize(bmat, m)
-	if err != nil {
+	if err := rv.lu.factorize(bmat, m); err != nil {
 		return fmt.Errorf("lp: refactorization failed: %w", err)
 	}
-	rv.lu = lu
-	rv.etas = rv.etas[:0]
+	rv.etas, rv.etaIdx, rv.etaVal = rv.etas[:0], rv.etaIdx[:0], rv.etaVal[:0]
 	copy(rv.xB, rv.s.b)
 	rv.lu.solve(rv.xB)
 	for i, v := range rv.xB {
@@ -191,25 +199,26 @@ func (rv *revised) refactorize() error {
 	return nil
 }
 
-// ftran computes x = B⁻¹·(sparse column j), returning a dense vector that the
-// caller owns.
+// ftran computes x = B⁻¹·(sparse column j) into the solver's direction
+// buffer, which stays valid until the next ftran.
+//
+//sblint:hotpath
 func (rv *revised) ftran(j int) []float64 {
-	x := make([]float64, rv.m)
+	x := rv.d
+	clear(x)
 	idx, val := rv.colIdx[j], rv.colVal[j]
 	for k, r := range idx {
 		x[r] = val[k]
 	}
 	rv.lu.solve(x)
 	for _, e := range rv.etas {
-		xr := x[e.r] / e.d[e.r]
+		xr := x[e.r] / e.piv
 		if xr == 0 && x[e.r] == 0 {
 			continue
 		}
-		for i, di := range e.d {
-			if i == e.r {
-				continue
-			}
-			x[i] -= di * xr
+		val := rv.etaVal[e.lo:e.hi]
+		for k, i := range rv.etaIdx[e.lo:e.hi] {
+			x[i] -= val[k] * xr
 		}
 		x[e.r] = xr
 	}
@@ -217,29 +226,29 @@ func (rv *revised) ftran(j int) []float64 {
 }
 
 // btran computes y with yᵀ·B = cᵀ for the dense vector c (overwritten).
+//
+//sblint:hotpath
 func (rv *revised) btran(c []float64) []float64 {
 	for k := len(rv.etas) - 1; k >= 0; k-- {
 		e := rv.etas[k]
 		dot := 0.0
-		for i, di := range e.d {
-			if i != e.r {
-				dot += di * c[i]
-			}
+		val := rv.etaVal[e.lo:e.hi]
+		for t, i := range rv.etaIdx[e.lo:e.hi] {
+			dot += val[t] * c[i]
 		}
-		c[e.r] = (c[e.r] - dot) / e.d[e.r]
+		c[e.r] = (c[e.r] - dot) / e.piv
 	}
 	rv.lu.solveT(c)
 	return c
 }
 
 // btranCosts returns the simplex multipliers y = B⁻ᵀ·c_B for the current
-// phase costs.
+// phase costs in the solver's multiplier buffer.
 func (rv *revised) btranCosts() []float64 {
-	cb := make([]float64, rv.m)
 	for i, bj := range rv.basis {
-		cb[i] = rv.cost[bj]
+		rv.y[i] = rv.cost[bj]
 	}
-	return rv.btran(cb)
+	return rv.btran(rv.y)
 }
 
 func (rv *revised) objective() float64 {
@@ -395,5 +404,12 @@ func (rv *revised) update(q, r int, d []float64) {
 	rv.basicPos[rv.basis[r]] = -1
 	rv.basis[r] = q
 	rv.basicPos[q] = r
-	rv.etas = append(rv.etas, eta{r: r, d: d})
+	lo := len(rv.etaIdx)
+	for i, di := range d {
+		if di != 0 && i != r {
+			rv.etaIdx = append(rv.etaIdx, int32(i))
+			rv.etaVal = append(rv.etaVal, di)
+		}
+	}
+	rv.etas = append(rv.etas, eta{r: r, piv: d[r], lo: lo, hi: len(rv.etaIdx)})
 }
