@@ -2,7 +2,7 @@
 # (see README.md, "Developing").
 GO ?= go
 
-.PHONY: check check-race build vet fmt lint lint-json lint-fixtures test race bench bench-core des-smoke drill-smoke perfbench-check clean
+.PHONY: check check-race build vet fmt lint lint-json lint-fixtures test race bench bench-core des-smoke drill-smoke plan-smoke perfbench-check clean
 
 check: build vet fmt lint test
 
@@ -79,6 +79,14 @@ des-smoke:
 # drains, a failover that never lands or an unreadable audit.
 drill-smoke:
 	$(GO) run ./cmd/sbexp -exp chaos,partition,shard,reshard -scale quick
+
+# Planning smoke: one short plan_offline benchmark run (forecast, the
+# provisioning LPs with backup, the allocation LPs), which fails unless the
+# run reports "correct":true. That includes the plan golden check: the plan's
+# cost, cores, Gbps and mean ACL within 1e-6 relative of the recorded values.
+plan-smoke:
+	@out="$$(bash perfbench/run.sh --workload plan_offline --seconds 2 --trace 0 --seed 1)"; \
+		echo "$$out"; echo "$$out" | grep -q '"correct":true'
 
 # The end-to-end benchmark (perfbench/) is its own module, so the targets
 # above never build it: vet and unit-test it here, so an internal API change

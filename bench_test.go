@@ -399,25 +399,9 @@ func provisioningLP(env *eval.Env) (*lp.Problem, error) {
 	return p, nil
 }
 
-// BenchmarkSimplexDense solves the provisioning-shaped LP with the dense
-// tableau backend (ablation A1).
-func BenchmarkSimplexDense(b *testing.B) {
-	env := benchEnv(b)
-	p, err := provisioningLP(env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sol, err := p.Solve(lp.Options{Method: lp.MethodDense})
-		if err != nil || sol.Status != lp.Optimal {
-			b.Fatalf("status %v err %v", sol.Status, err)
-		}
-	}
-}
-
-// BenchmarkSimplexRevised solves the same LP with the revised simplex
-// backend (ablation A1).
+// BenchmarkSimplexRevised solves the provisioning-shaped LP with the
+// revised simplex, the only solver (ablation A1; internal/lp's
+// BenchmarkDenseOracleShaped times the dense tableau it replaced).
 func BenchmarkSimplexRevised(b *testing.B) {
 	env := benchEnv(b)
 	p, err := provisioningLP(env)
@@ -426,7 +410,7 @@ func BenchmarkSimplexRevised(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := p.Solve(lp.Options{Method: lp.MethodRevised})
+		sol, err := p.Solve()
 		if err != nil || sol.Status != lp.Optimal {
 			b.Fatalf("status %v err %v", sol.Status, err)
 		}

@@ -132,7 +132,7 @@ func solveSlot(lm *provision.LoadModel, t int, cores, linkGbps []float64) ([][]f
 		}
 	}
 
-	sol, err := p.Solve(lp.Options{})
+	sol, err := p.Solve()
 	if err != nil {
 		return nil, 0, err
 	}

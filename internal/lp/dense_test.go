@@ -5,15 +5,15 @@ import (
 )
 
 // solveDense runs a two-phase full-tableau simplex on the standardized
-// problem. It is the reference backend: O(m·n) per pivot and O(m·n) memory,
-// straightforward to audit, and used to cross-validate the revised backend.
-func solveDense(s *standard, opts Options) (*Solution, error) {
+// problem. It is the oracle the revised simplex is checked against: O(m·n)
+// per pivot and O(m·n) memory, and straightforward to audit.
+func solveDense(s *standard) (*Solution, error) {
 	m := s.m
 	if m == 0 {
 		// No constraints: optimum is x = 0 when costs are nonnegative,
 		// otherwise unbounded below.
 		for _, c := range s.cost {
-			if c < -opts.Tol {
+			if c < -tol {
 				return &Solution{Status: Unbounded}, nil
 			}
 		}
@@ -66,7 +66,6 @@ func solveDense(s *standard, opts Options) (*Solution, error) {
 	t := &denseTableau{
 		a: a, rhs: rhs, basis: basis,
 		nTotal: nTotal, artStart: artStart, m: m,
-		tol: opts.Tol,
 	}
 
 	iters := 0
@@ -77,7 +76,7 @@ func solveDense(s *standard, opts Options) (*Solution, error) {
 			c1[j] = 1
 		}
 		t.setCosts(c1)
-		st, n := t.iterate(nTotal, opts.MaxIters)
+		st, n := t.iterate(nTotal, iterLimit(s))
 		iters += n
 		if st == IterLimit {
 			return &Solution{Status: IterLimit, Iterations: iters}, nil
@@ -92,7 +91,7 @@ func solveDense(s *standard, opts Options) (*Solution, error) {
 	c2 := make([]float64, nTotal)
 	copy(c2, s.cost)
 	t.setCosts(c2)
-	st, n := t.iterate(artStart, opts.MaxIters)
+	st, n := t.iterate(artStart, iterLimit(s))
 	iters += n
 	switch st {
 	case IterLimit, Unbounded:
@@ -134,7 +133,6 @@ type denseTableau struct {
 	nTotal   int
 	artStart int
 	m        int
-	tol      float64
 }
 
 func (t *denseTableau) objVal() float64 { return t.obj }
@@ -173,13 +171,13 @@ func (t *denseTableau) iterate(priceLimit, maxIters int) (Status, int) {
 		q := -1
 		if bland {
 			for j := 0; j < priceLimit; j++ {
-				if t.z[j] < -t.tol {
+				if t.z[j] < -tol {
 					q = j
 					break
 				}
 			}
 		} else {
-			best := -t.tol
+			best := -tol
 			for j := 0; j < priceLimit; j++ {
 				if t.z[j] < best {
 					best = t.z[j]
@@ -195,7 +193,7 @@ func (t *denseTableau) iterate(priceLimit, maxIters int) (Status, int) {
 		minRatio := math.Inf(1)
 		for i := 0; i < t.m; i++ {
 			d := t.a[i][q]
-			if d > t.tol {
+			if d > tol {
 				ratio := t.rhs[i] / d
 				if ratio < minRatio-1e-12 || (bland && ratio < minRatio+1e-12 && (r < 0 || t.basis[i] < t.basis[r])) {
 					minRatio = ratio

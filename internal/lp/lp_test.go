@@ -8,15 +8,21 @@ import (
 
 func solveBoth(t *testing.T, p *Problem) (dense, revised *Solution) {
 	t.Helper()
-	d, err := p.Solve(Options{Method: MethodDense})
+	d, err := p.solve(solveDense)
 	if err != nil {
 		t.Fatalf("dense solve: %v", err)
 	}
-	r, err := p.Solve(Options{Method: MethodRevised})
+	r, err := p.Solve()
 	if err != nil {
 		t.Fatalf("revised solve: %v", err)
 	}
 	return d, r
+}
+
+// revisedEvery is the revised simplex refactoring every k basis changes, as
+// a backend for Problem.solve.
+func revisedEvery(k int) func(*standard) (*Solution, error) {
+	return func(s *standard) (*Solution, error) { return solveRevised(s, k) }
 }
 
 func TestSimpleMaximize(t *testing.T) {
@@ -232,50 +238,52 @@ func randomFeasibleLP(rng *rand.Rand) *Problem {
 	return p
 }
 
-// TestPropertyDenseMatchesRevised cross-validates the two backends on many
-// random feasible LPs: identical status, matching objectives, and feasible
-// primal points.
+// TestPropertyDenseMatchesRevised cross-validates the revised simplex, at
+// its own refactorization interval and refactoring every 4 basis changes,
+// against the dense oracle on many random feasible LPs: identical status,
+// matching objectives, and feasible primal points.
 func TestPropertyDenseMatchesRevised(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 400; trial++ {
 		p := randomFeasibleLP(rng)
-		d, err := p.Solve(Options{Method: MethodDense})
+		d, err := p.solve(solveDense)
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
-		r, err := p.Solve(Options{Method: MethodRevised, RefactorEvery: 4})
-		if err != nil {
-			t.Fatalf("trial %d: revised: %v", trial, err)
+		if d.Status == Optimal {
+			if err := p.CheckFeasible(d.X, 1e-6); err != nil {
+				t.Fatalf("trial %d: dense point: %v", trial, err)
+			}
 		}
-		if d.Status != r.Status {
-			t.Fatalf("trial %d: status dense=%v revised=%v", trial, d.Status, r.Status)
-		}
-		if d.Status != Optimal {
-			continue
-		}
-		if math.Abs(d.Objective-r.Objective) > 1e-5*(1+math.Abs(d.Objective)) {
-			t.Fatalf("trial %d: objective dense=%g revised=%g", trial, d.Objective, r.Objective)
-		}
-		if err := p.CheckFeasible(d.X, 1e-6); err != nil {
-			t.Fatalf("trial %d: dense point: %v", trial, err)
-		}
-		if err := p.CheckFeasible(r.X, 1e-6); err != nil {
-			t.Fatalf("trial %d: revised point: %v", trial, err)
+		for _, k := range []int{refactorEvery, 4} {
+			r, err := p.solve(revisedEvery(k))
+			if err != nil {
+				t.Fatalf("trial %d: revised/%d: %v", trial, k, err)
+			}
+			if d.Status != r.Status {
+				t.Fatalf("trial %d: status dense=%v revised/%d=%v", trial, d.Status, k, r.Status)
+			}
+			if d.Status != Optimal {
+				continue
+			}
+			if math.Abs(d.Objective-r.Objective) > 1e-5*(1+math.Abs(d.Objective)) {
+				t.Fatalf("trial %d: objective dense=%g revised/%d=%g", trial, d.Objective, k, r.Objective)
+			}
+			if err := p.CheckFeasible(r.X, 1e-6); err != nil {
+				t.Fatalf("trial %d: revised/%d point: %v", trial, k, err)
+			}
 		}
 	}
 }
 
 // TestPropertyDualityGap checks strong duality on random feasible, bounded
-// LPs for both backends.
+// LPs for Solve and the dense oracle.
 func TestPropertyDualityGap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		p := randomFeasibleLP(rng)
-		for _, method := range []Method{MethodDense, MethodRevised} {
-			sol, err := p.Solve(Options{Method: method})
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
+		d, r := solveBoth(t, p)
+		for name, sol := range map[string]*Solution{"dense": d, "revised": r} {
 			if sol.Status != Optimal {
 				continue
 			}
@@ -284,35 +292,7 @@ func TestPropertyDualityGap(t *testing.T) {
 				dualObj += sol.Duals[i] * p.rows[i].rhs
 			}
 			if math.Abs(dualObj-sol.Objective) > 1e-5*(1+math.Abs(sol.Objective)) {
-				t.Fatalf("trial %d method %v: duality gap primal=%g dual=%g", trial, method, sol.Objective, dualObj)
-			}
-		}
-	}
-}
-
-// TestPropertyPartialPricingMatchesFull: partial pricing changes the pivot
-// order but never the optimum.
-func TestPropertyPartialPricingMatchesFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 150; trial++ {
-		p := randomFeasibleLP(rng)
-		full, err := p.Solve(Options{Method: MethodRevised})
-		if err != nil {
-			t.Fatal(err)
-		}
-		partial, err := p.Solve(Options{Method: MethodRevised, PartialPricing: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full.Status != partial.Status {
-			t.Fatalf("trial %d: status %v vs %v", trial, full.Status, partial.Status)
-		}
-		if full.Status == Optimal {
-			if math.Abs(full.Objective-partial.Objective) > 1e-5*(1+math.Abs(full.Objective)) {
-				t.Fatalf("trial %d: objective %g vs %g", trial, full.Objective, partial.Objective)
-			}
-			if err := p.CheckFeasible(partial.X, 1e-6); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
+				t.Fatalf("trial %d %s: duality gap primal=%g dual=%g", trial, name, sol.Objective, dualObj)
 			}
 		}
 	}
@@ -322,7 +302,7 @@ func TestMaximizeDualsSign(t *testing.T) {
 	p := New(Maximize)
 	x := p.AddVar("x", 1)
 	p.AddRow("cap", []int{x}, []float64{1}, LE, 7)
-	sol, err := p.Solve(Options{Method: MethodDense})
+	sol, err := p.Solve()
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("solve: %v %v", err, sol)
 	}
@@ -337,7 +317,7 @@ func TestMaximizeDualsSign(t *testing.T) {
 
 func TestNoVariables(t *testing.T) {
 	p := New(Minimize)
-	if _, err := p.Solve(Options{}); err == nil {
+	if _, err := p.Solve(); err == nil {
 		t.Fatal("expected error for empty problem")
 	}
 }
@@ -345,7 +325,7 @@ func TestNoVariables(t *testing.T) {
 func TestNoConstraints(t *testing.T) {
 	p := New(Minimize)
 	p.AddVar("x", 2)
-	sol, err := p.Solve(Options{Method: MethodDense})
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +334,7 @@ func TestNoConstraints(t *testing.T) {
 	}
 	p2 := New(Maximize)
 	p2.AddVar("x", 2)
-	sol2, err := p2.Solve(Options{Method: MethodDense})
+	sol2, err := p2.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +347,7 @@ func TestDuplicateColumnsMerged(t *testing.T) {
 	p := New(Minimize)
 	x := p.AddVar("x", 1)
 	p.AddRow("r", []int{x, x}, []float64{1, 1}, GE, 10) // 2x >= 10
-	sol, err := p.Solve(Options{})
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,17 +369,6 @@ func TestAddRowValidation(t *testing.T) {
 	}
 	mustPanic(func() { p.AddRow("bad", []int{0}, []float64{1, 2}, LE, 1) })
 	mustPanic(func() { p.AddRow("bad", []int{5}, []float64{1}, LE, 1) })
-}
-
-func TestAutoMethodSelection(t *testing.T) {
-	o := Options{}.withDefaults(10, 10)
-	if o.Method != MethodDense {
-		t.Errorf("small problem picked %v, want dense", o.Method)
-	}
-	o = Options{}.withDefaults(1000, 5000)
-	if o.Method != MethodRevised {
-		t.Errorf("large problem picked %v, want revised", o.Method)
-	}
 }
 
 func TestStringers(t *testing.T) {

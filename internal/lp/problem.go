@@ -2,14 +2,11 @@
 // standard library, providing the optimization substrate Switchboard's
 // capacity-provisioning and allocation formulations run on.
 //
-// Two solver backends are provided:
-//
-//   - MethodDense: a classic two-phase full-tableau simplex. Simple, easy to
-//     audit, and used as the reference implementation in tests.
-//   - MethodRevised: a two-phase revised simplex with a sparse column store,
-//     an LU-factorized basis, and product-form (eta) updates with periodic
-//     refactorization. This is the production backend and handles the
-//     thousands-of-rows provisioning LPs.
+// There is one solver and it has no options: Solve runs a two-phase revised
+// simplex with a sparse column store, an LU-factorized basis, and
+// product-form (eta) updates with periodic refactorization. The classic
+// full-tableau simplex survives only in the package's tests, as the oracle
+// the revised simplex is checked against.
 //
 // Problems are stated in the natural form
 //
@@ -130,15 +127,6 @@ func New(sense Sense) *Problem {
 	return &Problem{sense: sense}
 }
 
-// Sense returns the optimization direction.
-func (p *Problem) Sense() Sense { return p.sense }
-
-// NumVars returns the number of structural variables added so far.
-func (p *Problem) NumVars() int { return len(p.obj) }
-
-// NumRows returns the number of constraint rows added so far.
-func (p *Problem) NumRows() int { return len(p.rows) }
-
 // AddVar adds a nonnegative structural variable with the given objective
 // coefficient and returns its column index.
 func (p *Problem) AddVar(name string, objCoeff float64) int {
@@ -146,14 +134,6 @@ func (p *Problem) AddVar(name string, objCoeff float64) int {
 	p.varNames = append(p.varNames, name)
 	return len(p.obj) - 1
 }
-
-// SetObj overwrites the objective coefficient of variable j.
-func (p *Problem) SetObj(j int, coeff float64) {
-	p.obj[j] = coeff
-}
-
-// VarName returns the name given to variable j at creation.
-func (p *Problem) VarName(j int) string { return p.varNames[j] }
 
 // AddRow adds the constraint Σ vals[k]·x[cols[k]] rel rhs and returns its row
 // index. cols and vals must have equal length; duplicate column indices
@@ -182,23 +162,11 @@ func (p *Problem) AddRow(name string, cols []int, vals []float64, rel Rel, rhs f
 	return len(p.rows) - 1
 }
 
-// RowName returns the name given to row i at creation.
-func (p *Problem) RowName(i int) string { return p.rows[i].name }
-
 // Eval returns the left-hand-side value of row i at point x.
 func (p *Problem) Eval(i int, x []float64) float64 {
 	var sum float64
 	for _, e := range p.rows[i].entries {
 		sum += e.val * x[e.col]
-	}
-	return sum
-}
-
-// ObjValue returns cᵀx for the structural variables in x.
-func (p *Problem) ObjValue(x []float64) float64 {
-	var sum float64
-	for j, c := range p.obj {
-		sum += c * x[j]
 	}
 	return sum
 }
@@ -235,64 +203,6 @@ func (p *Problem) CheckFeasible(x []float64, tol float64) error {
 	return nil
 }
 
-// Method selects a solver backend.
-type Method int
-
-// Solver backends.
-const (
-	// MethodAuto picks MethodDense for small problems and MethodRevised
-	// for large ones.
-	MethodAuto Method = iota
-	// MethodDense is the full-tableau two-phase simplex.
-	MethodDense
-	// MethodRevised is the revised simplex with LU-factorized basis.
-	MethodRevised
-)
-
-// Options tune a solve. The zero value requests defaults.
-type Options struct {
-	// Method selects the backend; MethodAuto by default.
-	Method Method
-	// MaxIters bounds simplex iterations per phase; 0 means an automatic
-	// limit proportional to the problem size.
-	MaxIters int
-	// Tol is the feasibility/optimality tolerance; 0 means 1e-9.
-	Tol float64
-	// RefactorEvery is the revised-simplex refactorization interval in
-	// basis changes; 0 means 64.
-	RefactorEvery int
-	// Presolve runs the reduction pass (empty rows, fixed variables)
-	// before the simplex; see Presolve.
-	Presolve bool
-	// PartialPricing makes the revised simplex price candidate columns in
-	// rotating blocks of this size instead of scanning every column each
-	// iteration (0 disables). Optimality is unaffected: when a block has
-	// no improving column the scan continues into the next block until a
-	// full pass proves optimality. Worthwhile for LPs with very many
-	// columns relative to rows.
-	PartialPricing int
-}
-
-func (o Options) withDefaults(nRows, nCols int) Options {
-	if o.Tol == 0 {
-		o.Tol = 1e-9
-	}
-	if o.MaxIters == 0 {
-		o.MaxIters = 200 * (nRows + nCols + 10)
-	}
-	if o.RefactorEvery == 0 {
-		o.RefactorEvery = 64
-	}
-	if o.Method == MethodAuto {
-		if nRows*nCols > 1<<18 {
-			o.Method = MethodRevised
-		} else {
-			o.Method = MethodDense
-		}
-	}
-	return o
-}
-
 // Solution is the result of a solve.
 type Solution struct {
 	// Status reports the solve outcome; X and Objective are only
@@ -313,26 +223,18 @@ type Solution struct {
 // Solve optimizes the problem and returns the solution. A non-Optimal status
 // is reported in Solution.Status, not as an error; errors are reserved for
 // malformed problems.
-func (p *Problem) Solve(opts Options) (*Solution, error) {
+func (p *Problem) Solve() (*Solution, error) {
+	return p.solve(func(s *standard) (*Solution, error) { return solveRevised(s, refactorEvery) })
+}
+
+// solve runs backend on p's standard form and maps an optimal solution back
+// to p's sense. Tests hand it the dense oracle or a shorter refactorization
+// interval.
+func (p *Problem) solve(backend func(*standard) (*Solution, error)) (*Solution, error) {
 	if len(p.obj) == 0 {
 		return nil, fmt.Errorf("lp: problem has no variables")
 	}
-	if opts.Presolve {
-		opts.Presolve = false // the reduced problem solves directly
-		return SolvePresolved(p, opts)
-	}
-	opts = opts.withDefaults(len(p.rows), len(p.obj))
-	std := standardize(p)
-	var sol *Solution
-	var err error
-	switch opts.Method {
-	case MethodDense:
-		sol, err = solveDense(std, opts)
-	case MethodRevised:
-		sol, err = solveRevised(std, opts)
-	default:
-		return nil, fmt.Errorf("lp: unknown method %d", opts.Method)
-	}
+	sol, err := backend(standardize(p))
 	if err != nil {
 		return nil, err
 	}

@@ -5,16 +5,26 @@ import (
 	"math"
 )
 
+const (
+	// tol is the feasibility and optimality tolerance.
+	tol = 1e-9
+	// refactorEvery is the number of basis changes between
+	// refactorizations.
+	refactorEvery = 64
+)
+
+// iterLimit bounds the simplex pivots of each phase.
+func iterLimit(s *standard) int { return 200 * (s.m + s.nStruct + 10) }
+
 // solveRevised runs a two-phase revised simplex with an LU-factorized basis
 // and product-form (eta) updates. Constraint columns, the L and U factors and
 // the etas all stay sparse, the basis inverse is never formed explicitly, and
-// the factorization is rebuilt every Options.RefactorEvery basis changes to
-// bound numerical drift.
-func solveRevised(s *standard, opts Options) (*Solution, error) {
-	if s.m == 0 {
-		return solveDense(s, opts)
-	}
-	rv, err := newRevised(s, opts)
+// the factorization is rebuilt every refactorK basis changes to bound
+// numerical drift. A problem with no rows needs no special case: x = 0 is
+// optimal unless pricing finds a negative cost, whose column then has no
+// leaving row and is unbounded.
+func solveRevised(s *standard, refactorK int) (*Solution, error) {
+	rv, err := newRevised(s, refactorK)
 	if err != nil {
 		return nil, err
 	}
@@ -27,7 +37,7 @@ func solveRevised(s *standard, opts Options) (*Solution, error) {
 			c1[j] = 1
 		}
 		rv.cost = c1
-		st, n, err := rv.iterate(rv.nTotal, opts.MaxIters)
+		st, n, err := rv.iterate(rv.nTotal, iterLimit(s))
 		iters += n
 		if err != nil {
 			return nil, err
@@ -47,7 +57,7 @@ func solveRevised(s *standard, opts Options) (*Solution, error) {
 	c2 := make([]float64, rv.nTotal)
 	copy(c2, s.cost)
 	rv.cost = c2
-	st, n, err := rv.iterate(rv.artStart, opts.MaxIters)
+	st, n, err := rv.iterate(rv.artStart, iterLimit(s))
 	iters += n
 	if err != nil {
 		return nil, err
@@ -109,19 +119,13 @@ type revised struct {
 	etaIdx  []int32 // eta arena, reset at refactorization
 	etaVal  []float64
 	refactK int
-	tol     float64
-
-	// Partial pricing state: block size (0 = full pricing) and the
-	// rotating scan cursor.
-	priceBlock  int
-	priceCursor int
 
 	// Per-pivot buffers: the simplex multipliers and the entering
 	// column's direction.
 	y, d []float64
 }
 
-func newRevised(s *standard, opts Options) (*revised, error) {
+func newRevised(s *standard, refactK int) (*revised, error) {
 	m := s.m
 	basis := make([]int, m)
 	needArt := make([]bool, m)
@@ -160,13 +164,11 @@ func newRevised(s *standard, opts Options) (*revised, error) {
 		s: s, m: m, nTotal: nTotal, artStart: s.nCols, nArt: nArt,
 		colIdx: colIdx, colVal: colVal,
 		basis: basis, basicPos: basicPos,
-		xB:         make([]float64, m),
-		refactK:    opts.RefactorEvery,
-		tol:        opts.Tol,
-		priceBlock: opts.PartialPricing,
-		bmat:       make([]float64, m*m),
-		y:          make([]float64, m),
-		d:          make([]float64, m),
+		xB:      make([]float64, m),
+		refactK: refactK,
+		bmat:    make([]float64, m*m),
+		y:       make([]float64, m),
+		d:       make([]float64, m),
 	}
 	if err := rv.refactorize(); err != nil {
 		return nil, err
@@ -298,40 +300,13 @@ func (rv *revised) iterate(priceLimit, maxIters int) (Status, int, error) {
 	return IterLimit, iters, nil
 }
 
-// price selects an entering column with negative reduced cost, or -1 when
-// none exists. Dantzig rule normally, Bland's rule under stalling. With
-// partial pricing enabled, columns are scanned in rotating blocks and the
-// best candidate of the first block containing any improving column wins;
-// a full wrap-around with no candidate proves optimality.
+// price selects the entering column among those < priceLimit: the most
+// negative reduced cost (Dantzig's rule) normally, the first negative one
+// (Bland's rule) under stalling, or -1 when none is negative.
 func (rv *revised) price(y []float64, priceLimit int, bland bool) int {
-	if bland || rv.priceBlock <= 0 || rv.priceBlock >= priceLimit {
-		return rv.priceRange(y, 0, priceLimit, bland)
-	}
-	if rv.priceCursor >= priceLimit {
-		rv.priceCursor = 0
-	}
-	scanned := 0
-	for scanned < priceLimit {
-		lo := rv.priceCursor
-		hi := lo + rv.priceBlock
-		if hi > priceLimit {
-			hi = priceLimit
-		}
-		q := rv.priceRange(y, lo, hi, false)
-		scanned += hi - lo
-		rv.priceCursor = hi % priceLimit
-		if q >= 0 {
-			return q
-		}
-	}
-	return -1
-}
-
-// priceRange scans columns [lo, hi) for the most negative reduced cost.
-func (rv *revised) priceRange(y []float64, lo, hi int, bland bool) int {
 	q := -1
-	best := -rv.tol
-	for j := lo; j < hi; j++ {
+	best := -tol
+	for j := 0; j < priceLimit; j++ {
 		if rv.basicPos[j] >= 0 {
 			continue
 		}
@@ -342,7 +317,7 @@ func (rv *revised) priceRange(y []float64, lo, hi int, bland bool) int {
 			z -= y[r] * val[k]
 		}
 		if bland {
-			if z < -rv.tol {
+			if z < -tol {
 				return j
 			}
 			continue
@@ -365,9 +340,9 @@ func (rv *revised) ratioTest(d []float64, bland bool) int {
 		di := d[i]
 		var ratio float64
 		switch {
-		case di > rv.tol:
+		case di > tol:
 			ratio = rv.xB[i] / di
-		case di < -rv.tol && rv.basis[i] >= rv.artStart:
+		case di < -tol && rv.basis[i] >= rv.artStart:
 			// An artificial must stay at zero; a negative direction
 			// component would raise it, so it leaves immediately.
 			ratio = -rv.xB[i] / di

@@ -42,7 +42,7 @@ func DefaultBackup(serving []float64) ([]float64, error) {
 		}
 		p.AddRow(fmt.Sprintf("fail[%d]", x), cols, vals, lp.GE, serving[x])
 	}
-	sol, err := p.Solve(lp.Options{})
+	sol, err := p.Solve()
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +104,7 @@ func PeakAwareBackup(demand [][]float64) ([]float64, error) {
 			p.AddRow(fmt.Sprintf("fail[%d,%d]", t, f), cols, vals, lp.GE, total)
 		}
 	}
-	sol, err := p.Solve(lp.Options{})
+	sol, err := p.Solve()
 	if err != nil {
 		return nil, err
 	}

@@ -220,7 +220,7 @@ func solveScenario(lm *LoadModel, sc Scenario) (cores, link []float64, alloc [][
 		p.AddRow(fmt.Sprintf("net[%d,%d]", k[0], k[1]), cols, vals, lp.LE, 0)
 	}
 
-	sol, err := p.Solve(lp.Options{})
+	sol, err := p.Solve()
 	if err != nil {
 		return nil, nil, nil, err
 	}
