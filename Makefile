@@ -22,15 +22,15 @@ fmt:
 # Project-specific static analysis: the four intra-procedural v1 analyzers
 # (determinism, lock-discipline, float-compare, error-sink) plus the four
 # interprocedural v2 analyzers (hotpathalloc, fenceflow, ctxflow,
-# atomicdiscipline); see DESIGN.md "Static analysis". The committed baseline
-# is empty — the module is clean and any new finding fails the gate.
+# atomicdiscipline); see DESIGN.md "Static analysis". The module is clean and
+# any finding fails the gate.
 lint:
-	$(GO) run ./cmd/sblint -baseline .sblint-baseline ./...
+	$(GO) run ./cmd/sblint ./...
 
 # Same gate, rendered as a JSON findings artifact for CI upload. Exit status
 # is preserved: the artifact shows what failed.
 lint-json:
-	$(GO) run ./cmd/sblint -baseline .sblint-baseline -json ./... > sblint-findings.json; \
+	$(GO) run ./cmd/sblint -json ./... > sblint-findings.json; \
 		status=$$?; cat sblint-findings.json; exit $$status
 
 # The lint suite's own fixture tests (analyzer regression harness).

@@ -13,17 +13,12 @@
 //
 // Usage:
 //
-//	sblint [-v] [-json] [-baseline file] [-write-baseline file] [packages]
+//	sblint [-v] [-json] [packages]
 //
 // where packages are module-relative patterns like ./... (the default),
 // ./internal/... or ./internal/lp.
 //
-//	-json           emit findings as a JSON array instead of text
-//	-baseline file  suppress findings listed in file; only new findings
-//	                fail (the committed baseline is empty: the repo is
-//	                clean and stays clean)
-//	-write-baseline file
-//	                write the current findings to file and exit 0
+//	-json  emit findings as a JSON array instead of text
 package main
 
 import (
@@ -39,10 +34,8 @@ import (
 func main() {
 	verbose := flag.Bool("v", false, "print analyzer names and type-check warnings")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
-	baselinePath := flag.String("baseline", "", "suppress findings listed in this baseline file")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline file and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: sblint [-v] [-json] [-baseline file] [-write-baseline file] [packages]\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: sblint [-v] [-json] [packages]\n\nanalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(os.Stderr, "  %-16s %s\n", a.Name, a.Doc)
 		}
@@ -72,31 +65,12 @@ func main() {
 		os.Exit(2)
 	}
 	findings := lint.Run(selected, lint.Analyzers())
-	// Module-relative paths: stable across checkouts, so they are what the
-	// baseline stores and what CI diffs.
+	// Module-relative paths: stable across checkouts, so they are what CI
+	// diffs.
 	for i := range findings {
 		if rel, err := filepath.Rel(root, findings[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			findings[i].Pos.Filename = filepath.ToSlash(rel)
 		}
-	}
-
-	if *writeBaseline != "" {
-		if err := os.WriteFile(*writeBaseline, lint.FormatBaseline(findings), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "sblint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "sblint: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return
-	}
-
-	var suppressed []lint.Finding
-	if *baselinePath != "" {
-		base, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sblint:", err)
-			os.Exit(2)
-		}
-		findings, suppressed = base.Filter(findings)
 	}
 
 	if *jsonOut {
@@ -111,11 +85,8 @@ func main() {
 			fmt.Println(f)
 		}
 	}
-	if len(suppressed) > 0 {
-		fmt.Fprintf(os.Stderr, "sblint: %d baseline-suppressed finding(s)\n", len(suppressed))
-	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "sblint: %d new finding(s)\n", len(findings))
+		fmt.Fprintf(os.Stderr, "sblint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }

@@ -1,15 +1,14 @@
 // Realtime controller demo: start the RESP kvstore, build a Switchboard
 // allocation plan, then replay a day of call events through the realtime
 // controller (§5.4) — first-joiner assignment, config freeze at A = 300 s,
-// slot accounting, migrations — and finally measure the controller's write
-// throughput against the store (the paper's Fig 10 setup).
+// slot accounting, migrations — persisting every call transition to the
+// store.
 package main
 
 import (
 	"fmt"
 	"log"
 	"net"
-	"time"
 
 	"switchboard"
 )
@@ -55,11 +54,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Start the kvstore the controller writes call state to, with a
-	// simulated cloud-store round trip so write latencies (and thread
-	// scaling) look like the paper's Azure Redis numbers.
+	// Start the kvstore the controller writes call state to.
 	srv := switchboard.NewKVServer()
-	srv.SetSimulatedLatency(700 * time.Microsecond)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -96,16 +92,5 @@ func main() {
 	fmt.Printf("  unplanned configs: %d\n", stats.Unplanned)
 	fmt.Printf("  kvstore ops:      %d\n", srv.OpsServed())
 
-	// Throughput sweep (Fig 10), normalized against a production-scale
-	// peak arrival rate of 10k events/s.
-	const productionPeak = 10000.0
-	fmt.Printf("\ncontroller write throughput vs worker threads:\n")
-	for _, workers := range []int{1, 2, 4, 8} {
-		res, err := switchboard.BenchControllerThroughput(l.Addr().String(), workers, events, productionPeak)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %2d threads: %8.0f events/s (%.2fx production peak, writes %v..%v)\n",
-			res.Workers, res.EventsPerSec, res.Normalized, res.MinWrite, res.MaxWrite)
-	}
+	fmt.Printf("\nwrite throughput vs worker threads (Fig 10): go run ./cmd/sbexp -exp fig10\n")
 }

@@ -59,16 +59,12 @@ type Placer interface {
 	// of day, given the call's current DC. planned is false when the
 	// config is not covered by the plan (the unanticipated-config case).
 	Place(cfg model.CallConfig, slotOfDay, current int) (dc int, planned bool)
+	// PlaceAvoiding is Place restricted to DCs for which avoid returns
+	// false: how the controller drains a failed DC onto the plan's backup
+	// capacity.
+	PlaceAvoiding(cfg model.CallConfig, slotOfDay, current int, avoid func(dc int) bool) (dc int, planned bool)
 	// Release returns a previously placed call's slot to the plan.
 	Release(cfg model.CallConfig, slotOfDay, dc int)
-}
-
-// AvoidingPlacer is an optional Placer extension: PlaceAvoiding is Place
-// restricted to DCs for which avoid returns false. The controller uses it
-// to drain a failed DC onto the plan's backup capacity; placers without it
-// fall back to Place plus a latency-ordered surviving-DC scan.
-type AvoidingPlacer interface {
-	PlaceAvoiding(cfg model.CallConfig, slotOfDay, current int, avoid func(dc int) bool) (dc int, planned bool)
 }
 
 // Predictor forecasts a recurring call's configuration before participants
@@ -966,46 +962,31 @@ func (c *Controller) nearestSurvivingLocked(code geo.CountryCode) int {
 }
 
 // placePreferringSurvivorsLocked is Place, but when DCs have been failed it
-// steers the plan away from them — natively via AvoidingPlacer when the
-// placer supports it, otherwise by letting the caller's post-check reroute.
-// Callers hold c.mu.
+// steers the plan away from them. Callers hold c.mu.
 //
 //sblint:holds mu
 func (c *Controller) placePreferringSurvivorsLocked(cfg model.CallConfig, slot, current int) (int, bool) {
 	if len(c.failed) > 0 {
-		if ap, ok := c.placer.(AvoidingPlacer); ok {
-			return ap.PlaceAvoiding(cfg, slot, current, func(dc int) bool { return c.failed[dc] })
-		}
+		return c.placer.PlaceAvoiding(cfg, slot, current, func(dc int) bool { return c.failed[dc] })
 	}
 	return c.placer.Place(cfg, slot, current)
 }
 
 // drainTargetLocked picks the DC a live call should move to when its host
-// fails: the plan's backup capacity when the placer can avoid failed DCs,
-// else the nearest surviving DC for the call's population. Returns -1 when
-// nothing survives. Callers hold c.mu.
+// fails: the plan's backup capacity for a frozen call, else the nearest
+// surviving DC for the call's population. Returns -1 when nothing survives.
+// Callers hold c.mu.
 //
 //sblint:holds mu
 func (c *Controller) drainTargetLocked(st *callState) int {
 	if c.placer != nil && st.frozen {
-		wasPlanned := st.planned
-		if wasPlanned {
+		if st.planned {
 			c.placer.Release(st.cfg, st.slot, st.dc)
 			st.planned = false
 		}
-		if ap, ok := c.placer.(AvoidingPlacer); ok {
-			if dc, inPlan := ap.PlaceAvoiding(st.cfg, st.slot, st.dc, func(dc int) bool { return c.failed[dc] }); inPlan && !c.failed[dc] {
-				st.planned = true
-				return dc
-			}
-		} else if wasPlanned {
-			if dc, inPlan := c.placer.Place(st.cfg, st.slot, st.dc); inPlan {
-				if !c.failed[dc] {
-					st.planned = true
-					return dc
-				}
-				c.placer.Release(st.cfg, st.slot, dc)
-			}
+		if dc, inPlan := c.placer.PlaceAvoiding(st.cfg, st.slot, st.dc, func(dc int) bool { return c.failed[dc] }); inPlan && !c.failed[dc] {
+			st.planned = true
+			return dc
 		}
 	}
 	// Latency fallback: the call's majority country, else its first joiner.
@@ -1160,8 +1141,8 @@ func (p *PlanPlacer) Place(cfg model.CallConfig, slotOfDay, current int) (int, b
 	return p.place(cfg, slotOfDay, current, nil)
 }
 
-// PlaceAvoiding implements AvoidingPlacer: Place restricted to DCs for
-// which avoid returns false, used to drain failed DCs onto backup capacity.
+// PlaceAvoiding implements Placer: Place restricted to DCs for which avoid
+// returns false, used to drain failed DCs onto backup capacity.
 func (p *PlanPlacer) PlaceAvoiding(cfg model.CallConfig, slotOfDay, current int, avoid func(dc int) bool) (int, bool) {
 	return p.place(cfg, slotOfDay, current, avoid)
 }
@@ -1229,7 +1210,7 @@ func (p *MinACLPlacer) Place(cfg model.CallConfig, _ int, _ int) (int, bool) {
 	return p.PlaceAvoiding(cfg, 0, 0, nil)
 }
 
-// PlaceAvoiding implements AvoidingPlacer.
+// PlaceAvoiding implements Placer.
 func (p *MinACLPlacer) PlaceAvoiding(cfg model.CallConfig, _ int, _ int, avoid func(dc int) bool) (int, bool) {
 	best, bestACL := -1, 0.0
 	for x := 0; x < p.NDCs; x++ {

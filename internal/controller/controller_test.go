@@ -348,24 +348,6 @@ func TestApplyRejectsUnknownKind(t *testing.T) {
 	}
 }
 
-func TestPeakEventRate(t *testing.T) {
-	start := time.Date(2022, 9, 5, 0, 0, 0, 0, time.UTC)
-	var events []Event
-	// 10 events in slot 0, 2 in slot 3.
-	for i := 0; i < 10; i++ {
-		events = append(events, Event{Time: start.Add(time.Duration(i) * time.Second)})
-	}
-	events = append(events, Event{Time: start.Add(95 * time.Minute)}, Event{Time: start.Add(96 * time.Minute)})
-	got := PeakEventRate(events)
-	want := 10.0 / 1800
-	if got != want {
-		t.Errorf("peak rate = %g, want %g", got, want)
-	}
-	if PeakEventRate(nil) != 0 {
-		t.Error("empty events should have zero rate")
-	}
-}
-
 func TestControllerPersistsToStore(t *testing.T) {
 	srv := kvstore.NewServer()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -414,42 +396,4 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b)
-}
-
-func TestBenchThroughputSmall(t *testing.T) {
-	srv := kvstore.NewServer()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	defer srv.Close()
-
-	cfg := trace.DefaultConfig()
-	cfg.Days = 1
-	cfg.CallsPerDay = 300
-	g, _ := trace.NewGenerator(cfg)
-	events := BuildEvents(g.GenerateAll(), DefaultFreeze)
-
-	if _, err := BenchThroughput(l.Addr().String(), 0, events, 0); err == nil {
-		t.Error("zero workers should error")
-	}
-	res1, err := BenchThroughput(l.Addr().String(), 1, events, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.EventsPerSec <= 0 || res1.Events != len(events) {
-		t.Fatalf("res = %+v", res1)
-	}
-	if res1.MinWrite <= 0 || res1.MaxWrite < res1.MinWrite {
-		t.Errorf("write latencies: min=%v max=%v", res1.MinWrite, res1.MaxWrite)
-	}
-	res4, err := BenchThroughput(l.Addr().String(), 4, events, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Loopback throughput should not collapse with more workers.
-	if res4.EventsPerSec < res1.EventsPerSec/4 {
-		t.Errorf("4 workers %g ev/s vs 1 worker %g ev/s", res4.EventsPerSec, res1.EventsPerSec)
-	}
 }

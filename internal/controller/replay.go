@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"switchboard/internal/geo"
-	"switchboard/internal/kvstore"
 	"switchboard/internal/model"
 )
 
@@ -103,27 +101,6 @@ func BuildEvents(recs []*model.CallRecord, freeze time.Duration) []Event {
 	return events
 }
 
-// PeakEventRate returns the highest events-per-second over 30-minute
-// windows — the trace's peak arrival rate that Fig 10's throughput is
-// normalized against.
-func PeakEventRate(events []Event) float64 {
-	if len(events) == 0 {
-		return 0
-	}
-	origin := events[0].Time
-	counts := make(map[int]int)
-	for _, e := range events {
-		counts[model.SlotIndex(origin, e.Time)]++
-	}
-	peak := 0
-	for _, n := range counts {
-		if n > peak {
-			peak = n
-		}
-	}
-	return float64(peak) / model.SlotDuration.Seconds()
-}
-
 // Apply feeds one event to the controller: the one mapping from event kinds
 // to call-control methods that every replay and drill goes through.
 func (c *Controller) Apply(ctx context.Context, e Event) error {
@@ -153,118 +130,4 @@ func (c *Controller) Replay(events []Event) (Stats, error) {
 		}
 	}
 	return c.Stats(), nil
-}
-
-// ThroughputResult reports one Fig 10 benchmark run.
-type ThroughputResult struct {
-	Workers int
-	// EventsPerSec is the sustained controller throughput.
-	EventsPerSec float64
-	// Normalized is EventsPerSec divided by the normalization target
-	// rate (the production-scale peak); ≥ 1 means the controller keeps
-	// up with that peak.
-	Normalized float64
-	// MinWrite and MaxWrite bound the observed kvstore write latencies.
-	MinWrite, MaxWrite time.Duration
-	// Events is the number processed.
-	Events int
-}
-
-// BenchThroughput measures how many events per second the controller's
-// write path sustains with the given number of worker threads, each holding
-// its own kvstore connection (§6.6). Events are partitioned by call ID so
-// one call's events stay ordered within a worker. targetRate is the arrival
-// rate (events/second) Normalized is computed against; pass 0 to normalize
-// against the replayed trace's own peak rate.
-func BenchThroughput(addr string, workers int, events []Event, targetRate float64) (ThroughputResult, error) {
-	if workers <= 0 {
-		return ThroughputResult{}, fmt.Errorf("controller: workers must be positive")
-	}
-	clients := make([]*kvstore.Client, workers)
-	for i := range clients {
-		c, err := kvstore.Dial(addr)
-		if err != nil {
-			return ThroughputResult{}, err
-		}
-		defer func() { _ = c.Close() }()
-		clients[i] = c
-	}
-	queues := make([][]Event, workers)
-	for _, e := range events {
-		wkr := int(e.CallID % uint64(workers))
-		queues[wkr] = append(queues[wkr], e)
-	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	minW := make([]time.Duration, workers)
-	maxW := make([]time.Duration, workers)
-	start := time.Now()
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := clients[i]
-			minW[i] = time.Hour
-			for _, e := range queues[i] {
-				key := CallKey("", e.CallID)
-				var err error
-				switch e.Kind {
-				case EventStart:
-					err = c.HSet(key, "first", string(e.Country))
-				case EventJoin:
-					err = c.HSet(key, "join:"+string(e.Country), e.Media.String())
-				case EventFreeze:
-					err = c.HSet(key, "config", e.Config.Key())
-				case EventEnd:
-					err = c.Del(key)
-				}
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if rtt := c.LastRTT(); rtt > 0 {
-					if rtt < minW[i] {
-						minW[i] = rtt
-					}
-					if rtt > maxW[i] {
-						maxW[i] = rtt
-					}
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errCh)
-	for err := range errCh {
-		return ThroughputResult{}, err
-	}
-
-	res := ThroughputResult{
-		Workers:  workers,
-		Events:   len(events),
-		MinWrite: time.Hour,
-	}
-	for i := range minW {
-		if len(queues[i]) == 0 {
-			continue
-		}
-		if minW[i] < res.MinWrite {
-			res.MinWrite = minW[i]
-		}
-		if maxW[i] > res.MaxWrite {
-			res.MaxWrite = maxW[i]
-		}
-	}
-	if elapsed > 0 {
-		res.EventsPerSec = float64(len(events)) / elapsed.Seconds()
-	}
-	if targetRate <= 0 {
-		targetRate = PeakEventRate(events)
-	}
-	if targetRate > 0 {
-		res.Normalized = res.EventsPerSec / targetRate
-	}
-	return res, nil
 }

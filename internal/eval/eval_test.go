@@ -323,6 +323,13 @@ func TestFig10ThroughputScales(t *testing.T) {
 			t.Errorf("%d workers: writes %v..%v outside plausible band", r.Workers, r.MinWrite, r.MaxWrite)
 		}
 	}
+	// The sweep drives the controller's own write path, and without a
+	// placer every event is exactly one store command.
+	for _, r := range res.Runs {
+		if r.Writes != int64(r.Events) || r.Events == 0 {
+			t.Errorf("%d workers: store served %d commands for %d events", r.Workers, r.Writes, r.Events)
+		}
+	}
 }
 
 func TestPredictExperiment(t *testing.T) {

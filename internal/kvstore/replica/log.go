@@ -27,13 +27,16 @@ type Entry struct {
 	Args []string
 }
 
-// Log is the bounded in-memory replication log. Appends trim the front once
-// the capacity is exceeded; a standby whose resume point has been trimmed
-// away falls back to a snapshot.
+// Log is the bounded in-memory replication log: a ring of at most cap
+// entries holding sequences base..last, where sequence s sits at
+// ring[(head+s-base)%len(ring)]. Once full, an append overwrites the oldest
+// entry in place; a standby whose resume point has been overwritten falls
+// back to a snapshot.
 type Log struct {
 	mu      sync.Mutex
-	entries []Entry // guarded by mu
-	base    uint64  // guarded by mu; seq of entries[0] (last+1 when empty)
+	ring    []Entry // guarded by mu; grows to cap, then is overwritten in place
+	head    int     // guarded by mu; ring index of base
+	base    uint64  // guarded by mu; oldest retained seq (last+1 when empty)
 	last    uint64  // guarded by mu; highest appended seq (0 before first)
 	cap     int
 	changed chan struct{} // guarded by mu; closed and replaced on append
@@ -56,11 +59,13 @@ func NewLogAt(last uint64, capacity int) *Log {
 func (l *Log) Append(args []string) uint64 {
 	l.mu.Lock()
 	l.last++
-	l.entries = append(l.entries, Entry{Seq: l.last, Args: args})
-	if len(l.entries) > l.cap {
-		drop := len(l.entries) - l.cap
-		l.entries = append([]Entry(nil), l.entries[drop:]...)
-		l.base = l.entries[0].Seq
+	e := Entry{Seq: l.last, Args: args}
+	if len(l.ring) < l.cap {
+		l.ring = append(l.ring, e)
+	} else {
+		l.ring[l.head] = e
+		l.head = (l.head + 1) % l.cap
+		l.base++
 	}
 	seq := l.last
 	close(l.changed)
@@ -86,21 +91,23 @@ func (l *Log) CanResumeFrom(from uint64) bool {
 	return from <= l.last && from+1 >= l.base
 }
 
-// From returns up to max entries with Seq > from (a copy; max <= 0 means no
-// limit).
-func (l *Log) From(from uint64, max int) []Entry {
+// From returns up to limit retained entries with Seq > from (a copy; limit
+// <= 0 means no limit).
+func (l *Log) From(from uint64, limit int) []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	i := 0
-	for i < len(l.entries) && l.entries[i].Seq <= from {
-		i++
+	first := max(from+1, l.base)
+	if first > l.last {
+		return []Entry{}
 	}
-	n := len(l.entries) - i
-	if max > 0 && n > max {
-		n = max
+	n := int(l.last - first + 1)
+	if limit > 0 && n > limit {
+		n = limit
 	}
 	out := make([]Entry, n)
-	copy(out, l.entries[i:i+n])
+	i := (l.head + int(first-l.base)) % len(l.ring)
+	k := copy(out, l.ring[i:])
+	copy(out[k:], l.ring)
 	return out
 }
 

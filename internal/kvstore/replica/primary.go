@@ -245,6 +245,9 @@ func (p *Primary) ServeSync(args []string, conn net.Conn, r *bufio.Reader, w *bu
 		}
 	}
 	for {
+		// Take the wakeup channel before reading: an append that lands
+		// after an empty read closes this channel, so it cannot be missed.
+		changed := p.log.Changed()
 		entries := p.log.From(next-1, streamBatch)
 		if len(entries) == 0 {
 			ping := []string{"REPLPING", strconv.FormatUint(p.log.Last(), 10)}
@@ -255,7 +258,7 @@ func (p *Primary) ServeSync(args []string, conn net.Conn, r *bufio.Reader, w *bu
 				return
 			}
 			select {
-			case <-p.log.Changed():
+			case <-changed:
 			case <-time.After(p.opts.Heartbeat):
 			}
 			continue

@@ -136,7 +136,7 @@ func collectAllows(p *Package) allowSet {
 
 // Run applies every analyzer to every package, drops //sblint:allow-ed
 // findings, and returns the rest sorted by (file, line, col, analyzer,
-// message) — a total order, so CI diffs and baseline files are stable
+// message) — a total order, so CI diffs are stable
 // across runs regardless of map-iteration order anywhere upstream.
 //
 // Interprocedural analyzers (RunGraph set) run once over the call graph of

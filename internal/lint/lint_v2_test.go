@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -263,56 +261,8 @@ func peek() uint64 {
 `})
 }
 
-// TestBaselineFilterBudget pins the dup-budget semantics: a baseline entry
-// absorbs at most as many findings as times it is listed, so duplicated
-// findings cannot hide behind a single accepted line.
-func TestBaselineFilterBudget(t *testing.T) {
-	f := Finding{Analyzer: "hotpathalloc", Message: "make allocates"}
-	f.Pos.Filename = "internal/x/x.go"
-	f.Pos.Line, f.Pos.Column = 3, 2
-
-	path := filepath.Join(t.TempDir(), "baseline")
-	if err := os.WriteFile(path, FormatBaseline([]Finding{f}), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, suppressed := b.Filter([]Finding{f, f})
-	if len(suppressed) != 1 || len(fresh) != 1 {
-		t.Fatalf("Filter = %d fresh, %d suppressed; want 1 and 1", len(fresh), len(suppressed))
-	}
-}
-
-// TestBaselineEmptyMeansClean pins the adoption contract: an empty committed
-// baseline suppresses nothing.
-func TestBaselineEmptyMeansClean(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline")
-	if err := os.WriteFile(path, []byte("# comment only\n\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := Finding{Analyzer: "ctxflow", Message: "m"}
-	fresh, suppressed := b.Filter([]Finding{f})
-	if len(fresh) != 1 || len(suppressed) != 0 {
-		t.Fatalf("Filter = %d fresh, %d suppressed; want 1 and 0", len(fresh), len(suppressed))
-	}
-}
-
-// TestBaselineMissingFileIsError: an absent baseline is a configuration
-// error, not an implicit empty one.
-func TestBaselineMissingFileIsError(t *testing.T) {
-	if _, err := LoadBaseline(filepath.Join(t.TempDir(), "absent")); err == nil {
-		t.Fatal("LoadBaseline on a missing file did not error")
-	}
-}
-
 // TestFindingOrderIsTotal pins the canonical sort key (file, line, col,
-// analyzer, message) CI diffs and baselines depend on.
+// analyzer, message) CI diffs depend on.
 func TestFindingOrderIsTotal(t *testing.T) {
 	mk := func(file string, line, col int, analyzer, msg string) Finding {
 		f := Finding{Analyzer: analyzer, Message: msg}

@@ -5,31 +5,21 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 )
 
 // WriteTo renders every registered family in Prometheus text exposition
 // format (version 0.0.4), families sorted by name and vec children sorted by
-// label values, so output is deterministic for a given metric state.
+// label values, so output is deterministic for a given metric state. It is a
+// text encoder over Gather, the snapshot /metrics/instance serves as JSON.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	if r == nil {
 		return 0, nil
 	}
 	bw := bufio.NewWriter(w)
 	cw := &countingWriter{w: bw}
-
-	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	fams := make([]*family, 0, len(names))
-	for _, n := range names {
-		fams = append(fams, r.families[n])
-	}
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	for _, f := range fams {
-		f.render(cw)
+	for _, f := range r.Gather() {
+		renderFamily(cw, f)
 		if cw.err != nil {
 			return cw.n, cw.err
 		}
@@ -64,66 +54,44 @@ func (cw *countingWriter) WriteString(s string) {
 	cw.err = err
 }
 
-func (f *family) render(w *countingWriter) {
-	w.WriteString("# HELP " + f.name + " " + escapeHelp(f.help) + "\n")
-	w.WriteString("# TYPE " + f.name + " " + f.kind.String() + "\n")
-	if f.labels == nil {
-		switch f.kind {
-		case kindCounter:
-			w.WriteString(f.name + " " + formatUint(f.counter.Value()) + "\n")
-		case kindGauge:
-			w.WriteString(f.name + " " + formatFloat(f.gauge.Value()) + "\n")
-		case kindHistogram:
-			renderHistogram(w, f.name, "", f.hist)
-		}
-		return
-	}
-
-	for _, c := range f.sortedChildren() {
-		lbl := renderLabels(f.labels, c.labelVals)
-		switch f.kind {
-		case kindCounter:
-			w.WriteString(f.name + "{" + lbl + "} " + formatUint(c.counter.Value()) + "\n")
-		case kindGauge:
-			w.WriteString(f.name + "{" + lbl + "} " + formatFloat(c.gauge.Value()) + "\n")
-		case kindHistogram:
-			renderHistogram(w, f.name, lbl, c.hist)
+// renderFamily emits one family snapshot: HELP and TYPE, then one sample
+// per point (a histogram point expands to its buckets, _sum and _count).
+func renderFamily(w *countingWriter, f SnapFamily) {
+	w.WriteString("# HELP " + f.Name + " " + escapeHelp(f.Help) + "\n")
+	w.WriteString("# TYPE " + f.Name + " " + f.Kind + "\n")
+	for _, p := range f.Points {
+		lbl := renderLabels(f.LabelNames, p.Labels)
+		switch f.Kind {
+		case "counter":
+			w.WriteString(f.Name + braced(lbl) + " " + formatUint(p.Count) + "\n")
+		case "gauge":
+			w.WriteString(f.Name + braced(lbl) + " " + formatFloat(p.Value) + "\n")
+		case "histogram":
+			renderHistogram(w, f.Name, lbl, f.Bounds, p)
 		}
 	}
-}
-
-// sortedChildren snapshots a vec family's children, sorted by label values.
-func (f *family) sortedChildren() []*child {
-	m := f.kids.Load()
-	if m == nil {
-		return nil
-	}
-	children := make([]*child, 0, len(*m))
-	for _, c := range *m {
-		children = append(children, c)
-	}
-	sort.Slice(children, func(i, j int) bool {
-		return labelKey(children[i].labelVals) < labelKey(children[j].labelVals)
-	})
-	return children
 }
 
 // renderHistogram emits the cumulative _bucket series plus _sum and _count.
 // extraLabels is a pre-rendered `k="v",...` fragment or "".
-func renderHistogram(w *countingWriter, name, extraLabels string, h *Histogram) {
+func renderHistogram(w *countingWriter, name, extraLabels string, bounds []float64, p SnapPoint) {
 	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.BucketCount(i)
+	for i, b := range bounds {
+		cum += p.Buckets[i]
 		w.WriteString(name + "_bucket{" + joinLabels(extraLabels, `le="`+formatFloat(b)+`"`) + "} " + formatUint(cum) + "\n")
 	}
-	cum += h.BucketCount(len(h.bounds))
+	cum += p.Buckets[len(bounds)]
 	w.WriteString(name + "_bucket{" + joinLabels(extraLabels, `le="+Inf"`) + "} " + formatUint(cum) + "\n")
-	suffix := ""
-	if extraLabels != "" {
-		suffix = "{" + extraLabels + "}"
+	w.WriteString(name + "_sum" + braced(extraLabels) + " " + formatFloat(p.Sum) + "\n")
+	w.WriteString(name + "_count" + braced(extraLabels) + " " + formatUint(p.Count) + "\n")
+}
+
+// braced wraps a non-empty label fragment in braces.
+func braced(labels string) string {
+	if labels == "" {
+		return ""
 	}
-	w.WriteString(name + "_sum" + suffix + " " + formatFloat(h.Sum()) + "\n")
-	w.WriteString(name + "_count" + suffix + " " + formatUint(h.Count()) + "\n")
+	return "{" + labels + "}"
 }
 
 func joinLabels(extra, le string) string {

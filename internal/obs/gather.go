@@ -97,6 +97,22 @@ func (r *Registry) Gather() []SnapFamily {
 	return out
 }
 
+// sortedChildren snapshots a vec family's children, sorted by label values.
+func (f *family) sortedChildren() []*child {
+	m := f.kids.Load()
+	if m == nil {
+		return nil
+	}
+	children := make([]*child, 0, len(*m))
+	for _, c := range *m {
+		children = append(children, c)
+	}
+	sort.Slice(children, func(i, j int) bool {
+		return labelKey(children[i].labelVals) < labelKey(children[j].labelVals)
+	})
+	return children
+}
+
 func snapHistogram(h *Histogram, labels []string) SnapPoint {
 	nb := len(h.Bounds()) + 1
 	p := SnapPoint{

@@ -321,7 +321,6 @@ type child struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family // guarded by mu
-	order    []string           // guarded by mu; registration order (render sorts)
 }
 
 // NewRegistry returns an empty registry.
@@ -343,7 +342,6 @@ func (r *Registry) register(name, help string, kind metricKind, labels []string)
 	}
 	f := &family{name: name, help: help, kind: kind, labels: labels}
 	r.families[name] = f
-	r.order = append(r.order, name)
 	return f
 }
 

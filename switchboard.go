@@ -273,8 +273,6 @@ type (
 	MinACLPlacer = controller.MinACLPlacer
 	// Event is one replayable controller input.
 	Event = controller.Event
-	// ThroughputResult is one Fig 10 benchmark run.
-	ThroughputResult = controller.ThroughputResult
 )
 
 // NewController returns a realtime controller.
@@ -288,14 +286,6 @@ func NewPlanPlacer(configs []CallConfig, alloc [][][]float64, aclOf func(CallCon
 // BuildEvents expands call records into a time-ordered event stream.
 func BuildEvents(recs []*CallRecord, freeze time.Duration) []Event {
 	return controller.BuildEvents(recs, freeze)
-}
-
-// BenchControllerThroughput measures sustained controller write throughput
-// against a kvstore at addr with the given worker count. targetRate (events
-// per second) is the normalization denominator; 0 uses the replayed trace's
-// own peak rate.
-func BenchControllerThroughput(addr string, workers int, events []Event, targetRate float64) (ThroughputResult, error) {
-	return controller.BenchThroughput(addr, workers, events, targetRate)
 }
 
 // Predictor forecasts a recurring call's config before joins (§8).
