@@ -441,12 +441,10 @@ func main() {
 		api.Reshard = &httpapi.ReshardAdmin{
 			Manager: mgr,
 			NewCoordinator: func() (*shard.Coordinator, error) {
-				ckv, err := switchboard.DialKVFailover(kvAddrs, kvOpts(300))
-				if err != nil {
-					return nil, err
-				}
 				return shard.NewCoordinator(shard.CoordinatorConfig{
-					Store:      ckv,
+					Dial: func() (*kvstore.Client, error) {
+						return switchboard.DialKVFailover(kvAddrs, kvOpts(300))
+					},
 					ID:         mgrID,
 					BootShards: *shards,
 					BootVNodes: *shardVnodes,

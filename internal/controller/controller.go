@@ -591,17 +591,20 @@ func (c *Controller) ConfigKnown(ctx context.Context, id uint64, cfg model.CallC
 		// read instead of two (the deferred End no-ops after this).
 		sp.EndWithDuration(dur)
 	}
-	c.record(obs.Decision{
-		Kind:     "freeze",
-		Call:     id,
-		Config:   cfg.Key(),
-		Chosen:   dc,
-		Prev:     prev,
-		Planned:  planned,
-		Migrated: migrated,
-		Reason:   reason,
-	}, obsT, dur)
-	c.persist(ctx, id, "config", cfg.Key())
+	key := cfg.Key()
+	if c.decisions != nil {
+		c.record(obs.Decision{
+			Kind:     "freeze",
+			Call:     id,
+			Config:   key,
+			Chosen:   dc,
+			Prev:     prev,
+			Planned:  planned,
+			Migrated: migrated,
+			Reason:   reason,
+		}, obsT, dur)
+	}
+	c.persist(ctx, id, "config", key)
 	if migrated {
 		c.persist(ctx, id, "dc", c.dcName(dc))
 	}

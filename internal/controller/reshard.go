@@ -167,21 +167,6 @@ func (c *Controller) EvictCalls(evict func(id uint64) bool) int {
 	return n
 }
 
-// CopyKey copies one persisted call hash into another shard's namespace via
-// the store's server-side HCOPY, under this controller's armed fence. The
-// shard.Coordinator uses the lease-holding side for fenced copies; exposed on
-// the controller so the store client (and its fence state) stays private.
-//
-//sblint:fencepath
-func (c *Controller) CopyKey(ctx context.Context, src, dst string) (int64, error) {
-	if c.store == nil {
-		return 0, nil
-	}
-	c.storeMu.Lock()
-	defer c.storeMu.Unlock()
-	return c.store.HCopyContext(ctx, src, dst)
-}
-
 // Knows reports whether the controller has the call in memory.
 func (c *Controller) Knows(id uint64) bool {
 	c.mu.Lock()

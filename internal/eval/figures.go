@@ -206,9 +206,11 @@ const ProductionPeakRate = 3600.0
 // 0.3-4.2 ms Azure Redis write band.
 const StoreSimulatedRTT = 300 * time.Microsecond
 
-// fig10MaxEvents caps the replayed stream so the slowest (single-thread)
-// sweep point stays under half a minute.
-const fig10MaxEvents = 20000
+// fig10EventsPerWorker is each sweep point's event budget per worker: a
+// point applies the first min(len(events), budget×workers) events, so every
+// point runs for about the same wall time (a few seconds at the simulated
+// RTT) instead of the single-thread point dominating the sweep.
+const fig10EventsPerWorker = 2000
 
 // Fig10Run is one Fig 10 sweep point.
 type Fig10Run struct {
@@ -243,9 +245,6 @@ func Fig10(env *Env, workers []int) (*Fig10Result, error) {
 		return nil, fmt.Errorf("eval: Fig10 needs KeepEvalRecords")
 	}
 	events := controller.BuildEvents(env.EvalRecords, controller.DefaultFreeze)
-	if len(events) > fig10MaxEvents {
-		events = events[:fig10MaxEvents]
-	}
 	srv := kvstore.NewServer()
 	srv.SetSimulatedLatency(StoreSimulatedRTT)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -258,7 +257,8 @@ func Fig10(env *Env, workers []int) (*Fig10Result, error) {
 	res := &Fig10Result{PeakRate: ProductionPeakRate}
 	for _, w := range workers {
 		ops := srv.OpsServed()
-		run, err := fig10Point(env.World, l.Addr().String(), w, events)
+		n := min(len(events), fig10EventsPerWorker*w)
+		run, err := fig10Point(env.World, l.Addr().String(), w, events[:n])
 		if err != nil {
 			return nil, err
 		}

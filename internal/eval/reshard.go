@@ -106,12 +106,10 @@ func ReshardDrill(env *Env, seed int64) (*ReshardResult, error) {
 		return nil, err
 	}
 
-	coStore, err := kvstore.DialOptions(addr, fleetOptions(seed+300))
-	if err != nil {
-		return nil, err
-	}
 	co, err := shard.NewCoordinator(shard.CoordinatorConfig{
-		Store:       coStore, // Close()d by the coordinator
+		Dial: func() (*kvstore.Client, error) {
+			return kvstore.DialOptions(addr, fleetOptions(seed+300))
+		},
 		ID:          "reshard-drill-co",
 		BootShards:  drillShards,
 		BootVNodes:  64,
@@ -123,7 +121,6 @@ func ReshardDrill(env *Env, seed int64) (*ReshardResult, error) {
 		BackoffMax:  100 * time.Millisecond,
 	})
 	if err != nil {
-		_ = coStore.Close()
 		return nil, err
 	}
 	d.onClose(func() { _ = co.Close() })

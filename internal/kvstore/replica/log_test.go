@@ -90,3 +90,32 @@ func TestBackToBackWritesNeverWaitHeartbeat(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseIdlePrimaryDoesNotWaitHeartbeat pins shutdown of a primary whose
+// standby stream is idle: the stream must notice its connection closing
+// instead of sleeping out the heartbeat, so Close returns promptly.
+func TestCloseIdlePrimaryDoesNotWaitHeartbeat(t *testing.T) {
+	psrv, paddr := bootServer(t)
+	prim := NewPrimary(psrv, 0, PrimaryOptions{Heartbeat: time.Second, AckTimeout: 5 * time.Second})
+	ssrv, _ := bootServer(t)
+	sb := NewStandby(ssrv, paddr, StandbyOptions{FailoverTimeout: -1, ReadTimeout: 3 * time.Second})
+	go sb.Run()
+	t.Cleanup(sb.Stop)
+
+	cli := dial(t, paddr)
+	if err := cli.HSet("call:0", "dc", "0"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "standby attach", func() bool { return sb.LastSeq() == prim.LastSeq() })
+	// Let the stream go idle: it has pinged and is waiting for the next
+	// append or heartbeat.
+	time.Sleep(50 * time.Millisecond)
+
+	start := time.Now()
+	if err := psrv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d >= 200*time.Millisecond {
+		t.Fatalf("Close took %v: the idle sync stream waited for the heartbeat", d)
+	}
+}

@@ -197,7 +197,12 @@ func (p *Primary) ServeSync(args []string, conn net.Conn, r *bufio.Reader, w *bu
 		p.mu.Unlock()
 		p.opts.Metrics.standbys(n)
 	}()
+	// dead closes when the ack reader exits, so an idle stream notices a
+	// closed connection (server shutdown, standby gone) without waiting out
+	// the heartbeat.
+	dead := make(chan struct{})
 	go func() {
+		defer close(dead)
 		// Acks flow standby->primary on the same connection. A read error
 		// kills the connection, which unblocks the writer below.
 		for {
@@ -259,6 +264,8 @@ func (p *Primary) ServeSync(args []string, conn net.Conn, r *bufio.Reader, w *bu
 			}
 			select {
 			case <-changed:
+			case <-dead:
+				return
 			case <-time.After(p.opts.Heartbeat):
 			}
 			continue

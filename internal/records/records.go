@@ -278,14 +278,6 @@ func (db *DB) SeriesRecords() map[uint64][]*model.CallRecord {
 	return db.series
 }
 
-// LatencySamples returns how many latency observations exist for a pair.
-func (db *DB) LatencySamples(dc int, country geo.CountryCode) int64 {
-	if r := db.latency[latKey{dc, country}]; r != nil {
-		return r.seen
-	}
-	return 0
-}
-
 // Estimator builds a latency estimator over the pooled observations,
 // falling back to the world model for pairs with fewer than minSamples
 // observations (the counterfactual pairs of §6.2: the logs only contain

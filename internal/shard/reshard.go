@@ -23,11 +23,11 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"switchboard/internal/controller"
@@ -52,10 +52,10 @@ const (
 
 // CoordinatorConfig parameterizes a reshard Coordinator.
 type CoordinatorConfig struct {
-	// Store is the coordinator's own store client; the coordinator arms its
-	// fence with the reshard lease, so it must not be shared with electors
-	// or controllers. Required.
-	Store *kvstore.Client
+	// Dial opens a store client the coordinator owns. It is called twice:
+	// one client carries the phase machine's writes under the reshard
+	// lease's fence, the other is the lease elector's own. Required.
+	Dial func() (*kvstore.Client, error)
 	// ID identifies this coordinator as the reshard lease owner (the node's
 	// advertised address). Required.
 	ID string
@@ -63,9 +63,9 @@ type CoordinatorConfig struct {
 	// ever been stored (a fleet still on its boot ring). Required.
 	BootShards int
 	BootVNodes int
-	// TTL and Renew parameterize the coordinator lease; zero means the
-	// controller-lease defaults. A crashed coordinator can be superseded one
-	// TTL after its last renewal.
+	// TTL and Renew parameterize the coordinator lease's elector; zero
+	// means the controller-lease defaults. A crashed coordinator can be
+	// superseded one TTL after its last renewal.
 	TTL, Renew time.Duration
 	// Poll paces the wait loops; zero means DefaultReshardPoll.
 	Poll time.Duration
@@ -88,25 +88,16 @@ type CoordinatorConfig struct {
 
 // Coordinator drives one reshard (or its resumption) to completion.
 type Coordinator struct {
-	cfg   CoordinatorConfig
-	epoch int64 // coordinator lease epoch once acquired
-
-	// storeMu serializes every command on the single-connection store
-	// client: the lease renew loop runs concurrently with the phase machine.
-	storeMu sync.Mutex
+	cfg CoordinatorConfig
+	// store is used only by the goroutine calling LeaseHolder, Run or Abort;
+	// leaseStore only by the elector those runs start.
+	store, leaseStore *kvstore.Client
 }
 
-// locked runs one store command under storeMu.
-func (co *Coordinator) locked(f func() error) error {
-	co.storeMu.Lock()
-	defer co.storeMu.Unlock()
-	return f()
-}
-
-// NewCoordinator validates cfg.
+// NewCoordinator validates cfg and dials the coordinator's two clients.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	if cfg.Store == nil {
-		return nil, errConfig("coordinator Store is required")
+	if cfg.Dial == nil {
+		return nil, errConfig("coordinator Dial is required")
 	}
 	if cfg.ID == "" {
 		return nil, errConfig("coordinator ID is required")
@@ -115,10 +106,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, errConfig("coordinator BootShards is required")
 	}
 	if cfg.TTL <= 0 {
-		cfg.TTL = 3 * time.Second
-	}
-	if cfg.Renew <= 0 {
-		cfg.Renew = cfg.TTL / 3
+		cfg.TTL = controller.DefaultLeaseTTL
 	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = DefaultReshardPoll
@@ -135,28 +123,32 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = DefaultReshardAttempts
 	}
-	return &Coordinator{cfg: cfg}, nil
+	store, err := cfg.Dial()
+	if err != nil {
+		return nil, err
+	}
+	leaseStore, err := cfg.Dial()
+	if err != nil {
+		_ = store.Close()
+		return nil, err
+	}
+	return &Coordinator{cfg: cfg, store: store, leaseStore: leaseStore}, nil
 }
 
 // LeaseHolder reports who currently holds the reshard coordinator lease (""
 // when free). Advisory: the lease itself arbitrates, this only lets an API
 // answer 409 instead of silently queueing behind a live coordinator.
 func (co *Coordinator) LeaseHolder() string {
-	var owner string
-	err := co.locked(func() error {
-		var lerr error
-		owner, _, _, lerr = co.cfg.Store.GetLease(ReshardLeaseKey)
-		return lerr
-	})
+	owner, _, _, err := co.store.GetLease(ReshardLeaseKey)
 	if err != nil {
 		return ""
 	}
 	return owner
 }
 
-// Close releases the coordinator's store client.
+// Close releases the coordinator's store clients.
 func (co *Coordinator) Close() error {
-	return co.cfg.Store.Close()
+	return errors.Join(co.store.Close(), co.leaseStore.Close())
 }
 
 func (co *Coordinator) hook(phase, step string) {
@@ -176,15 +168,16 @@ func (co *Coordinator) logf(level slog.Level, msg string, args ...any) {
 // fleet is stable on the widened ring, the context dies, or the coordinator
 // lease is lost to a successor. Safe to call on any node: the lease decides
 // who actually coordinates, and the loser waits to take over.
-func (co *Coordinator) Run(ctx context.Context, target int) (ReshardState, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	if err := co.acquireLease(ctx); err != nil {
-		return ReshardState{}, err
-	}
-	defer co.releaseLease()
-	go co.renewLoop(ctx, cancel)
+func (co *Coordinator) Run(ctx context.Context, target int) (st ReshardState, err error) {
+	err = co.lead(ctx, func(ctx context.Context) error {
+		st, err = co.run(ctx, target)
+		return err
+	})
+	return st, err
+}
 
+// run is Run's phase machine, entered while holding the lease.
+func (co *Coordinator) run(ctx context.Context, target int) (ReshardState, error) {
 	st, resumed, err := co.loadOrInit(ctx, target)
 	if err != nil {
 		return st, err
@@ -232,16 +225,17 @@ func (co *Coordinator) Run(ctx context.Context, target int) (ReshardState, error
 // only safe direction is forward. Rollback loses nothing: pre-cutover, every
 // acked write still lives under its source shard's prefix and only the
 // copied duplicates are deleted.
-func (co *Coordinator) Abort(ctx context.Context) (ReshardState, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	if err := co.acquireLease(ctx); err != nil {
-		return ReshardState{}, err
-	}
-	defer co.releaseLease()
-	go co.renewLoop(ctx, cancel)
+func (co *Coordinator) Abort(ctx context.Context) (st ReshardState, err error) {
+	err = co.lead(ctx, func(ctx context.Context) error {
+		st, err = co.abort(ctx)
+		return err
+	})
+	return st, err
+}
 
-	st, ok, err := LoadReshard(ctx, co.cfg.Store)
+// abort is Abort's rollback, entered while holding the lease.
+func (co *Coordinator) abort(ctx context.Context) (ReshardState, error) {
+	st, ok, err := LoadReshard(ctx, co.store)
 	if err != nil {
 		return st, err
 	}
@@ -264,18 +258,16 @@ func (co *Coordinator) Abort(ctx context.Context) (ReshardState, error) {
 	for s := st.From; s < st.To; s++ {
 		prefix := controller.CallKeyPrefix(KeyPrefix(s))
 		err := co.retry(ctx, "abort.scan", func(ctx context.Context) error {
-			return co.locked(func() error {
-				keys, kerr := co.cfg.Store.KeysPrefixContext(ctx, prefix)
-				if kerr != nil {
-					return kerr
+			keys, err := co.store.KeysPrefixContext(ctx, prefix)
+			if err != nil {
+				return err
+			}
+			for _, k := range keys {
+				if err := co.store.DelContext(ctx, k); err != nil {
+					return err
 				}
-				for _, k := range keys {
-					if derr := co.cfg.Store.DelContext(ctx, k); derr != nil {
-						return derr
-					}
-				}
-				return nil
-			})
+			}
+			return nil
 		})
 		if err != nil {
 			return st, err
@@ -290,85 +282,53 @@ func (co *Coordinator) Abort(ctx context.Context) (ReshardState, error) {
 	return st, nil
 }
 
-// acquireLease races the reshard lease until granted, waiting out a live
-// coordinator (taking over one TTL after it stops renewing), then arms the
-// store client's fence with the granted epoch so every subsequent
-// coordinator write is rejected once a successor supersedes this run.
-func (co *Coordinator) acquireLease(ctx context.Context) error {
-	var attempt int
-	for {
-		var epoch int64
-		err := co.locked(func() error {
-			var lerr error
-			epoch, lerr = co.cfg.Store.SetLeaseContext(ctx, ReshardLeaseKey, co.cfg.ID, co.cfg.TTL)
-			if lerr == nil {
-				co.cfg.Store.SetFence(ReshardLeaseKey, epoch)
+// lead runs body while this coordinator holds the reshard lease, through
+// the same controller.Elector that holds every shard lease. It waits for
+// leadership until ctx ends (a live coordinator is waited out; a dead one is
+// taken over one TTL after its last renewal), arms the phase client's fence
+// with the granted epoch so a superseded run's writes are rejected by the
+// store, and cancels body's context if the lease is lost. On return the
+// elector resigns the lease and the fence is cleared.
+func (co *Coordinator) lead(ctx context.Context, body func(ctx context.Context) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	won := make(chan int64, 1)
+	el := controller.NewElector(controller.ElectorConfig{
+		Store: co.leaseStore,
+		Key:   ReshardLeaseKey,
+		ID:    co.cfg.ID,
+		TTL:   co.cfg.TTL,
+		Renew: co.cfg.Renew,
+		OnLead: func(epoch int64) {
+			// Non-blocking: only the first grant is read, and a later
+			// re-grant follows a loss, which has already cancelled the run.
+			select {
+			case won <- epoch:
+			default:
 			}
-			return lerr
-		})
-		switch {
-		case err == nil:
-			co.epoch = epoch
-			co.logf(slog.LevelInfo, "reshard coordinator lease acquired", "epoch", epoch)
-			return nil
-		case kvstore.IsLeaseHeldError(err):
-			// A live coordinator exists; wait to take over if it dies.
-			attempt = 0
-		default:
-			attempt++
-			if attempt >= co.cfg.MaxAttempts {
-				return fmt.Errorf("shard: reshard lease acquire: %w", err)
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(co.cfg.Poll):
-		}
-	}
-}
-
-// renewLoop keeps the lease fresh; losing it (superseded or fenced) cancels
-// the run so a half-done step never races the successor.
-func (co *Coordinator) renewLoop(ctx context.Context, cancel context.CancelFunc) {
-	t := time.NewTicker(co.cfg.Renew)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			err := co.locked(func() error {
-				_, lerr := co.cfg.Store.SetLeaseContext(ctx, ReshardLeaseKey, co.cfg.ID, co.cfg.TTL)
-				return lerr
-			})
-			if err != nil && (kvstore.IsLeaseHeldError(err) || kvstore.IsFencedError(err)) {
-				co.logf(slog.LevelWarn, "reshard coordinator superseded", "err", err)
-				cancel()
-				return
-			}
-		}
-	}
-}
-
-// releaseLease resigns on the way out (best effort; the lease lapses anyway).
-func (co *Coordinator) releaseLease() {
-	_ = co.locked(func() error {
-		co.cfg.Store.ClearFence()
-		return co.cfg.Store.DelLease(ReshardLeaseKey, co.cfg.ID)
+		},
+		OnLose: cancel,
+		Logger: co.cfg.Logger,
 	})
+	go el.Run()
+	defer func() {
+		el.Stop()
+		<-el.Done()
+		co.store.ClearFence()
+	}()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case epoch := <-won:
+		co.store.SetFence(ReshardLeaseKey, epoch)
+	}
+	return body(ctx)
 }
 
 // loadOrInit resumes the checkpointed migration or initializes a fresh one
 // from the serving epoch.
 func (co *Coordinator) loadOrInit(ctx context.Context, target int) (ReshardState, bool, error) {
-	var st ReshardState
-	var ok bool
-	err := co.locked(func() error {
-		var lerr error
-		st, ok, lerr = LoadReshard(ctx, co.cfg.Store)
-		return lerr
-	})
+	st, ok, err := LoadReshard(ctx, co.store)
 	if err != nil {
 		return st, false, err
 	}
@@ -379,13 +339,7 @@ func (co *Coordinator) loadOrInit(ctx context.Context, target int) (ReshardState
 		}
 		return st, true, nil
 	}
-	var es EpochState
-	var haveEpoch bool
-	err = co.locked(func() error {
-		var lerr error
-		es, haveEpoch, lerr = LoadEpoch(ctx, co.cfg.Store)
-		return lerr
-	})
+	es, haveEpoch, err := LoadEpoch(ctx, co.store)
 	if err != nil {
 		return ReshardState{}, false, err
 	}
@@ -409,7 +363,7 @@ func (co *Coordinator) loadOrInit(ctx context.Context, target int) (ReshardState
 //sblint:fencepath
 func (co *Coordinator) checkpoint(ctx context.Context, st *ReshardState) error {
 	return co.retry(ctx, "checkpoint", func(ctx context.Context) error {
-		return co.locked(func() error { return saveReshard(ctx, co.cfg.Store, *st) })
+		return saveReshard(ctx, co.store, *st)
 	})
 }
 
@@ -419,7 +373,7 @@ func (co *Coordinator) checkpoint(ctx context.Context, st *ReshardState) error {
 //sblint:fencepath
 func (co *Coordinator) publishEpoch(ctx context.Context, es EpochState) error {
 	return co.retry(ctx, "publish-epoch", func(ctx context.Context) error {
-		return co.locked(func() error { return SaveEpoch(ctx, co.cfg.Store, es) })
+		return SaveEpoch(ctx, co.store, es)
 	})
 }
 
@@ -555,10 +509,8 @@ func (co *Coordinator) copyMoved(ctx context.Context, st *ReshardState, phase st
 			st.Total++
 		}
 		if err := co.retry(ctx, phase+".copy", func(ctx context.Context) error {
-			return co.locked(func() error {
-				_, herr := co.cfg.Store.HCopyContext(ctx, src, dst)
-				return herr
-			})
+			_, err := co.store.HCopyContext(ctx, src, dst)
+			return err
 		}); err != nil {
 			return err
 		}
@@ -581,20 +533,18 @@ func (co *Coordinator) copyMoved(ctx context.Context, st *ReshardState, phase st
 func (co *Coordinator) retireMoved(ctx context.Context, st *ReshardState) error {
 	return co.eachMoved(ctx, st, "retire", 0, func(src, dst string) error {
 		return co.retry(ctx, "retire.del", func(ctx context.Context) error {
-			return co.locked(func() error {
-				h, herr := co.cfg.Store.HGetAllContext(ctx, dst)
-				if herr != nil {
-					return herr
-				}
-				if len(h) == 0 {
-					// The copy is missing (a write landed after the delta —
-					// see the failure matrix). Keep the source key: a stale
-					// duplicate is recoverable, a deleted original is not.
-					co.logf(slog.LevelWarn, "retire skipped: destination copy missing", "key", src)
-					return nil
-				}
-				return co.cfg.Store.DelContext(ctx, src)
-			})
+			h, err := co.store.HGetAllContext(ctx, dst)
+			if err != nil {
+				return err
+			}
+			if len(h) == 0 {
+				// The copy is missing (a write landed after the delta — see
+				// the failure matrix). Keep the source key: a stale
+				// duplicate is recoverable, a deleted original is not.
+				co.logf(slog.LevelWarn, "retire skipped: destination copy missing", "key", src)
+				return nil
+			}
+			return co.store.DelContext(ctx, src)
 		})
 	}, nil)
 }
@@ -615,11 +565,9 @@ func (co *Coordinator) eachMoved(ctx context.Context, st *ReshardState, phase st
 		prefix := controller.CallKeyPrefix(KeyPrefix(s))
 		var keys []string
 		if err := co.retry(ctx, phase+".scan", func(ctx context.Context) error {
-			return co.locked(func() error {
-				var kerr error
-				keys, kerr = co.cfg.Store.KeysPrefixContext(ctx, prefix)
-				return kerr
-			})
+			var err error
+			keys, err = co.store.KeysPrefixContext(ctx, prefix)
+			return err
 		}); err != nil {
 			return err
 		}
@@ -648,30 +596,22 @@ func (co *Coordinator) eachMoved(ctx context.Context, st *ReshardState, phase st
 //sblint:fencepath
 func (co *Coordinator) clearControlState(ctx context.Context, st ReshardState) error {
 	return co.retry(ctx, "clear-state", func(ctx context.Context) error {
-		return co.locked(func() error {
-			if err := co.cfg.Store.DelContext(ctx, ReshardStateKey); err != nil {
+		if err := co.store.DelContext(ctx, ReshardStateKey); err != nil {
+			return err
+		}
+		for s := 0; s < st.From; s++ {
+			if err := co.store.DelContext(ctx, AckKey(s)); err != nil {
 				return err
 			}
-			for s := 0; s < st.From; s++ {
-				if err := co.cfg.Store.DelContext(ctx, AckKey(s)); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		}
+		return nil
 	})
 }
 
 // waitLeader polls until shard s's lease has a live owner.
 func (co *Coordinator) waitLeader(ctx context.Context, s int) error {
 	for {
-		var owner string
-		err := co.locked(func() error {
-			var lerr error
-			owner, _, _, lerr = co.cfg.Store.GetLease(LeaseKey(s))
-			return lerr
-		})
-		if err == nil && owner != "" {
+		if owner, _, _, err := co.store.GetLease(LeaseKey(s)); err == nil && owner != "" {
 			return nil
 		}
 		select {
@@ -692,19 +632,13 @@ func (co *Coordinator) waitAcks(ctx context.Context, st *ReshardState) (map[int]
 	for {
 		all := true
 		for s := 0; s < st.From; s++ {
-			var owner string
-			var epoch int64
-			var raw string
-			err := co.locked(func() error {
-				var lerr error
-				owner, epoch, _, lerr = co.cfg.Store.GetLease(LeaseKey(s))
-				if lerr != nil || owner == "" {
-					return lerr
-				}
-				raw, lerr = co.cfg.Store.GetContext(ctx, AckKey(s))
-				return lerr
-			})
+			owner, epoch, _, err := co.store.GetLease(LeaseKey(s))
 			if err != nil || owner == "" {
+				all = false
+				continue
+			}
+			raw, err := co.store.GetContext(ctx, AckKey(s))
+			if err != nil {
 				all = false
 				continue
 			}
@@ -730,13 +664,7 @@ func (co *Coordinator) waitAcks(ctx context.Context, st *ReshardState) (map[int]
 // its ack was collected.
 func (co *Coordinator) acksStillCurrent(ctx context.Context, st *ReshardState, acked map[int]int64) (bool, error) {
 	for s := 0; s < st.From; s++ {
-		var owner string
-		var epoch int64
-		err := co.locked(func() error {
-			var lerr error
-			owner, epoch, _, lerr = co.cfg.Store.GetLease(LeaseKey(s))
-			return lerr
-		})
+		owner, epoch, _, err := co.store.GetLease(LeaseKey(s))
 		if err != nil || owner == "" || epoch != acked[s] {
 			if ctx.Err() != nil {
 				return false, ctx.Err()

@@ -79,14 +79,14 @@ func newReshardManager(t *testing.T, dataAddr, elecAddr, id string, shards int, 
 	return m
 }
 
-// newTestCoordinator builds a coordinator with its own direct store client
+// newTestCoordinator builds a coordinator with its own direct store clients
 // and drill-speed pacing.
 func newTestCoordinator(t *testing.T, storeAddr, id string, seed int64, hook func(phase, step string)) *Coordinator {
 	t.Helper()
-	store := dialFast(t, storeAddr, seed)
-	t.Cleanup(func() { _ = store.Close() })
 	co, err := NewCoordinator(CoordinatorConfig{
-		Store:       store,
+		Dial: func() (*kvstore.Client, error) {
+			return kvstore.DialOptions(storeAddr, fastOpts(seed))
+		},
 		ID:          id,
 		BootShards:  3,
 		BootVNodes:  16,
@@ -101,6 +101,7 @@ func newTestCoordinator(t *testing.T, storeAddr, id string, seed int64, hook fun
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = co.Close() })
 	return co
 }
 
