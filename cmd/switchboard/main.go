@@ -52,9 +52,9 @@
 // "Failover"): -repl-role primary|standby replicates the in-process store
 // across two nodes (-repl-peer points the standby at the primary's
 // -kv-listen address), -kv takes a comma-separated address list the client
-// fails over across, and -lease runs lease-based controller leadership so
-// exactly one node serves mutations while the other answers 503 with a
-// leader hint.
+// fails over across. Controller leadership is a one-shard fleet: -shards 1
+// with -shard-id 0 on one node and -1 on the other, each naming the other in
+// -peers, so the leader serves call control and the follower proxies to it.
 package main
 
 import (
@@ -102,17 +102,15 @@ func main() {
 	replAck := flag.String("repl-ack", "standby", "primary write acks: 'standby' (semi-synchronous; acked writes survive failover) or 'relaxed' (local-only acks)")
 	replAckTimeout := flag.Duration("repl-ack-timeout", time.Second, "how long a write waits for the standby's ack before REPLWAIT")
 	replFailoverTimeout := flag.Duration("repl-failover-timeout", 2*time.Second, "primary silence a standby tolerates before promoting itself")
-	shards := flag.Int("shards", 0, "shard the control plane: partition the conference-ID space across this many shards, each with its own leadership lease (0 disables; >=2 makes this node one of a sharded fleet)")
+	shards := flag.Int("shards", 0, "shard the control plane: partition the conference-ID space across this many shards, each with its own leadership lease (0 disables; 1 is one leader group, such as an HA pair; >=2 makes this node one of a sharded fleet)")
 	shardID := flag.Int("shard-id", -1, "shard this node is the preferred owner of (its elector races immediately; others wait a TTL), -1 for none")
 	peers := flag.String("peers", "", "comma-separated API addresses of the other nodes in the sharded fleet (forward fallback when a shard's leader is unknown)")
 	shardForward := flag.Bool("shard-forward", true, "proxy call-control requests to the owning shard's leader (false answers 307 + X-Switchboard-Shard-Leader hints instead)")
 	shardTakeover := flag.Duration("shard-takeover", 0, "how long this node leaves a non-preferred shard's lease to its preferred owner before racing for it (0 = one lease TTL); size it to cover the fleet's boot stagger or the first node up grabs every shard")
 	shardVnodes := flag.Int("shard-vnodes", 0, "virtual nodes per shard on the consistent-hash ring (0 = default)")
 	shardEpochPoll := flag.Duration("shard-epoch-poll", shard.DefaultEpochPoll, "how often a sharded node re-reads the stored ring epoch (bounds how fast the fleet observes a live reshard's phase flips)")
-	leaseOn := flag.Bool("lease", false, "run lease-based controller leadership against the store (this node serves mutations only while holding the lease)")
-	leaseKey := flag.String("lease-key", controller.DefaultLeaseKey, "leadership lease key")
-	leaseID := flag.String("lease-id", "", "this controller's lease owner ID (default: -addr)")
-	leaseTTL := flag.Duration("lease-ttl", controller.DefaultLeaseTTL, "leadership lease TTL (bounds the leaderless window after a crash)")
+	leaseID := flag.String("lease-id", "", "this node's shard lease owner ID (default: -addr)")
+	leaseTTL := flag.Duration("lease-ttl", controller.DefaultLeaseTTL, "shard leadership lease TTL (bounds the leaderless window after a crash)")
 	warmupDays := flag.Int("warmup-days", 2, "days of synthetic history for the bootstrap plan")
 	callsPerDay := flag.Int("calls", 4000, "synthetic history calls per day")
 	seed := flag.Int64("seed", 1, "synthetic history seed")
@@ -354,15 +352,10 @@ func main() {
 	}
 
 	// Sharded control plane: one controller + lease race per shard, all
-	// sharing the placer and the world. Per-shard leases replace the
-	// fleet-wide -lease (each shard fences its own epoch), so the two flags
-	// are mutually exclusive.
+	// sharing the placer and the world. Each shard fences its own epoch.
 	var ctrl *switchboard.Controller
 	var mgr *shard.Manager
 	if *shards > 0 {
-		if *leaseOn {
-			fatal("flags", errFlag("-lease and -shards are mutually exclusive: sharding runs one lease per shard"))
-		}
 		shardRing, err := shard.NewRing(*shards, *shardVnodes)
 		if err != nil {
 			fatal("building shard ring", err)
@@ -399,7 +392,6 @@ func main() {
 			Prefer:        prefer,
 			TTL:           *leaseTTL,
 			TakeoverDelay: *shardTakeover,
-			Recover:       true,
 			Metrics:       shard.NewMetrics(reg),
 			Logger:        slog.Default(),
 			Tracer:        tracer,
@@ -458,49 +450,6 @@ func main() {
 		}
 	}
 
-	// Leadership: the elector gets its own client so election probes still
-	// go through when the data path is saturated. On winning it arms the
-	// controller's fencing epoch and drains anything journaled while
-	// standing by; on losing it clears the fence so Stats surface any
-	// in-flight stale writes as fenced rather than landing them.
-	if *leaseOn {
-		id := *leaseID
-		if id == "" {
-			id = *addr
-		}
-		lkv, err := switchboard.DialKVFailover(kvAddrs, switchboard.KVOptions{
-			DialTimeout: *kvDialTimeout,
-			IOTimeout:   *kvTimeout,
-			MaxRetries:  *kvRetries,
-			BackoffMin:  *kvBackoffMin,
-			BackoffMax:  *kvBackoffMax,
-			Seed:        *seed + 1,
-		})
-		if err != nil {
-			fatal("dialing kvstore for leases", err)
-		}
-		defer func() { _ = lkv.Close() }()
-		elector := controller.NewElector(controller.ElectorConfig{
-			Store: lkv,
-			Key:   *leaseKey,
-			ID:    id,
-			TTL:   *leaseTTL,
-			OnLead: func(epoch int64) {
-				ctrl.SetLease(*leaseKey, epoch)
-				if _, err := ctrl.ReplayJournal(context.Background()); err != nil {
-					slog.Warn("journal replay on takeover", "err", err)
-				}
-			},
-			OnLose:  ctrl.ClearLease,
-			Metrics: controller.NewElectorMetrics(reg),
-			Logger:  slog.Default(),
-			Tracer:  tracer,
-		})
-		go elector.Run()
-		defer func() { elector.Stop(); <-elector.Done() }()
-		api.Elector = elector
-		slog.Info("lease leadership on", "key", *leaseKey, "id", id, "ttl", *leaseTTL)
-	}
 	// SLO burn gauges: placement latency from the controller histogram,
 	// availability from the API's all-routes totals.
 	slo := obs.NewSLOMonitor(reg, obs.SLOConfig{

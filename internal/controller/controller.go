@@ -925,17 +925,6 @@ func (c *Controller) SetLease(key string, epoch int64) {
 	c.storeMu.Unlock()
 }
 
-// ClearLease stops fencing call-state writes (e.g. after stepping down in an
-// orderly way, where unfenced writes are no longer expected at all).
-func (c *Controller) ClearLease() {
-	if c.store == nil {
-		return
-	}
-	c.storeMu.Lock()
-	c.store.ClearFence()
-	c.storeMu.Unlock()
-}
-
 // Degraded reports whether call-state writes are currently journaled
 // instead of persisted.
 func (c *Controller) Degraded() bool {

@@ -1,5 +1,5 @@
 // Lease-based controller leadership. Controllers race SETLEASE on a
-// well-known store key; the winner leads and renews within the TTL, the
+// shared store key; the winner leads and renews within the TTL, the
 // losers run hot — journal-replaying standbys — and watch the lease so they
 // can take over the moment it lapses. Leadership changes bump the lease
 // epoch, which the leader stamps onto every call-state write (see
@@ -19,9 +19,6 @@ import (
 	"switchboard/internal/obs/span"
 )
 
-// DefaultLeaseKey is the store key controllers race on.
-const DefaultLeaseKey = "switchboard:leader"
-
 // DefaultLeaseTTL is the default leadership lease duration. A follower takes
 // over within one TTL of the leader's last renewal, so this bounds the
 // leaderless window after a controller crash.
@@ -34,7 +31,8 @@ type ElectorConfig struct {
 	// when the data path is saturated, and the elector mutates no fence
 	// state on it.
 	Store *kvstore.Client
-	// Key is the lease key; empty means DefaultLeaseKey.
+	// Key is the lease key (shard.LeaseKey(i), or the reshard
+	// coordinator's). Required.
 	Key string
 	// ID identifies this controller as the lease owner (host:port, pod
 	// name...). Required.
@@ -49,8 +47,8 @@ type ElectorConfig struct {
 	// the elector goroutine.
 	OnLead func(epoch int64)
 	// OnLose runs once per leadership loss (lease observed under another
-	// owner, or renewals failing past a TTL). Called from the elector
-	// goroutine.
+	// owner, or renewals failing past a TTL) and once on an orderly resign
+	// at Stop. Called from the elector goroutine.
 	OnLose  func()
 	Metrics *ElectorMetrics
 	Logger  *slog.Logger
@@ -66,17 +64,6 @@ type ElectorMetrics struct {
 	Renewals  *obs.Counter
 	Losses    *obs.Counter
 	Takeovers *obs.Counter
-}
-
-// NewElectorMetrics registers the election metric families on r.
-func NewElectorMetrics(r *obs.Registry) *ElectorMetrics {
-	return &ElectorMetrics{
-		Leader:    r.Gauge("sb_leader", "1 while this controller holds the leadership lease."),
-		Epoch:     r.Gauge("sb_leader_epoch", "Lease epoch of the current leadership (0 when following)."),
-		Renewals:  r.Counter("sb_lease_renewals_total", "Successful lease acquisitions and renewals."),
-		Losses:    r.Counter("sb_lease_losses_total", "Leadership losses (lease taken over or renewals timing out)."),
-		Takeovers: r.Counter("sb_lease_takeovers_total", "Leaderships acquired over a lapsed lease that had a previous owner."),
-	}
 }
 
 // Elector runs the lease loop for one controller. Start it with Run (in a
@@ -97,9 +84,6 @@ type Elector struct {
 
 // NewElector validates cfg and returns an Elector (not yet running).
 func NewElector(cfg ElectorConfig) *Elector {
-	if cfg.Key == "" {
-		cfg.Key = DefaultLeaseKey
-	}
 	if cfg.TTL <= 0 {
 		cfg.TTL = DefaultLeaseTTL
 	}
@@ -229,16 +213,20 @@ func (e *Elector) follow(holder string, wasLeading bool, why string) {
 
 // resign releases the lease on an orderly stop, so a peer takes over in one
 // renew interval instead of waiting out the TTL. Best-effort: if the store
-// is unreachable the lease simply lapses.
+// is unreachable the lease simply lapses. A resign is not a loss: it logs at
+// INFO and leaves the Losses counter alone, but still runs OnLose.
 func (e *Elector) resign() {
-	e.mu.Lock()
-	leading := e.leading
-	e.mu.Unlock()
-	if !leading {
+	if !e.IsLeader() {
 		return
 	}
 	_ = e.cfg.Store.DelLease(e.cfg.Key, e.cfg.ID)
-	e.follow("", true, "stopped")
+	e.follow("", false, "") // clears the state and gauges, counts no loss
+	if e.cfg.Logger != nil {
+		e.cfg.Logger.Info("leadership resigned", "key", e.cfg.Key, "id", e.cfg.ID)
+	}
+	if e.cfg.OnLose != nil {
+		e.cfg.OnLose()
+	}
 }
 
 // Stop ends the lease loop, resigning leadership if held. It does not wait;
@@ -249,10 +237,6 @@ func (e *Elector) Stop() {
 
 // Done is closed when Run has returned.
 func (e *Elector) Done() <-chan struct{} { return e.done }
-
-// TTL returns the configured lease duration — the honest Retry-After for a
-// standby 503: leadership moves within one TTL of a leader's death.
-func (e *Elector) TTL() time.Duration { return e.cfg.TTL }
 
 // IsLeader reports whether this controller currently holds the lease.
 func (e *Elector) IsLeader() bool {

@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,6 +11,21 @@ import (
 	"switchboard/internal/kvstore"
 	"switchboard/internal/obs"
 )
+
+// testLeaseKey is the lease the tests' controllers race on.
+const testLeaseKey = "test/leader"
+
+// testElectorMetrics registers an elector bundle on a throwaway registry.
+func testElectorMetrics() *ElectorMetrics {
+	reg := obs.NewRegistry()
+	return &ElectorMetrics{
+		Leader:    reg.Gauge("test_leader", "leading"),
+		Epoch:     reg.Gauge("test_leader_epoch", "epoch"),
+		Renewals:  reg.Counter("test_lease_renewals_total", "renewals"),
+		Losses:    reg.Counter("test_lease_losses_total", "losses"),
+		Takeovers: reg.Counter("test_lease_takeovers_total", "takeovers"),
+	}
+}
 
 func dialStore(t *testing.T, addr string) *kvstore.Client {
 	t.Helper()
@@ -43,8 +59,9 @@ func await(t *testing.T, what string, cond func() bool) {
 
 // TestElectorHandoffAndFencing drives the full leadership story: A leads and
 // its fenced writes land; B follows with a hint pointing at A; A resigns and
-// B takes over with a bumped epoch; A's stale writes are fenced out of the
-// store and surface in its Stats rather than corrupting B's state.
+// B takes over with a bumped epoch; A's fence stays armed at its deposed
+// epoch, so its stale writes are fenced out of the store and surface in its
+// Stats rather than corrupting B's state.
 func TestElectorHandoffAndFencing(t *testing.T) {
 	srv, l := startStore(t)
 	defer srv.Close()
@@ -58,29 +75,29 @@ func TestElectorHandoffAndFencing(t *testing.T) {
 		return c
 	}
 	ctrlA, ctrlB := newCtrl(), newCtrl()
-	reg := obs.NewRegistry()
-	newElector := func(id string, ctrl *Controller) *Elector {
+	var lossesA atomic.Int32
+	newElector := func(id string, ctrl *Controller, onLose func()) *Elector {
 		return NewElector(ElectorConfig{
 			Store: dialStore(t, addr),
+			Key:   testLeaseKey,
 			ID:    id,
 			TTL:   300 * time.Millisecond,
 			Renew: 100 * time.Millisecond,
 			OnLead: func(epoch int64) {
-				ctrl.SetLease(DefaultLeaseKey, epoch)
+				ctrl.SetLease(testLeaseKey, epoch)
 				_, _ = ctrl.ReplayJournal(context.Background())
 			},
-			OnLose:  ctrl.ClearLease,
-			Metrics: NewElectorMetrics(reg),
+			OnLose: onLose,
 		})
 	}
-	elA := newElector("ctrl-A", ctrlA)
+	elA := newElector("ctrl-A", ctrlA, func() { lossesA.Add(1) })
 	startElector(t, elA)
 	await(t, "A leading", elA.IsLeader)
 	if elA.Epoch() != 1 {
 		t.Fatalf("first leadership epoch = %d, want 1", elA.Epoch())
 	}
 
-	elB := newElector("ctrl-B", ctrlB)
+	elB := newElector("ctrl-B", ctrlB, nil)
 	startElector(t, elB)
 	await(t, "B observing A", func() bool { return elB.LeaderHint() == "ctrl-A" })
 	if elB.IsLeader() {
@@ -104,11 +121,12 @@ func TestElectorHandoffAndFencing(t *testing.T) {
 	if elB.Epoch() != 2 {
 		t.Fatalf("takeover epoch = %d, want 2", elB.Epoch())
 	}
+	if n := lossesA.Load(); n != 1 {
+		t.Fatalf("A's OnLose ran %d times, want 1", n)
+	}
 
-	// A kept its controller running (it does not know it was deposed in
-	// this scenario — OnLose cleared the fence, so re-arm A's stale epoch
-	// to model in-flight writes from before the loss).
-	ctrlA.SetLease(DefaultLeaseKey, 1)
+	// A kept its controller running, its fence still armed at epoch 1 (OnLose
+	// leaves it, as shard.Manager does): its later writes are stale.
 	if _, err := ctrlA.CallStarted(context.Background(), 2, "JP", time.Now()); err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +150,10 @@ func TestElectorHandoffAndFencing(t *testing.T) {
 func TestElectorRenewalKeepsEpoch(t *testing.T) {
 	srv, l := startStore(t)
 	defer srv.Close()
-	reg := obs.NewRegistry()
-	m := NewElectorMetrics(reg)
+	m := testElectorMetrics()
 	el := NewElector(ElectorConfig{
 		Store:   dialStore(t, l.Addr().String()),
+		Key:     testLeaseKey,
 		ID:      "ctrl-A",
 		TTL:     150 * time.Millisecond,
 		Renew:   30 * time.Millisecond,
@@ -166,6 +184,7 @@ func TestElectorStepsDownWhenStoreUnreachable(t *testing.T) {
 	lost := make(chan struct{}, 1)
 	el := NewElector(ElectorConfig{
 		Store:  dialStore(t, proxy.Addr()),
+		Key:    testLeaseKey,
 		ID:     "ctrl-A",
 		TTL:    200 * time.Millisecond,
 		Renew:  50 * time.Millisecond,
@@ -188,6 +207,45 @@ func TestElectorStepsDownWhenStoreUnreachable(t *testing.T) {
 		// did not change), which is exactly why fencing keys off epochs and
 		// not grant counts.
 		t.Fatalf("re-acquired epoch = %d, want 1", el.Epoch())
+	}
+}
+
+// TestElectorResignIsNotALoss: an orderly Stop resigns the lease without
+// counting a leadership loss, while still clearing the leader gauge and
+// running OnLose exactly once.
+func TestElectorResignIsNotALoss(t *testing.T) {
+	srv, l := startStore(t)
+	defer srv.Close()
+	m := testElectorMetrics()
+	var losses atomic.Int32
+	el := NewElector(ElectorConfig{
+		Store:   dialStore(t, l.Addr().String()),
+		Key:     testLeaseKey,
+		ID:      "ctrl-A",
+		TTL:     300 * time.Millisecond,
+		Renew:   50 * time.Millisecond,
+		OnLose:  func() { losses.Add(1) },
+		Metrics: m,
+	})
+	go el.Run()
+	await(t, "leading", el.IsLeader)
+	el.Stop()
+	<-el.Done()
+	if el.IsLeader() {
+		t.Fatal("still leading after Stop")
+	}
+	if got := m.Losses.Value(); got != 0 {
+		t.Fatalf("losses after an orderly stop = %v, want 0", got)
+	}
+	if got := m.Leader.Value(); got != 0 {
+		t.Fatalf("leader gauge after an orderly stop = %v, want 0", got)
+	}
+	if n := losses.Load(); n != 1 {
+		t.Fatalf("OnLose ran %d times on resign, want 1", n)
+	}
+	owner, _, _, err := dialStore(t, l.Addr().String()).GetLease(testLeaseKey)
+	if owner != "" || (err != nil && err != kvstore.ErrNil) {
+		t.Fatalf("lease after resign: owner %q, %v; want released", owner, err)
 	}
 }
 
@@ -268,11 +326,11 @@ func TestJournalDrainDropsFencedEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	admin := dialStore(t, l.Addr().String())
-	epoch, err := admin.SetLease(DefaultLeaseKey, "ctrl-A", 10*time.Second)
+	epoch, err := admin.SetLease(testLeaseKey, "ctrl-A", 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl.SetLease(DefaultLeaseKey, epoch)
+	ctrl.SetLease(testLeaseKey, epoch)
 
 	proxy.Cut()
 	const calls = 5
@@ -284,10 +342,10 @@ func TestJournalDrainDropsFencedEntries(t *testing.T) {
 	await(t, "journaling", func() bool { return ctrl.JournalDepth() == calls })
 
 	// Leadership moves while the store is unreachable.
-	if err := admin.DelLease(DefaultLeaseKey, "ctrl-A"); err != nil {
+	if err := admin.DelLease(testLeaseKey, "ctrl-A"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := admin.SetLease(DefaultLeaseKey, "ctrl-B", 10*time.Second); err != nil {
+	if _, err := admin.SetLease(testLeaseKey, "ctrl-B", 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 

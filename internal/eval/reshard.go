@@ -95,7 +95,6 @@ func ReshardDrill(env *Env, seed int64) (*ReshardResult, error) {
 		Prefer:    []int{0, 1, 2},
 		TTL:       300 * time.Millisecond,
 		Renew:     75 * time.Millisecond,
-		Recover:   true,
 	})
 	if err != nil {
 		return nil, err

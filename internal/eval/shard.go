@@ -92,7 +92,6 @@ func ShardDrill(env *Env, seed int64) (*ShardResult, error) {
 			TTL:           300 * time.Millisecond,
 			Renew:         75 * time.Millisecond,
 			TakeoverDelay: 300 * time.Millisecond,
-			Recover:       true,
 		})
 	}
 	a, err := newNode(proxy.Addr(), "drill-a", []int{0, 1}, seed)

@@ -44,10 +44,6 @@ type Server struct {
 	// SLO, when non-nil, contributes burn-rate summaries to /readyz. Set
 	// before serving.
 	SLO *obs.SLOMonitor
-	// Elector, when non-nil, makes this replica leadership-aware: call-control
-	// POSTs and /readyz answer 503 with a Retry-After and a leader hint while
-	// another controller holds the lease. Set before calling Mux.
-	Elector *controller.Elector
 	// Registry, when non-nil, serves this node's metric snapshot as JSON on
 	// /metrics/instance and the fleet-wide label-merged view on
 	// /metrics/fleet (see fleet.go). Set before calling Mux.
@@ -61,8 +57,8 @@ type Server struct {
 	// Shards, when non-nil, makes this node one of a sharded fleet:
 	// call-control requests resolve their owning shard from the conference ID
 	// and are served locally, proxied to the owner, or answered with routing
-	// hints (see ShardRouter). Mutually exclusive with Elector — per-shard
-	// leases replace the fleet-wide one. Set before calling Mux.
+	// hints (see ShardRouter). An HA pair is a one-shard fleet. Set before
+	// calling Mux.
 	Shards *ShardRouter
 	// Reshard, when non-nil, registers the reshard admin endpoints
 	// (POST/GET /v1/reshard, POST /v1/reshard/abort). Requires Shards. Set
@@ -106,8 +102,8 @@ func (s *Server) Mux() *http.ServeMux {
 	handle("POST /v1/call/start", s.callRoute(s.handleStart))
 	handle("POST /v1/call/config", s.callRoute(s.handleConfig))
 	handle("POST /v1/call/end", s.callRoute(s.handleEnd))
-	handle("POST /v1/dc/fail", s.leaderOnly(s.handleDCFail))
-	handle("POST /v1/dc/recover", s.leaderOnly(s.handleDCRecover))
+	handle("POST /v1/dc/fail", s.handleDCFail)
+	handle("POST /v1/dc/recover", s.handleDCRecover)
 	handle("GET /v1/stats", s.handleStats)
 	handle("GET /v1/world", s.handleWorld)
 	if s.Shards != nil {
@@ -147,7 +143,7 @@ func statusFor(err error) int {
 // so a non-owned request can be forwarded verbatim.
 type callHandler func(ctrl *controller.Controller, body []byte, w http.ResponseWriter, r *http.Request)
 
-// callRoute wraps a call-control handler with leadership/shard routing. The
+// callRoute wraps a call-control handler with shard routing. The
 // body is read up front: routing needs the conference ID before dispatch, and
 // forwarding needs the raw bytes.
 func (s *Server) callRoute(h callHandler) http.HandlerFunc {
@@ -157,9 +153,6 @@ func (s *Server) callRoute(h callHandler) http.HandlerFunc {
 			return
 		}
 		if s.Shards == nil {
-			if s.standby(w) {
-				return
-			}
 			h(s.ctrl, body, w, r)
 			return
 		}
@@ -316,43 +309,7 @@ func (s *Server) handleDCRecover(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, map[string]any{"recovered": req.DC})
 }
 
-// standby reports whether this replica must refuse work because another
-// controller holds the leadership lease. When it does, it writes the full
-// 503: a Retry-After derived from the lease TTL (leadership settles within
-// one TTL, so that is the honest back-off), the obs.StandbyHeader so the
-// middleware keeps the refusal out of the availability burn (a correct
-// standby is not an outage), and a JSON body carrying the current leader's ID
-// so clients can re-aim.
-func (s *Server) standby(w http.ResponseWriter) bool {
-	if s.Elector == nil || s.Elector.IsLeader() {
-		return false
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Retry-After", retryAfterSecs(s.Elector.TTL()))
-	w.Header().Set(obs.StandbyHeader, "1")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"ready":  false,
-		"reason": "standby",
-		"leader": s.Elector.LeaderHint(),
-	})
-	return true
-}
-
-// leaderOnly gates a mutating route on holding the leadership lease.
-func (s *Server) leaderOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.standby(w) {
-			return
-		}
-		h(w, r)
-	}
-}
-
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if s.standby(w) {
-		return
-	}
 	// A sharded node is degraded only if a shard it LEADS is journaling;
 	// standby shards journal by design and must not fail readiness — that
 	// would let one dead shard 503 the whole fleet.
@@ -369,7 +326,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 	if degraded {
 		w.Header().Set("Content-Type", "application/json")
-		// Degraded is a real (if survivable) failure — unlike the standby
+		// Degraded is a real (if survivable) failure — unlike a routing
 		// 503 it carries no exemption header and burns the availability SLO;
 		// Retry-After reflects the journal-replay probe cadence.
 		w.Header().Set("Retry-After", "1")
@@ -386,9 +343,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	out := map[string]any{"ready": true}
-	if s.Elector != nil {
-		out["leader"] = true
-	}
 	if s.Shards != nil {
 		out["owned_shards"] = s.Shards.Manager.Owned()
 	}

@@ -403,92 +403,3 @@ func TestWorldAndHealth(t *testing.T) {
 	}
 	resp.Body.Close()
 }
-
-// TestStandbyRefusesWithLeaderHint drives the leadership-aware API surface:
-// while another controller holds the lease, call-control POSTs and /readyz
-// answer 503 with Retry-After, the standby-exemption header, and the leader's
-// ID in the body — and none of those 503s burn the availability SLO. When
-// leadership arrives, the same routes serve normally.
-func TestStandbyRefusesWithLeaderHint(t *testing.T) {
-	store := kvstore.NewServer()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go store.Serve(l)
-	t.Cleanup(func() { store.Close() })
-	dial := func() *kvstore.Client {
-		c, err := kvstore.Dial(l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
-
-	// Another controller already leads.
-	admin := dial()
-	if _, err := admin.SetLease(controller.DefaultLeaseKey, "ctrl-B", 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	el := controller.NewElector(controller.ElectorConfig{
-		Store: dial(),
-		ID:    "api-node",
-		TTL:   200 * time.Millisecond,
-		Renew: 20 * time.Millisecond,
-	})
-	go el.Run()
-	t.Cleanup(func() { el.Stop(); <-el.Done() })
-
-	s, _ := newTestServer(t)
-	reg := obs.NewRegistry()
-	s.HTTP = obs.NewHTTPMetrics(reg)
-	s.Elector = el
-	ts := httptest.NewServer(s.Mux())
-	t.Cleanup(ts.Close)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for el.LeaderHint() != "ctrl-B" {
-		if time.Now().After(deadline) {
-			t.Fatal("elector never observed the leader")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	resp, body := post(t, ts, "/v1/call/start", StartRequest{ID: 1, Country: "JP"})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("standby POST status = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") != "1" {
-		t.Fatalf("Retry-After = %q", resp.Header.Get("Retry-After"))
-	}
-	if resp.Header.Get(obs.StandbyHeader) == "" {
-		t.Fatal("standby 503 missing the SLO exemption header")
-	}
-	if body["leader"] != "ctrl-B" || body["reason"] != "standby" {
-		t.Fatalf("standby body = %v", body)
-	}
-	if resp, body := get(t, ts, "/readyz"); resp.StatusCode != http.StatusServiceUnavailable || body["leader"] != "ctrl-B" {
-		t.Fatalf("standby /readyz = %d %v", resp.StatusCode, body)
-	}
-	if _, err5xx := s.HTTP.Totals(); err5xx != 0 {
-		t.Fatalf("standby 503s burned the SLO: err5xx = %d", err5xx)
-	}
-
-	// Leadership moves here; the same surface must start serving.
-	if err := admin.DelLease(controller.DefaultLeaseKey, "ctrl-B"); err != nil {
-		t.Fatal(err)
-	}
-	for !el.IsLeader() {
-		if time.Now().After(deadline) {
-			t.Fatal("elector never took over")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if resp, body := post(t, ts, "/v1/call/start", StartRequest{ID: 1, Country: "JP"}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("leader POST = %d %v", resp.StatusCode, body)
-	}
-	if resp, body := get(t, ts, "/readyz"); resp.StatusCode != http.StatusOK || body["leader"] != true {
-		t.Fatalf("leader /readyz = %d %v", resp.StatusCode, body)
-	}
-}

@@ -57,17 +57,6 @@ type ShardRouter struct {
 	// Forward enables server-side proxying to the owner; when false every
 	// non-local request answers with a redirect or routing 503.
 	Forward bool
-	// MaxHops bounds forward chains (DefaultMaxHops when 0).
-	MaxHops int
-	// Attempts bounds forward attempts per request (DefaultForwardAttempts
-	// when 0).
-	Attempts int
-	// AttemptTimeout is the per-attempt deadline (DefaultAttemptTimeout
-	// when 0).
-	AttemptTimeout time.Duration
-	// Client issues forwarded requests; nil means a zero http.Client (the
-	// per-attempt context carries the deadline, so no global timeout).
-	Client *http.Client
 	// Peers lists the other nodes' API addresses. When a shard's leader is
 	// unknown (fresh boot, hint lost with a crashed elector), forwarding
 	// falls back to round-robining the peers — whoever receives it either
@@ -78,36 +67,12 @@ type ShardRouter struct {
 	rng atomic.Uint32 // xorshift state for backoff jitter
 }
 
-func (rt *ShardRouter) maxHops() int {
-	if rt.MaxHops <= 0 {
-		return DefaultMaxHops
-	}
-	return rt.MaxHops
-}
-
-func (rt *ShardRouter) attempts() int {
-	if rt.Attempts <= 0 {
-		return DefaultForwardAttempts
-	}
-	return rt.Attempts
-}
-
-func (rt *ShardRouter) attemptTimeout() time.Duration {
-	if rt.AttemptTimeout <= 0 {
-		return DefaultAttemptTimeout
-	}
-	return rt.AttemptTimeout
-}
-
-func (rt *ShardRouter) client() *http.Client {
-	if rt.Client != nil {
-		return rt.Client
-	}
-	return &http.Client{
-		// Forwarded 307s must bounce back to the caller, not be chased
-		// server-side: following here would defeat the hop bound.
-		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-	}
+// forwardClient issues forwarded requests. It has no global timeout (the
+// per-attempt context carries the deadline), and forwarded 307s bounce back
+// to the caller instead of being chased server-side: following here would
+// defeat the hop bound.
+var forwardClient = &http.Client{
+	CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
 }
 
 // backoff mirrors the kvstore client's retry pacing: exponential from the
@@ -168,7 +133,7 @@ func retryAfterSecs(d time.Duration) string {
 // mid-reshard), forward chains would otherwise walk in circles.
 func (rt *ShardRouter) relay(d shard.RouteDecision, body []byte, w http.ResponseWriter, r *http.Request) {
 	hops, _ := strconv.Atoi(r.Header.Get(HopsHeader))
-	if hops >= rt.maxHops() {
+	if hops >= DefaultMaxHops {
 		rt.hopsExhausted(d.Shard, w)
 		return
 	}
@@ -252,8 +217,7 @@ func (rt *ShardRouter) hintResponse(d shard.RouteDecision, w http.ResponseWriter
 // just lost the shard is retried — ownership is moving and the next hint
 // resolution usually lands on the new owner.
 func (rt *ShardRouter) forward(sh, hops int, body []byte, w http.ResponseWriter, r *http.Request) bool {
-	attempts := rt.attempts()
-	for a := 0; a < attempts; a++ {
+	for a := 0; a < DefaultForwardAttempts; a++ {
 		if a > 0 {
 			select {
 			case <-r.Context().Done():
@@ -268,7 +232,7 @@ func (rt *ShardRouter) forward(sh, hops int, body []byte, w http.ResponseWriter,
 		if hint == "" {
 			continue
 		}
-		retriable := a+1 < attempts
+		retriable := a+1 < DefaultForwardAttempts
 		if done, relayed := rt.forwardOnce(hint, hops, body, w, r, retriable); done {
 			return relayed
 		}
@@ -280,7 +244,7 @@ func (rt *ShardRouter) forward(sh, hops int, body []byte, w http.ResponseWriter,
 // error, or a retriable standby 503); done=true means the attempt concluded —
 // relayed tells whether a response went to the caller.
 func (rt *ShardRouter) forwardOnce(hint string, hops int, body []byte, w http.ResponseWriter, r *http.Request, retriable bool) (done, relayed bool) {
-	ctx, cancel := context.WithTimeout(r.Context(), rt.attemptTimeout())
+	ctx, cancel := context.WithTimeout(r.Context(), DefaultAttemptTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, r.Method, "http://"+hint+r.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
@@ -288,7 +252,7 @@ func (rt *ShardRouter) forwardOnce(hint string, hops int, body []byte, w http.Re
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(HopsHeader, strconv.Itoa(hops+1))
-	resp, err := rt.client().Do(req)
+	resp, err := forwardClient.Do(req)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return true, false // caller gone; nothing to relay to

@@ -322,6 +322,93 @@ func TestShardsEndpoint(t *testing.T) {
 	}
 }
 
+// postCall posts a call-control body to addr without following redirects
+// and returns the status code.
+func postCall(t *testing.T, addr, path string, body any) int {
+	t.Helper()
+	b, _ := json.Marshal(body)
+	resp, err := noRedirect.Post("http://"+addr+path, "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode
+}
+
+// ownedShards reads owned_shards from a node's /readyz, which must be 200.
+func ownedShards(t *testing.T, addr string) []int {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Owned []int `json:"owned_shards"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz on %s: %d %v", addr, resp.StatusCode, err)
+	}
+	return out.Owned
+}
+
+// TestHAPairTakeoverKeepsCalls runs an HA pair as a one-shard fleet: two
+// managers on a 1-shard ring share a store. The follower proxies a start to
+// the leader; when the leader stops, the follower takes the shard over and
+// can still freeze and end the call the old leader acked.
+func TestHAPairTakeoverKeepsCalls(t *testing.T) {
+	store := startShardStore(t)
+	ring, _ := shard.NewRing(1, 16)
+	a := startShardNode(t, store, ring, []int{0}, nil, true)
+	b := startShardNode(t, store, ring, nil, nil, true)
+	a.mgr.Start()
+	b.mgr.Start()
+	deadline := time.Now().Add(8 * time.Second)
+	for !(a.mgr.Owns(0) && b.mgr.OwnerHint(0) == a.addr) {
+		if time.Now().After(deadline) {
+			t.Fatalf("pair never settled: a owns %v, b's hint %q", a.mgr.Owned(), b.mgr.OwnerHint(0))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// The follower is ready, and leads nothing.
+	if owned := ownedShards(t, b.addr); len(owned) != 0 {
+		t.Fatalf("follower owned_shards = %v, want []", owned)
+	}
+
+	// A start sent to the follower is served by the leader.
+	resp := postStart(t, b.addr, 1, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("start via follower: %d, want 200", resp.StatusCode)
+	}
+	if got := resp.Header.Get(ShardHeader); got != "0" {
+		t.Fatalf("%s = %q, want 0", ShardHeader, got)
+	}
+	if !a.mgr.Controller(0).Knows(1) || b.mgr.Controller(0).Knows(1) {
+		t.Fatal("the leader, not the follower, must hold the call")
+	}
+
+	// The leader stops; the follower takes over and recovers the call.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	a.mgr.Stop(ctx)
+	cancel()
+	for !b.mgr.Owns(0) {
+		if time.Now().After(deadline) {
+			t.Fatal("follower never took the shard over")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if owned := ownedShards(t, b.addr); len(owned) != 1 || owned[0] != 0 {
+		t.Fatalf("new leader owned_shards = %v, want [0]", owned)
+	}
+	if code := postCall(t, b.addr, "/v1/call/config", ConfigRequest{ID: 1, Config: "video|ID:5,JP:3"}); code != http.StatusOK {
+		t.Fatalf("config on the new leader: %d, want 200", code)
+	}
+	if code := postCall(t, b.addr, "/v1/call/end", EndRequest{ID: 1}); code != http.StatusOK {
+		t.Fatalf("end on the new leader: %d, want 200", code)
+	}
+}
+
 func TestRetryAfterSecs(t *testing.T) {
 	cases := []struct {
 		d    time.Duration

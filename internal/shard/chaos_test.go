@@ -52,10 +52,9 @@ func chaosShard(t *testing.T, partition bool) {
 		ElectorStore: func(i int) (*kvstore.Client, error) {
 			return kvstore.DialOptions(elecProxy.Addr(), fastOpts(101+int64(i)))
 		},
-		Prefer:  []int{0, 1},
-		TTL:     testTTL,
-		Renew:   testRenew,
-		Recover: true,
+		Prefer: []int{0, 1},
+		TTL:    testTTL,
+		Renew:  testRenew,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -64,14 +64,9 @@ type Config struct {
 	// TakeoverDelay is how long a non-preferred elector waits before its
 	// first attempt; zero means one TTL.
 	TakeoverDelay time.Duration
-	// Recover, when true, has a fresh shard leader rebuild in-flight call
-	// state from the store (controller.RecoverCalls) after draining its
-	// journal, so calls started under the previous leader keep their freeze
-	// and end transitions.
-	Recover bool
-	Metrics *Metrics
-	Logger  *slog.Logger
-	Tracer  *span.Tracer
+	Metrics       *Metrics
+	Logger        *slog.Logger
+	Tracer        *span.Tracer
 }
 
 // routeState is the immutable routing view derived from the last observed
@@ -313,8 +308,9 @@ func (m *Manager) runElectorLocked(i int) {
 // lead is the per-shard OnLead hook: sync the ring epoch (a successor must
 // know whether a handoff or cutover is in flight before serving a single
 // write), arm the controller's fence for this shard's lease epoch, drain
-// anything it journaled while standing by, and optionally rebuild in-flight
-// call state the previous leader persisted.
+// anything it journaled while standing by, and rebuild in-flight call state
+// the previous leader persisted (controller.RecoverCalls), so calls started
+// under the previous leader keep their freeze and end transitions.
 func (m *Manager) lead(shard int, epoch int64) {
 	m.pollEpoch()
 	ctrl := m.Controller(shard)
@@ -323,14 +319,12 @@ func (m *Manager) lead(shard int, epoch int64) {
 	if _, err := ctrl.ReplayJournal(ctx); err != nil && m.cfg.Logger != nil {
 		m.cfg.Logger.Warn("shard journal replay on takeover", "shard", shard, "err", err)
 	}
-	if m.cfg.Recover {
-		if n, err := ctrl.RecoverCalls(ctx); err != nil {
-			if m.cfg.Logger != nil {
-				m.cfg.Logger.Warn("shard call-state recovery failed", "shard", shard, "err", err)
-			}
-		} else if n > 0 && m.cfg.Logger != nil {
-			m.cfg.Logger.Info("shard call state recovered", "shard", shard, "calls", n)
+	if n, err := ctrl.RecoverCalls(ctx); err != nil {
+		if m.cfg.Logger != nil {
+			m.cfg.Logger.Warn("shard call-state recovery failed", "shard", shard, "err", err)
 		}
+	} else if n > 0 && m.cfg.Logger != nil {
+		m.cfg.Logger.Info("shard call state recovered", "shard", shard, "calls", n)
 	}
 	m.mu.Lock()
 	m.owned[shard] = true
@@ -511,7 +505,7 @@ func (m *Manager) OwnerHint(shard int) string {
 // (the fence is still armed, so the writes land under this leadership's
 // epoch), then resigns the lease so a successor takes over within a renew
 // interval instead of waiting out the TTL; the successor's OnLead replays its
-// own journal and (with Recover) rebuilds call state from the store. Elector
+// own journal and rebuilds call state from the store. Elector
 // store clients are closed on the way out. ctx bounds the journal drains.
 func (m *Manager) Stop(ctx context.Context) {
 	m.mu.Lock()

@@ -92,10 +92,9 @@ func newManager(t *testing.T, addr, id string, shards int, prefer []int, seed in
 		ElectorStore: func(i int) (*kvstore.Client, error) {
 			return kvstore.DialOptions(addr, fastOpts(seed+100+int64(i)))
 		},
-		Prefer:  prefer,
-		TTL:     testTTL,
-		Renew:   testRenew,
-		Recover: true,
+		Prefer: prefer,
+		TTL:    testTTL,
+		Renew:  testRenew,
 	})
 	if err != nil {
 		t.Fatal(err)

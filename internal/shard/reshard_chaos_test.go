@@ -66,7 +66,6 @@ func newReshardManager(t *testing.T, dataAddr, elecAddr, id string, shards int, 
 		Prefer:    prefer,
 		TTL:       testTTL,
 		Renew:     testRenew,
-		Recover:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
