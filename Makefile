@@ -80,12 +80,17 @@ des-smoke:
 drill-smoke:
 	$(GO) run ./cmd/sbexp -exp chaos,partition,shard,reshard -scale quick
 
-# Planning smoke: one short plan_offline benchmark run (forecast, the
-# provisioning LPs with backup, the allocation LPs), which fails unless the
-# run reports "correct":true. That includes the plan golden check: the plan's
-# cost, cores, Gbps and mean ACL within 1e-6 relative of the recorded values.
+# Planning smoke: one plan_offline benchmark run (forecast, the provisioning
+# LPs with backup, the allocation LPs), which fails unless the run reports
+# "correct":true. That includes the plan golden check: the plan's cost,
+# cores, Gbps and mean ACL within 1e-6 relative of the recorded values. It
+# also includes the stationarity guard, which compares each history's early
+# and late solves. The run cycles six histories at about 1.2 s a solve on a
+# 2-vCPU VM, so 24 s solves every history at least twice even at 2 s a
+# solve; a 2 s run solves only history 0 twice, and that one noisy pair
+# decides the guard.
 plan-smoke:
-	@out="$$(bash perfbench/run.sh --workload plan_offline --seconds 2 --trace 0 --seed 1)"; \
+	@out="$$(bash perfbench/run.sh --workload plan_offline --seconds 24 --trace 0 --seed 1)"; \
 		echo "$$out"; echo "$$out" | grep -q '"correct":true'
 
 # The end-to-end benchmark (perfbench/) is its own module, so the targets

@@ -1,7 +1,7 @@
 // Package faults is a deterministic fault-injection substrate for the
-// realtime service path. It wraps net.Conn / net.Listener with a seeded
-// injector that perturbs individual reads and writes (added latency, stalls,
-// connection resets, partial writes, blackholes), and provides a TCP chaos
+// realtime service path. It wraps a net.Conn with a seeded injector that
+// perturbs individual reads and writes (added latency, stalls, connection
+// resets, partial writes, blackholes), and provides a TCP chaos
 // proxy that can partition a client from its upstream on command. Every
 // failure mode the provisioning layer plans for (Eq 7-8's DC and link
 // scenarios) becomes reproducible in unit tests and benchmarks: the same
@@ -151,11 +151,6 @@ func (in *Injector) Conn(c net.Conn) net.Conn {
 	return &faultConn{Conn: c, inj: in}
 }
 
-// Listener wraps l so every accepted connection is fault-injected.
-func (in *Injector) Listener(l net.Listener) net.Listener {
-	return &faultListener{Listener: l, inj: in}
-}
-
 type faultConn struct {
 	net.Conn
 	inj *Injector
@@ -195,17 +190,4 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		}
 	}
 	return c.Conn.Write(p)
-}
-
-type faultListener struct {
-	net.Listener
-	inj *Injector
-}
-
-func (l *faultListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.inj.Conn(c), nil
 }

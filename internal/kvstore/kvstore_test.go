@@ -1,6 +1,8 @@
 package kvstore
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -54,29 +56,6 @@ func TestGetMissing(t *testing.T) {
 	}
 }
 
-func TestIncr(t *testing.T) {
-	_, addr := startServer(t)
-	c := dialT(t, addr)
-	for want := int64(1); want <= 3; want++ {
-		n, err := c.Incr("counter")
-		if err != nil || n != want {
-			t.Fatalf("Incr = %d, %v; want %d", n, err, want)
-		}
-	}
-	r, err := c.Do("INCRBY", "counter", "7")
-	if err != nil || r.(int64) != 10 {
-		t.Fatalf("INCRBY = %v, %v", r, err)
-	}
-	// INCR on a non-integer errors but keeps the connection usable.
-	c.Set("s", "abc")
-	if _, err := c.Incr("s"); err == nil {
-		t.Fatal("INCR on string should error")
-	}
-	if _, err := c.Get("k"); !errors.Is(err, ErrNil) {
-		t.Fatalf("connection unusable after command error: %v", err)
-	}
-}
-
 func TestHashOps(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialT(t, addr)
@@ -90,34 +69,42 @@ func TestHashOps(t *testing.T) {
 	if _, err := c.HGet("call:1", "missing"); !errors.Is(err, ErrNil) {
 		t.Fatalf("missing field err = %v", err)
 	}
-	r, err := c.Do("HLEN", "call:1")
-	if err != nil || r.(int64) != 1 {
-		t.Fatalf("HLEN = %v, %v", r, err)
+	// HSET answers 1 for a new field and 0 for an overwrite.
+	if r, err := c.Do("HSET", "call:1", "config", "video|US:3"); err != nil || r.(int64) != 0 {
+		t.Fatalf("HSET overwrite = %v, %v", r, err)
+	}
+	if r, err := c.Do("HSET", "call:1", "dc", "8"); err != nil || r.(int64) != 1 {
+		t.Fatalf("HSET new field = %v, %v", r, err)
+	}
+	if m, err := c.HGetAll("call:1"); err != nil || len(m) != 2 || m["config"] != "video|US:3" {
+		t.Fatalf("HGetAll = %v, %v", m, err)
 	}
 }
 
+// TestDelExistsDbsize: DEL removes every named key that exists and counts
+// them; existence and store size are read back through GET and KEYS *, and
+// FLUSHALL empties the store.
 func TestDelExistsDbsize(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialT(t, addr)
+	ctx := context.Background()
 	c.Set("a", "1")
 	c.Set("b", "2")
-	if r, _ := c.Do("DBSIZE"); r.(int64) != 2 {
-		t.Fatalf("DBSIZE = %v", r)
-	}
-	if r, _ := c.Do("EXISTS", "a"); r.(int64) != 1 {
-		t.Fatalf("EXISTS = %v", r)
+	if keys, err := c.KeysPrefixContext(ctx, ""); err != nil || len(keys) != 2 {
+		t.Fatalf("KEYS * = %v, %v", keys, err)
 	}
 	if r, _ := c.Do("DEL", "a", "b", "c"); r.(int64) != 2 {
 		t.Fatalf("DEL = %v", r)
 	}
-	if r, _ := c.Do("EXISTS", "a"); r.(int64) != 0 {
-		t.Fatalf("EXISTS after DEL = %v", r)
+	if _, err := c.Get("a"); !errors.Is(err, ErrNil) {
+		t.Fatalf("GET after DEL = %v, want ErrNil", err)
 	}
+	c.HSet("h", "f", "v")
 	if r, _ := c.Do("FLUSHALL"); r.(string) != "OK" {
 		t.Fatalf("FLUSHALL = %v", r)
 	}
-	if r, _ := c.Do("DBSIZE"); r.(int64) != 0 {
-		t.Fatalf("DBSIZE after FLUSHALL = %v", r)
+	if keys, err := c.KeysPrefixContext(ctx, ""); err != nil || len(keys) != 0 {
+		t.Fatalf("KEYS * after FLUSHALL = %v, %v", keys, err)
 	}
 }
 
@@ -148,24 +135,60 @@ func TestUnknownCommandAndArity(t *testing.T) {
 	}
 }
 
-func TestPipeline(t *testing.T) {
-	_, addr := startServer(t)
-	c := dialT(t, addr)
-	cmds := [][]string{
-		{"SET", "x", "1"},
-		{"INCR", "x"},
-		{"GET", "x"},
-		{"GET", "missing"},
-	}
-	replies, errs, err := c.Pipeline(cmds)
+// rawBurst writes every frame to one fresh connection in a single write —
+// a pipelined batch — and returns the replies read back in order. Reply
+// values and server errors are returned as readReply gives them; a transport
+// error fails the test.
+func rawBurst(t *testing.T, addr string, frames ...[]string) (replies []interface{}, errs []error) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replies[0].(string) != "OK" || replies[1].(int64) != 2 || replies[2].(string) != "2" {
+	defer conn.Close()
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	for _, f := range frames {
+		if err := WriteWireCommand(w, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = w.Flush()
+	if _, err := conn.Write(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	c := &Client{r: bufio.NewReader(conn)}
+	for i := range frames {
+		r, err := c.readReply()
+		if err != nil && !errors.Is(err, ErrNil) && !IsServerError(err) {
+			t.Fatalf("reply %d to %q: %v", i, frames[i], err)
+		}
+		replies, errs = append(replies, r), append(errs, err)
+	}
+	return replies, errs
+}
+
+// TestPipeline: frames written in one burst are each answered, in order, on
+// the one connection.
+func TestPipeline(t *testing.T) {
+	_, addr := startServer(t)
+	replies, errs := rawBurst(t, addr,
+		[]string{"SET", "x", "1"},
+		[]string{"GET", "x"},
+		[]string{"HSET", "h", "f", "v"},
+		[]string{"HGETALL", "h"},
+		[]string{"DEL", "x"},
+		[]string{"GET", "x"},
+	)
+	if replies[0] != "OK" || replies[1] != "1" || replies[2] != int64(1) || replies[4] != int64(1) {
 		t.Fatalf("replies = %v", replies)
 	}
-	if !errors.Is(errs[3], ErrNil) {
-		t.Fatalf("errs[3] = %v", errs[3])
+	if all, ok := replies[3].([]interface{}); !ok || len(all) != 2 || all[0] != "f" || all[1] != "v" {
+		t.Fatalf("HGETALL reply = %v", replies[3])
+	}
+	if !errors.Is(errs[5], ErrNil) {
+		t.Fatalf("GET after DEL = %v, %v", replies[5], errs[5])
 	}
 }
 
@@ -190,6 +213,8 @@ func TestInlineProtocol(t *testing.T) {
 	}
 }
 
+// TestConcurrentClients: workers HSET distinct fields of one shared hash
+// concurrently; no update may be lost.
 func TestConcurrentClients(t *testing.T) {
 	s, addr := startServer(t)
 	const workers = 8
@@ -207,7 +232,8 @@ func TestConcurrentClients(t *testing.T) {
 			}
 			defer c.Close()
 			for j := 0; j < opsEach; j++ {
-				if _, err := c.Incr("shared"); err != nil {
+				field := strconv.Itoa(id) + ":" + strconv.Itoa(j)
+				if err := c.HSet("shared", field, "v"); err != nil {
 					errCh <- err
 					return
 				}
@@ -224,12 +250,12 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := dialT(t, addr)
-	n, err := c.Incr("shared")
+	m, err := c.HGetAll("shared")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != workers*opsEach+1 {
-		t.Errorf("shared counter = %d, want %d", n, workers*opsEach+1)
+	if len(m) != workers*opsEach {
+		t.Errorf("shared hash has %d fields, want %d", len(m), workers*opsEach)
 	}
 	if s.OpsServed() < workers*opsEach*2 {
 		t.Errorf("ops served = %d", s.OpsServed())
@@ -254,7 +280,7 @@ func TestHGetAllAndKeys(t *testing.T) {
 	if m, err := c.HGetAll("nope"); err != nil || len(m) != 0 {
 		t.Fatalf("HGetAll missing = %v, %v", m, err)
 	}
-	keys, err := c.Keys()
+	keys, err := c.KeysPrefixContext(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,73 +304,6 @@ func TestHGetAllAndKeys(t *testing.T) {
 	}
 }
 
-func TestExpiry(t *testing.T) {
-	_, addr := startServer(t)
-	c := dialT(t, addr)
-	c.Set("k", "v")
-	// EXPIRE on a missing key.
-	if r, _ := c.Do("EXPIRE", "nope", "10"); r.(int64) != 0 {
-		t.Errorf("EXPIRE missing = %v", r)
-	}
-	// TTL states: missing, no expiry, with expiry.
-	if r, _ := c.Do("TTL", "nope"); r.(int64) != -2 {
-		t.Errorf("TTL missing = %v", r)
-	}
-	if r, _ := c.Do("TTL", "k"); r.(int64) != -1 {
-		t.Errorf("TTL persistent = %v", r)
-	}
-	if r, _ := c.Do("EXPIRE", "k", "100"); r.(int64) != 1 {
-		t.Errorf("EXPIRE = %v", r)
-	}
-	if r, _ := c.Do("TTL", "k"); r.(int64) < 95 || r.(int64) > 100 {
-		t.Errorf("TTL = %v, want ~100", r)
-	}
-	// PERSIST clears the deadline.
-	if r, _ := c.Do("PERSIST", "k"); r.(int64) != 1 {
-		t.Errorf("PERSIST = %v", r)
-	}
-	if r, _ := c.Do("TTL", "k"); r.(int64) != -1 {
-		t.Errorf("TTL after PERSIST = %v", r)
-	}
-	if r, _ := c.Do("PERSIST", "k"); r.(int64) != 0 {
-		t.Errorf("second PERSIST = %v", r)
-	}
-	// Non-positive expiry deletes immediately.
-	if r, _ := c.Do("EXPIRE", "k", "0"); r.(int64) != 1 {
-		t.Errorf("EXPIRE 0 = %v", r)
-	}
-	if _, err := c.Get("k"); !errors.Is(err, ErrNil) {
-		t.Errorf("key survived EXPIRE 0: %v", err)
-	}
-	if _, err := c.Do("EXPIRE", "k", "banana"); err == nil {
-		t.Error("non-integer expiry should error")
-	}
-}
-
-func TestExpiryLazyEviction(t *testing.T) {
-	srv, addr := startServer(t)
-	c := dialT(t, addr)
-	c.Set("gone", "soon")
-	// Set a deadline in the past by writing directly (avoids sleeping).
-	sh := srv.shardOf("gone")
-	sh.mu.Lock()
-	sh.m["gone"].expireAt = time.Now().Add(-time.Second)
-	sh.mu.Unlock()
-	if _, err := c.Get("gone"); !errors.Is(err, ErrNil) {
-		t.Errorf("expired key still readable: %v", err)
-	}
-	if r, _ := c.Do("EXISTS", "gone"); r.(int64) != 0 {
-		t.Errorf("EXISTS expired = %v", r)
-	}
-	if r, _ := c.Do("DBSIZE"); r.(int64) != 0 {
-		t.Errorf("DBSIZE counts expired key: %v", r)
-	}
-	// A write-path touch collects it; INCR recreates from 0.
-	if n, err := c.Incr("gone"); err != nil || n != 1 {
-		t.Errorf("INCR over expired = %d, %v", n, err)
-	}
-}
-
 func TestServerCloseUnblocksServe(t *testing.T) {
 	s := NewServer()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -353,10 +312,14 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(l) }()
-	time.Sleep(10 * time.Millisecond)
-	if s.Addr() == nil {
-		t.Error("Addr nil while serving")
+	c, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("PING while serving: %v", err)
+	}
+	c.Close()
 	s.Close()
 	select {
 	case err := <-done:
@@ -387,31 +350,6 @@ func BenchmarkSetGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := c.Set("bench", "value"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPipeline100(b *testing.B) {
-	s := NewServer()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go s.Serve(l)
-	defer s.Close()
-	c, err := Dial(l.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	cmds := make([][]string, 100)
-	for i := range cmds {
-		cmds[i] = []string{"INCR", "pipebench"}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Pipeline(cmds); err != nil {
 			b.Fatal(err)
 		}
 	}

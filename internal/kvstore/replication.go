@@ -16,7 +16,6 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Replicator sequences mutations into a replication log and decides when a
@@ -71,8 +70,7 @@ func (s *Server) SetGate(f func(cmd string) string) {
 func Mutates(cmd string) bool {
 	// EqualFold instead of ToUpper: this runs on the client's per-command
 	// encode path (writeCommand checks whether to arm the fence prefix) and
-	// must not allocate. Keep the verb list in sync with the lint suite's
-	// fenceflow analyzer (internal/lint/fenceflow.go).
+	// must not allocate. The lint suite's fenceflow analyzer calls it too.
 	for _, m := range &mutatingCmds {
 		if strings.EqualFold(cmd, m) {
 			return true
@@ -84,8 +82,8 @@ func Mutates(cmd string) bool {
 // mutatingCmds lists every verb the store treats as a mutation (fenced,
 // replicated, journaled).
 var mutatingCmds = [...]string{
-	"SET", "DEL", "INCR", "INCRBY", "HSET", "HCOPY", "EXPIRE", "PERSIST",
-	"PEXPIREAT", "FLUSHALL", "SETLEASE", "DELLEASE", "LEASEGRANT", "LEASEDEL",
+	"SET", "DEL", "HSET", "HCOPY", "FLUSHALL",
+	"SETLEASE", "DELLEASE", "LEASEGRANT", "LEASEDEL",
 }
 
 // executeReplicated applies one mutating command under the replicator's total
@@ -140,20 +138,16 @@ func (s *Server) Apply(args []string) error {
 }
 
 // Snapshot returns a command stream that rebuilds the store's current
-// contents: SET/HSET per key (plus PEXPIREAT for TTL'd keys) and LEASEGRANT
-// per lease. Callers needing a consistent cut against the replication log
-// must block mutations around the call — replica.Primary holds its mutation
-// order across Snapshot, so the cut is exactly the log position it records.
+// contents: SET/HSET per key and LEASEGRANT per lease. Callers needing a
+// consistent cut against the replication log must block mutations around
+// the call — replica.Primary holds its mutation order across Snapshot, so
+// the cut is exactly the log position it records.
 func (s *Server) Snapshot() [][]string {
-	now := time.Now()
 	var out [][]string
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for key, e := range sh.m {
-			if e.expired(now) {
-				continue
-			}
 			switch e.kind {
 			case "string":
 				out = append(out, []string{"SET", key, e.str})
@@ -161,9 +155,6 @@ func (s *Server) Snapshot() [][]string {
 				for f, v := range e.hash {
 					out = append(out, []string{"HSET", key, f, v})
 				}
-			}
-			if !e.expireAt.IsZero() {
-				out = append(out, []string{"PEXPIREAT", key, strconv.FormatInt(e.expireAt.UnixMilli(), 10)})
 			}
 		}
 		sh.mu.RUnlock()

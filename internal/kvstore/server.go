@@ -1,20 +1,15 @@
 // Package kvstore implements a small Redis-like in-memory key-value store
-// spoken over TCP plus a pipelining client. It stands in for the Azure Redis
-// instance Switchboard's controller writes call state to (§6.6): the
-// controller's worker threads each hold a connection and record call-config
-// updates as calls arrive and participants join, which is exactly the write
-// path the Fig 10 throughput benchmark exercises.
+// spoken over TCP plus a client. It stands in for the Azure Redis instance
+// Switchboard's controller writes call state to (§6.6): the controller's
+// worker threads each hold a connection and record call-config updates as
+// calls arrive and participants join, which is exactly the write path the
+// Fig 10 throughput benchmark exercises.
 //
 // The wire protocol is RESP2 (arrays of bulk strings in; simple strings,
 // bulk strings, integers, and errors out), so the server is also usable with
 // standard Redis tooling for the command subset it implements: PING, SET,
-// GET, DEL, EXISTS, INCR, INCRBY, HSET, HGET, HLEN, FLUSHALL, DBSIZE.
-//
-// Tracing extension: a command array may be prefixed with the two arguments
-// "TRACEID <hex>" (see internal/obs/span). The server strips the prefix
-// before dispatch and records the verb and service time against the trace ID
-// (TraceRecords), so client-side spans and server-side observations join on
-// one identifier.
+// GET, DEL, HSET, HGET, HGETALL, KEYS and FLUSHALL, plus HCOPY for
+// resharding and the lease verbs of lease.go.
 package kvstore
 
 import (
@@ -56,9 +51,6 @@ type Server struct {
 	// metrics receives server telemetry; nil-safe, set before Serve.
 	metrics *ServerMetrics
 
-	// traces holds the last traced-command observations (see TraceRecords).
-	traces traceRing
-
 	// leases is the TTL-lease table behind SETLEASE/GETLEASE and the FENCE
 	// write prefix (see lease.go).
 	leases leaseTable
@@ -80,40 +72,6 @@ type entry struct {
 	kind string
 	str  string
 	hash map[string]string
-	// expireAt is the lazy expiry deadline; zero means no expiry.
-	expireAt time.Time
-}
-
-func (e *entry) expired(now time.Time) bool {
-	return e != nil && !e.expireAt.IsZero() && now.After(e.expireAt)
-}
-
-// lookup returns the live entry for key, lazily deleting it if expired.
-// Callers must hold the shard lock (read lock is insufficient when the key
-// may be deleted, so lookup is used under the write lock; read paths call
-// lookupRead).
-//
-//sblint:holds mu
-func (sh *shard) lookup(key string, now time.Time) *entry {
-	e := sh.m[key]
-	if e.expired(now) {
-		delete(sh.m, key)
-		return nil
-	}
-	return e
-}
-
-// lookupRead returns the live entry without mutating (expired entries are
-// simply treated as absent; they get collected on the next write-path
-// touch).
-//
-//sblint:holds mu
-func (sh *shard) lookupRead(key string, now time.Time) *entry {
-	e := sh.m[key]
-	if e.expired(now) {
-		return nil
-	}
-	return e
 }
 
 // NewServer returns an empty store ready to serve.
@@ -142,18 +100,6 @@ func (s *Server) shardOf(key string) *shard {
 	h := fnv.New32a()
 	_, _ = io.WriteString(h, key) // fnv.Write never fails
 	return &s.shards[h.Sum32()%numShards]
-}
-
-// ListenAndServe listens on addr ("127.0.0.1:0" picks a free port) and
-// serves until Close. The chosen address is available via Addr once it
-// returns from the initial bind, so callers typically run this in a
-// goroutine after calling Listen.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
 }
 
 // Serve accepts connections on l until Close is called. It returns only
@@ -198,16 +144,6 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// Addr returns the listener address, or nil before Serve.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.listener == nil {
-		return nil
-	}
-	return s.listener.Addr()
-}
-
 // Close stops accepting connections, severs all active ones, and waits for
 // the per-connection handler goroutines to drain before returning.
 func (s *Server) Close() error {
@@ -246,17 +182,6 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		// A client that traces its requests prefixes the command with a
-		// two-argument "TRACEID <hex>" pair (see Client.DoContext). Strip it
-		// and time the command — including any simulated latency — so a
-		// delayed command is attributable to the trace that issued it.
-		var tid string
-		var t0 time.Time
-		if len(args) >= 3 && strings.EqualFold(args[0], "TRACEID") {
-			tid = args[1]
-			args = args[2:]
-			t0 = time.Now()
-		}
 		// REPLSYNC dedicates the connection to a replication stream: the
 		// handler goroutine becomes the stream writer and does not return to
 		// command dispatch (see internal/kvstore/replica).
@@ -286,9 +211,6 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		// Flush when no further pipelined command is buffered.
 		s.execute(args, w)
-		if tid != "" {
-			s.traces.record(TraceRecord{Trace: tid, Verb: strings.ToUpper(args[0]), Dur: time.Since(t0)})
-		}
 		if r.Buffered() == 0 {
 			if err := w.Flush(); err != nil {
 				return
@@ -412,7 +334,7 @@ func (s *Server) dispatch(cmd string, args []string, w *bufio.Writer) (logArgs [
 		}
 		sh := s.shardOf(args[1])
 		sh.mu.RLock()
-		e := sh.lookupRead(args[1], time.Now())
+		e := sh.m[args[1]]
 		sh.mu.RUnlock()
 		if e == nil || e.kind != "string" {
 			writeNil(w)
@@ -425,69 +347,23 @@ func (s *Server) dispatch(cmd string, args []string, w *bufio.Writer) (logArgs [
 			return
 		}
 		var n int64
-		now := time.Now()
 		for _, key := range args[1:] {
 			sh := s.shardOf(key)
 			sh.mu.Lock()
-			if sh.lookup(key, now) != nil {
+			if _, ok := sh.m[key]; ok {
 				delete(sh.m, key)
 				n++
 			}
 			sh.mu.Unlock()
 		}
 		writeInt(w, n)
-	case "EXISTS":
-		if !arity(w, args, 2) {
-			return
-		}
-		sh := s.shardOf(args[1])
-		sh.mu.RLock()
-		ok := sh.lookupRead(args[1], time.Now()) != nil
-		sh.mu.RUnlock()
-		if ok {
-			writeInt(w, 1)
-		} else {
-			writeInt(w, 0)
-		}
-	case "INCR", "INCRBY":
-		delta := int64(1)
-		if cmd == "INCRBY" {
-			if !arity(w, args, 3) {
-				return
-			}
-			d, err := strconv.ParseInt(args[2], 10, 64)
-			if err != nil {
-				writeError(w, "value is not an integer")
-				return
-			}
-			delta = d
-		} else if !arity(w, args, 2) {
-			return
-		}
-		sh := s.shardOf(args[1])
-		sh.mu.Lock()
-		e := sh.lookup(args[1], time.Now())
-		if e == nil {
-			e = &entry{kind: "string", str: "0"}
-			sh.m[args[1]] = e
-		}
-		cur, err := strconv.ParseInt(e.str, 10, 64)
-		if err != nil || e.kind != "string" {
-			sh.mu.Unlock()
-			writeError(w, "value is not an integer or out of range")
-			return
-		}
-		cur += delta
-		e.str = strconv.FormatInt(cur, 10)
-		sh.mu.Unlock()
-		writeInt(w, cur)
 	case "HSET":
 		if !arity(w, args, 4) {
 			return
 		}
 		sh := s.shardOf(args[1])
 		sh.mu.Lock()
-		e := sh.lookup(args[1], time.Now())
+		e := sh.m[args[1]]
 		if e == nil || e.kind != "hash" {
 			e = &entry{kind: "hash", hash: make(map[string]string)}
 			sh.m[args[1]] = e
@@ -506,7 +382,7 @@ func (s *Server) dispatch(cmd string, args []string, w *bufio.Writer) (logArgs [
 		}
 		sh := s.shardOf(args[1])
 		sh.mu.RLock()
-		e := sh.lookupRead(args[1], time.Now())
+		e := sh.m[args[1]]
 		var v string
 		var ok bool
 		if e != nil && e.kind == "hash" {
@@ -524,7 +400,7 @@ func (s *Server) dispatch(cmd string, args []string, w *bufio.Writer) (logArgs [
 		}
 		sh := s.shardOf(args[1])
 		sh.mu.RLock()
-		e := sh.lookupRead(args[1], time.Now())
+		e := sh.m[args[1]]
 		var fields []string
 		if e != nil && e.kind == "hash" {
 			for f, v := range e.hash {
@@ -553,12 +429,11 @@ func (s *Server) dispatch(cmd string, args []string, w *bufio.Writer) (logArgs [
 		}
 		prefix := pat[:len(pat)-1]
 		var keys []string
-		now := time.Now()
 		for i := range s.shards {
 			sh := &s.shards[i]
 			sh.mu.RLock()
 			for key := range sh.m {
-				if strings.HasPrefix(key, prefix) && sh.lookupRead(key, now) != nil {
+				if strings.HasPrefix(key, prefix) {
 					keys = append(keys, key)
 				}
 			}
@@ -572,16 +447,15 @@ func (s *Server) dispatch(cmd string, args []string, w *bufio.Writer) (logArgs [
 	case "HCOPY":
 		// HCOPY src dst: replace dst with a snapshot of the src hash and
 		// return the field count (0 deletes nothing and copies nothing — a
-		// missing src is not an error, so migration scans can race expiry).
+		// missing src is not an error, so migration scans can race a DEL).
 		// The resharding coordinator's bulk copy rides on this so a key moves
 		// in one fenced round trip instead of HGETALL+N×HSET.
 		if !arity(w, args, 3) {
 			return
 		}
-		now := time.Now()
 		src := s.shardOf(args[1])
 		src.mu.RLock()
-		e := src.lookupRead(args[1], now)
+		e := src.m[args[1]]
 		var snap map[string]string
 		if e != nil && e.kind == "hash" {
 			snap = make(map[string]string, len(e.hash))
@@ -601,116 +475,6 @@ func (s *Server) dispatch(cmd string, args []string, w *bufio.Writer) (logArgs [
 		dst.m[args[2]] = &entry{kind: "hash", hash: snap}
 		dst.mu.Unlock()
 		writeInt(w, int64(len(snap)))
-	case "HLEN":
-		if !arity(w, args, 2) {
-			return
-		}
-		sh := s.shardOf(args[1])
-		sh.mu.RLock()
-		e := sh.lookupRead(args[1], time.Now())
-		var n int64
-		if e != nil && e.kind == "hash" {
-			n = int64(len(e.hash))
-		}
-		sh.mu.RUnlock()
-		writeInt(w, n)
-	case "EXPIRE":
-		if !arity(w, args, 3) {
-			return
-		}
-		secs, err := strconv.ParseInt(args[2], 10, 64)
-		if err != nil {
-			writeError(w, "value is not an integer or out of range")
-			return
-		}
-		sh := s.shardOf(args[1])
-		sh.mu.Lock()
-		e := sh.lookup(args[1], time.Now())
-		if e == nil {
-			sh.mu.Unlock()
-			writeInt(w, 0)
-			return
-		}
-		if secs <= 0 {
-			delete(sh.m, args[1])
-		} else {
-			e.expireAt = time.Now().Add(time.Duration(secs) * time.Second)
-		}
-		sh.mu.Unlock()
-		writeInt(w, 1)
-	case "TTL":
-		if !arity(w, args, 2) {
-			return
-		}
-		sh := s.shardOf(args[1])
-		now := time.Now()
-		sh.mu.RLock()
-		e := sh.lookupRead(args[1], now)
-		sh.mu.RUnlock()
-		switch {
-		case e == nil:
-			writeInt(w, -2)
-		case e.expireAt.IsZero():
-			writeInt(w, -1)
-		default:
-			// Round up so a key expiring in 0.5s reports 1.
-			writeInt(w, int64((e.expireAt.Sub(now)+time.Second-1)/time.Second))
-		}
-	case "PERSIST":
-		if !arity(w, args, 2) {
-			return
-		}
-		sh := s.shardOf(args[1])
-		sh.mu.Lock()
-		e := sh.lookup(args[1], time.Now())
-		hadTTL := e != nil && !e.expireAt.IsZero()
-		if hadTTL {
-			e.expireAt = time.Time{}
-		}
-		sh.mu.Unlock()
-		if hadTTL {
-			writeInt(w, 1)
-		} else {
-			writeInt(w, 0)
-		}
-	case "DBSIZE":
-		var n int64
-		now := time.Now()
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.RLock()
-			for key := range sh.m {
-				if sh.lookupRead(key, now) != nil {
-					n++
-				}
-			}
-			sh.mu.RUnlock()
-		}
-		writeInt(w, n)
-	case "PEXPIREAT":
-		// Internal absolute-deadline expiry, used by replication so a
-		// standby applying a snapshot or log entry lands on the same
-		// deadline the primary computed (EXPIRE is relative and would
-		// drift by replication delay).
-		if !arity(w, args, 3) {
-			return
-		}
-		ms, err := strconv.ParseInt(args[2], 10, 64)
-		if err != nil {
-			writeError(w, "value is not an integer or out of range")
-			return
-		}
-		sh := s.shardOf(args[1])
-		sh.mu.Lock()
-		e := sh.lookup(args[1], time.Now())
-		if e == nil {
-			sh.mu.Unlock()
-			writeInt(w, 0)
-			return
-		}
-		e.expireAt = time.UnixMilli(ms)
-		sh.mu.Unlock()
-		writeInt(w, 1)
 	case "FLUSHALL":
 		for i := range s.shards {
 			sh := &s.shards[i]

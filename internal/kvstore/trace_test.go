@@ -1,40 +1,76 @@
 package kvstore
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
+	"net"
 	"testing"
 
 	"switchboard/internal/obs/span"
 )
 
-// TestTraceIDWirePropagation drives traced commands through a live server and
-// checks both sides of the join: client-side kv.<VERB> child spans with
-// correct lineage, and server-side TraceRecords carrying the same trace ID
-// per verb.
-func TestTraceIDWirePropagation(t *testing.T) {
-	srv, addr := startServer(t)
-	defer srv.Close()
+// recordingConn copies every byte the client writes into buf.
+type recordingConn struct {
+	net.Conn
+	buf bytes.Buffer
+}
+
+func (rc *recordingConn) Write(p []byte) (int, error) {
+	rc.buf.Write(p)
+	return rc.Conn.Write(p)
+}
+
+// recordedClient dials addr and returns a client whose outgoing bytes are
+// recorded.
+func recordedClient(t *testing.T, addr string) (*Client, *bytes.Buffer) {
+	t.Helper()
 	c, err := DialOptions(addr, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
+	rc := &recordingConn{Conn: c.conn}
+	c.conn, c.w = rc, bufio.NewWriter(rc)
+	return c, &rc.buf
+}
 
+// TestTracedDoContext drives traced commands through a live server: each
+// becomes a kv.<VERB> child span of the caller's span, and its frame on the
+// wire is byte for byte the frame of the same command sent untraced, with
+// and without an armed fence.
+func TestTracedDoContext(t *testing.T) {
+	_, addr := startServer(t)
 	ring := span.NewRing(64)
 	tr := span.NewTracer(42, ring)
 	ctx, root := tr.Start(context.Background(), "test.root")
 
-	if err := c.HSetContext(ctx, "call:1", "dc", "tokyo"); err != nil {
-		t.Fatal(err)
+	send := func(ctx context.Context) []byte {
+		c, wire := recordedClient(t, addr)
+		if err := c.HSetContext(ctx, "call:1", "dc", "tokyo"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.DoContext(ctx, "GET", "missing"); !errors.Is(err, ErrNil) {
+			t.Fatalf("GET missing = %v, want ErrNil", err)
+		}
+		if err := c.PingContext(ctx); err != nil {
+			t.Fatal(err)
+		}
+		// A fence no lease backs: the write is refused, but its frame still
+		// carries the FENCE prefix.
+		c.SetFence("leader", 7)
+		if err := c.HSetContext(ctx, "call:1", "dc", "osaka"); !IsFencedError(err) {
+			t.Fatalf("fenced HSET = %v, want FENCED", err)
+		}
+		return wire.Bytes()
 	}
-	if _, err := c.DoContext(ctx, "GET", "missing"); !errors.Is(err, ErrNil) {
-		t.Fatalf("GET missing = %v, want ErrNil", err)
-	}
-	if err := c.PingContext(ctx); err != nil {
-		t.Fatal(err)
-	}
+	traced := send(ctx)
 	root.End()
+	plain := send(context.Background())
+	if !bytes.Equal(traced, plain) {
+		t.Fatalf("traced frames differ from untraced ones:\ntraced %q\nplain  %q", traced, plain)
+	}
 
 	// Client side: one child span per command, parented on the root.
 	spans := ring.Trace(root.TraceID())
@@ -45,92 +81,9 @@ func TestTraceIDWirePropagation(t *testing.T) {
 			t.Errorf("span %s parent = %v, want root %v", s.Name, s.Parent, root.SpanID())
 		}
 	}
-	for _, want := range []string{"kv.HSET", "kv.GET", "kv.PING", "test.root"} {
-		if names[want] != 1 {
-			t.Errorf("trace has %d %q spans, want 1 (all: %v)", names[want], want, names)
-		}
-	}
-
-	// Server side: the same trace ID recorded against each verb.
-	recs := srv.TraceRecords()
-	verbs := map[string]int{}
-	for _, r := range recs {
-		if r.Trace != root.TraceID().String() {
-			t.Errorf("server record trace = %q, want %q", r.Trace, root.TraceID())
-		}
-		if r.Dur < 0 {
-			t.Errorf("server record %v has negative duration", r)
-		}
-		verbs[r.Verb]++
-	}
-	for _, want := range []string{"HSET", "GET", "PING"} {
-		if verbs[want] != 1 {
-			t.Errorf("server recorded %d %s, want 1 (all: %v)", verbs[want], want, verbs)
-		}
-	}
-
-	// Untraced commands leave no server record and work unchanged.
-	before := len(srv.TraceRecords())
-	if err := c.Set("plain", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := c.Get("plain"); err != nil || got != "v" {
-		t.Fatalf("untraced round trip = %q, %v", got, err)
-	}
-	if after := len(srv.TraceRecords()); after != before {
-		t.Fatalf("untraced commands grew the trace ring: %d -> %d", before, after)
-	}
-}
-
-// TestPipelineContextTrace checks the batch path: one kv.pipeline span and a
-// per-command server record sharing the trace ID.
-func TestPipelineContextTrace(t *testing.T) {
-	srv, addr := startServer(t)
-	defer srv.Close()
-	c, err := DialOptions(addr, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	ring := span.NewRing(64)
-	tr := span.NewTracer(7, ring)
-	ctx, root := tr.Start(context.Background(), "batch")
-	replies, errs, err := c.PipelineContext(ctx, [][]string{
-		{"SET", "a", "1"},
-		{"SET", "b", "2"},
-		{"GET", "a"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("pipeline cmd %d: %v", i, e)
-		}
-	}
-	if replies[2] != "1" {
-		t.Fatalf("GET via pipeline = %v", replies[2])
-	}
-	root.End()
-
-	spans := ring.Trace(root.TraceID())
-	var pipe *span.Record
-	for i := range spans {
-		if spans[i].Name == "kv.pipeline" {
-			pipe = &spans[i]
-		}
-	}
-	if pipe == nil || pipe.Parent != root.SpanID() || pipe.Attrs.Get("cmds") != "3" {
-		t.Fatalf("kv.pipeline span = %+v", pipe)
-	}
-	recs := srv.TraceRecords()
-	if len(recs) != 3 {
-		t.Fatalf("server recorded %d traced commands, want 3: %+v", len(recs), recs)
-	}
-	for _, r := range recs {
-		if r.Trace != root.TraceID().String() {
-			t.Errorf("pipeline record trace = %q, want %q", r.Trace, root.TraceID())
+	for want, n := range map[string]int{"kv.HSET": 2, "kv.GET": 1, "kv.PING": 1, "test.root": 1} {
+		if names[want] != n {
+			t.Errorf("trace has %d %q spans, want %d (all: %v)", names[want], want, n, names)
 		}
 	}
 }
@@ -138,17 +91,12 @@ func TestPipelineContextTrace(t *testing.T) {
 // TestDoContextNoSpanZeroOverhead pins the contract that an untraced context
 // adds nothing to the wire: the server sees the plain command.
 func TestDoContextNoSpanZeroOverhead(t *testing.T) {
-	srv, addr := startServer(t)
-	defer srv.Close()
-	c, err := DialOptions(addr, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	_, addr := startServer(t)
+	c, wire := recordedClient(t, addr)
 	if _, err := c.DoContext(context.Background(), "SET", "k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.TraceRecords(); len(got) != 0 {
-		t.Fatalf("untraced DoContext left server records: %+v", got)
+	if got, want := wire.String(), "*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n"; got != want {
+		t.Fatalf("wire = %q, want %q", got, want)
 	}
 }

@@ -101,12 +101,6 @@ func origin(fn *types.Func) *types.Func {
 	return fn.Origin()
 }
 
-// NodeFor returns the body node for a (possibly instantiated) func object,
-// nil when its body is outside the graph.
-func (g *CallGraph) NodeFor(fn *types.Func) *FuncNode {
-	return g.Nodes[origin(fn)]
-}
-
 // resolveCalls walks one body, classifying every call expression (including
 // those inside nested function literals — a FuncLit's calls belong to its
 // enclosing declaration for reachability purposes).

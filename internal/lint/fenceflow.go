@@ -7,23 +7,24 @@ import (
 	"go/types"
 	"strconv"
 	"strings"
+
+	"switchboard/internal/kvstore"
 )
 
 // FenceFlowAnalyzer guards the epoch-fencing contract: every kvstore
 // mutation issued from a controller persist/journal-drain path must go
-// through the fence-arming typed wrappers (HSet, Set, Del, ...), never a
-// raw Do/DoContext/Pipeline call that would bypass the FENCE prefix the
-// client prepends to mutating commands.
+// through the fence-arming typed wrappers (HSet, Set, DelContext, ...), never
+// a raw Do/DoContext call that would bypass the FENCE prefix the client
+// prepends to mutating commands.
 //
 // Entry points carry //sblint:fencepath in their doc comment. The analyzer
 // walks the static call closure from each entry point and flags raw
-// command-level calls (Do, DoContext, Pipeline, PipelineContext) on any
-// fence-capable client — a named type that also declares SetFence — when
-// the command verb is a mutating literal, or is not a literal at all (an
-// unprovable write). As defense in depth, a raw *mutating-literal* call
-// anywhere in a package that declares a fencepath entry point is flagged
-// even outside the closure: such packages have standardized on the typed
-// wrappers.
+// command-level calls (Do, DoContext) on any fence-capable client — a named
+// type that also declares SetFence — when the command verb is a literal
+// kvstore.Mutates names, or is not a literal at all (an unprovable write).
+// As defense in depth, a raw *mutating-literal* call anywhere in a package
+// that declares a fencepath entry point is flagged even outside the closure:
+// such packages have standardized on the typed wrappers.
 //
 // The package that defines the fence-capable client is exempt — its typed
 // wrappers are exactly where raw commands are supposed to live.
@@ -37,19 +38,8 @@ func FenceFlowAnalyzer() *Analyzer {
 	}
 }
 
-// mutatingVerbs mirrors kvstore.Mutates: the command verbs the store's
-// fencing layer gates. Keep in sync with internal/kvstore/replication.go.
-var mutatingVerbs = map[string]bool{
-	"SET": true, "DEL": true, "INCR": true, "INCRBY": true, "HSET": true,
-	"HCOPY": true, "EXPIRE": true, "PERSIST": true, "PEXPIREAT": true,
-	"FLUSHALL": true, "SETLEASE": true, "DELLEASE": true, "LEASEGRANT": true,
-	"LEASEDEL": true,
-}
-
 // rawCommandMethods are the command-level escape hatches on the client.
-var rawCommandMethods = map[string]bool{
-	"Do": true, "DoContext": true, "Pipeline": true, "PipelineContext": true,
-}
+var rawCommandMethods = map[string]bool{"Do": true, "DoContext": true}
 
 func runFenceFlow(g *CallGraph) []Finding {
 	roots := g.rootsWithDirective("fencepath")
@@ -114,9 +104,9 @@ func checkRawCall(g *CallGraph, n *FuncNode, e Edge, inClosure bool) (Finding, b
 	if named.Obj().Pkg() == n.Pkg.TypesPkg {
 		return Finding{}, false
 	}
-	verb, isLit := commandVerb(n.Pkg, e.Site, callee.Name())
+	verb, isLit := commandVerb(e.Site, callee.Name())
 	switch {
-	case isLit && mutatingVerbs[strings.ToUpper(verb)]:
+	case isLit && kvstore.Mutates(verb):
 		return Finding{
 			Pos: g.Fset.Position(e.Site.Pos()),
 			Message: fmt.Sprintf("raw %s(%q) bypasses the fence-arming typed wrappers (reached from a //sblint:fencepath entry point: use the %s wrapper)",
@@ -135,9 +125,8 @@ func checkRawCall(g *CallGraph, n *FuncNode, e Edge, inClosure bool) (Finding, b
 }
 
 // commandVerb extracts the command verb from a raw call's first
-// command-position argument when it is a string literal. Pipeline variants
-// take [][]string; any literal verb inside counts (first mutating one wins).
-func commandVerb(p *Package, call *ast.CallExpr, method string) (verb string, isLiteral bool) {
+// command-position argument when it is a string literal.
+func commandVerb(call *ast.CallExpr, method string) (verb string, isLiteral bool) {
 	argIdx := 0
 	if strings.HasSuffix(method, "Context") {
 		argIdx = 1
@@ -145,34 +134,7 @@ func commandVerb(p *Package, call *ast.CallExpr, method string) (verb string, is
 	if len(call.Args) <= argIdx {
 		return "", false
 	}
-	arg := ast.Unparen(call.Args[argIdx])
-	if strings.HasPrefix(method, "Pipeline") {
-		// [][]string literal: scan nested literals for a mutating verb.
-		cl, ok := arg.(*ast.CompositeLit)
-		if !ok {
-			return "", false
-		}
-		var first string
-		for _, el := range cl.Elts {
-			inner, ok := ast.Unparen(el).(*ast.CompositeLit)
-			if !ok || len(inner.Elts) == 0 {
-				return "", false
-			}
-			v, ok := stringLit(inner.Elts[0])
-			if !ok {
-				return "", false
-			}
-			if first == "" {
-				first = v
-			}
-			if mutatingVerbs[strings.ToUpper(v)] {
-				return v, true
-			}
-		}
-		return first, first != ""
-	}
-	v, ok := stringLit(arg)
-	return v, ok
+	return stringLit(call.Args[argIdx])
 }
 
 func stringLit(e ast.Expr) (string, bool) {
@@ -193,9 +155,7 @@ func wrapperHint(verb string) string {
 	case "SET":
 		return "Set"
 	case "DEL":
-		return "Del"
-	case "INCR", "INCRBY":
-		return "Incr"
+		return "DelContext"
 	case "HSET":
 		return "HSet/HSetContext"
 	case "HCOPY":

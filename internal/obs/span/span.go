@@ -20,10 +20,9 @@
 //
 // ID format: trace and span IDs are 64-bit values rendered as 16 hex digits.
 // Generation is deterministic per tracer (a seeded splitmix64 sequence), so
-// tests replay byte-identical traces. On the kvstore wire the trace ID
-// travels as a `TRACEID <hex>` argument pair prefixed to the RESP command
-// (see internal/kvstore); in logs it appears as the `trace_id` attribute
-// (see LogHandler).
+// tests replay byte-identical traces. The trace ID never goes on the
+// kvstore wire (see internal/kvstore); in logs it appears as the `trace_id`
+// attribute (see LogHandler).
 package span
 
 import (

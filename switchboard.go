@@ -295,7 +295,7 @@ type Predictor = controller.Predictor
 type (
 	// KVServer is the RESP-speaking in-memory store.
 	KVServer = kvstore.Server
-	// KVClient is a pipelining kvstore client.
+	// KVClient is a kvstore client over one connection.
 	KVClient = kvstore.Client
 	// KVOptions tunes the client's deadlines and redial/backoff policy.
 	KVOptions = kvstore.Options
