@@ -33,8 +33,7 @@
 //	GET  /debug/pprof/*  (net/http/pprof)
 //
 // Every request through the API is traced (see internal/obs/span): the root
-// span fans out to controller and kvstore child spans, and the trace ID rides
-// the RESP connection so the store's per-verb timings join the same trace.
+// span fans out to controller and kvstore child spans.
 // -span-log additionally appends every finished span to a JSONL file that
 // cmd/sbtrace turns into waterfalls and critical-path breakdowns. Logs go
 // through log/slog and carry trace_id/span_id when the context has a span.
@@ -100,28 +99,19 @@ func main() {
 	replRole := flag.String("repl-role", "", "in-process kvstore replication role: 'primary' or 'standby' (empty disables replication)")
 	replPeer := flag.String("repl-peer", "", "primary kvstore address a standby replicates from (required with -repl-role standby)")
 	replAck := flag.String("repl-ack", "standby", "primary write acks: 'standby' (semi-synchronous; acked writes survive failover) or 'relaxed' (local-only acks)")
-	replAckTimeout := flag.Duration("repl-ack-timeout", time.Second, "how long a write waits for the standby's ack before REPLWAIT")
-	replFailoverTimeout := flag.Duration("repl-failover-timeout", 2*time.Second, "primary silence a standby tolerates before promoting itself")
 	shards := flag.Int("shards", 0, "shard the control plane: partition the conference-ID space across this many shards, each with its own leadership lease (0 disables; 1 is one leader group, such as an HA pair; >=2 makes this node one of a sharded fleet)")
 	shardID := flag.Int("shard-id", -1, "shard this node is the preferred owner of (its elector races immediately; others wait a TTL), -1 for none")
 	peers := flag.String("peers", "", "comma-separated API addresses of the other nodes in the sharded fleet (forward fallback when a shard's leader is unknown)")
 	shardForward := flag.Bool("shard-forward", true, "proxy call-control requests to the owning shard's leader (false answers 307 + X-Switchboard-Shard-Leader hints instead)")
 	shardTakeover := flag.Duration("shard-takeover", 0, "how long this node leaves a non-preferred shard's lease to its preferred owner before racing for it (0 = one lease TTL); size it to cover the fleet's boot stagger or the first node up grabs every shard")
 	shardVnodes := flag.Int("shard-vnodes", 0, "virtual nodes per shard on the consistent-hash ring (0 = default)")
-	shardEpochPoll := flag.Duration("shard-epoch-poll", shard.DefaultEpochPoll, "how often a sharded node re-reads the stored ring epoch (bounds how fast the fleet observes a live reshard's phase flips)")
 	leaseID := flag.String("lease-id", "", "this node's shard lease owner ID (default: -addr)")
-	leaseTTL := flag.Duration("lease-ttl", controller.DefaultLeaseTTL, "shard leadership lease TTL (bounds the leaderless window after a crash)")
+	leaseTTL := flag.Duration("lease-ttl", kvstore.DefaultLeaseTTL, "shard leadership lease TTL (bounds the leaderless window after a crash); every store, replication and lease deadline derives from it (see DESIGN.md \"Timing\")")
 	warmupDays := flag.Int("warmup-days", 2, "days of synthetic history for the bootstrap plan")
 	callsPerDay := flag.Int("calls", 4000, "synthetic history calls per day")
 	seed := flag.Int64("seed", 1, "synthetic history seed")
 	worldPath := flag.String("world", "", "JSON world definition (default: the built-in world)")
-	kvDialTimeout := flag.Duration("kv-dial-timeout", 2*time.Second, "store connection attempt timeout")
-	kvTimeout := flag.Duration("kv-timeout", 5*time.Second, "per-command store read/write deadline")
-	kvRetries := flag.Int("kv-retries", 2, "idempotent-command retries after a transport failure (-1 disables)")
-	kvBackoffMin := flag.Duration("kv-backoff-min", 50*time.Millisecond, "minimum store redial backoff")
-	kvBackoffMax := flag.Duration("kv-backoff-max", 2*time.Second, "maximum store redial backoff")
 	journalCap := flag.Int("journal-cap", 8192, "degraded-mode write-behind journal capacity (-1 disables)")
-	probeInterval := flag.Duration("probe-interval", time.Second, "store recovery probe interval while degraded")
 	debugAddr := flag.String("debug-addr", "", "debug HTTP listen address serving /metrics, /debug/trace, /debug/spans, and pprof (empty disables)")
 	traceCap := flag.Int("trace-cap", obs.DefaultRingCapacity, "decision trace ring capacity")
 	spanCap := flag.Int("span-cap", span.DefaultRingCapacity, "span ring capacity behind /debug/spans")
@@ -136,6 +126,12 @@ func main() {
 	// Logs carry trace_id/span_id whenever the context has a span, so a
 	// degraded-store warning can be joined to the request that tripped it.
 	slog.SetDefault(slog.New(span.NewLogHandler(slog.NewTextHandler(os.Stderr, nil))))
+
+	timing := kvstore.TimingFor(*leaseTTL)
+	if err := timing.Validate(); err != nil {
+		fatal("bad -lease-ttl", err)
+	}
+	slog.Info("timing", "derived", timing, "takeover_ms", timing.Takeover().Milliseconds())
 
 	// Telemetry. The registry, decision ring, span ring, and tracer are always
 	// built — the serve path's instrumentation is a few atomic ops per request
@@ -246,11 +242,8 @@ func main() {
 		} else if *replAck != "standby" {
 			fatal("bad -repl-ack", errFlag(*replAck))
 		}
-		primaryOpts := replica.PrimaryOptions{
-			AckMode:    ackMode,
-			AckTimeout: *replAckTimeout,
-			Metrics:    replica.NewMetrics(reg),
-		}
+		primaryOpts, standbyOpts := replica.OptionsFor(timing)
+		primaryOpts.AckMode, primaryOpts.Metrics = ackMode, replica.NewMetrics(reg)
 		switch *replRole {
 		case "":
 			kvAddrs = append([]string{local}, kvAddrs...)
@@ -263,12 +256,8 @@ func main() {
 			if *replPeer == "" {
 				fatal("-repl-role standby", errFlag("needs -repl-peer"))
 			}
-			standby := replica.NewStandby(srv, *replPeer, replica.StandbyOptions{
-				FailoverTimeout: *replFailoverTimeout,
-				Promote:         primaryOpts,
-				Metrics:         primaryOpts.Metrics,
-				Logger:          slog.Default(),
-			})
+			standbyOpts.Promote, standbyOpts.Metrics, standbyOpts.Logger = primaryOpts, primaryOpts.Metrics, slog.Default()
+			standby := replica.NewStandby(srv, *replPeer, standbyOpts)
 			go standby.Run()
 			defer standby.Stop()
 			if len(kvAddrs) == 0 {
@@ -295,15 +284,9 @@ func main() {
 		slog.Info("chaos drill on", "via", proxy.Addr(), "prob", *chaosProb, "latency", *chaosDelay)
 		kvAddrs[0] = proxy.Addr()
 	}
-	kv, err := switchboard.DialKVFailover(kvAddrs, switchboard.KVOptions{
-		DialTimeout: *kvDialTimeout,
-		IOTimeout:   *kvTimeout,
-		MaxRetries:  *kvRetries,
-		BackoffMin:  *kvBackoffMin,
-		BackoffMax:  *kvBackoffMax,
-		Seed:        *seed,
-		Metrics:     kvstore.NewClientMetrics(reg),
-	})
+	kvOpts := timing.Client(*seed)
+	kvOpts.Metrics = kvstore.NewClientMetrics(reg)
+	kv, err := switchboard.DialKVFailover(kvAddrs, kvOpts)
 	if err != nil {
 		fatal("dialing kvstore", err)
 	}
@@ -312,15 +295,10 @@ func main() {
 	aclOf := func(cfg switchboard.CallConfig, dc int) float64 { return est.ACL(cfg, dc) }
 	placer := switchboard.NewPlanPlacer(lm.Demand().Configs, alloc.Alloc, aclOf, len(world.DCs()))
 	ctrlMetrics := controller.NewMetrics(reg)
-	kvOpts := func(seedOff int64) switchboard.KVOptions {
-		return switchboard.KVOptions{
-			DialTimeout: *kvDialTimeout,
-			IOTimeout:   *kvTimeout,
-			MaxRetries:  *kvRetries,
-			BackoffMin:  *kvBackoffMin,
-			BackoffMax:  *kvBackoffMax,
-			Seed:        *seed + seedOff,
-		}
+	// dialKV dials one more failover client; seedOff keeps the clients'
+	// backoff jitter apart.
+	dialKV := func(seedOff int64) (*kvstore.Client, error) {
+		return switchboard.DialKVFailover(kvAddrs, timing.Client(*seed+seedOff))
 	}
 	newCtrl := func(store *switchboard.KVClient, prefix string, sh int) *switchboard.Controller {
 		c, err := switchboard.NewController(switchboard.ControllerConfig{
@@ -330,7 +308,7 @@ func main() {
 			KeyPrefix:     prefix,
 			Shard:         sh,
 			JournalCap:    *journalCap,
-			ProbeInterval: *probeInterval,
+			ProbeInterval: timing.ProbeInterval,
 			Metrics:       ctrlMetrics,
 			Decisions:     ring,
 			Logger:        slog.Default(),
@@ -344,7 +322,7 @@ func main() {
 	// fencing epochs are per-client state and differ per shard. Used for the
 	// boot ring and again by the manager when a live reshard widens it.
 	shardCtrl := func(i int) (*switchboard.Controller, error) {
-		skv, err := switchboard.DialKVFailover(kvAddrs, kvOpts(int64(2+i)))
+		skv, err := dialKV(int64(2 + i))
 		if err != nil {
 			return nil, err
 		}
@@ -375,20 +353,15 @@ func main() {
 			prefer = []int{*shardID}
 		}
 		mgr, err = shard.NewManager(shard.Config{
-			Ring:        shardRing,
-			ID:          id,
-			Controllers: ctrls,
-			ElectorStore: func(i int) (*kvstore.Client, error) {
-				return switchboard.DialKVFailover(kvAddrs, kvOpts(int64(100+i)))
-			},
+			Ring:         shardRing,
+			ID:           id,
+			Controllers:  ctrls,
+			ElectorStore: func(i int) (*kvstore.Client, error) { return dialKV(int64(100 + i)) },
 			// The epoch watcher and live-growth factory make this node a
 			// reshard participant: it observes phase flips from the store and
 			// can host shards the boot ring did not name.
-			WatchStore: func() (*kvstore.Client, error) {
-				return switchboard.DialKVFailover(kvAddrs, kvOpts(200))
-			},
+			WatchStore:    func() (*kvstore.Client, error) { return dialKV(200) },
 			NewController: shardCtrl,
-			EpochPoll:     *shardEpochPoll,
 			Prefer:        prefer,
 			TTL:           *leaseTTL,
 			TakeoverDelay: *shardTakeover,
@@ -434,9 +407,7 @@ func main() {
 			Manager: mgr,
 			NewCoordinator: func() (*shard.Coordinator, error) {
 				return shard.NewCoordinator(shard.CoordinatorConfig{
-					Dial: func() (*kvstore.Client, error) {
-						return switchboard.DialKVFailover(kvAddrs, kvOpts(300))
-					},
+					Dial:       func() (*kvstore.Client, error) { return dialKV(300) },
 					ID:         mgrID,
 					BootShards: *shards,
 					BootVNodes: *shardVnodes,

@@ -33,10 +33,6 @@ const DefaultFreeze = 300 * time.Second
 // DefaultJournalCap bounds the degraded-mode write-behind journal.
 const DefaultJournalCap = 8192
 
-// DefaultProbeInterval is how often a degraded controller probes the store
-// for recovery.
-const DefaultProbeInterval = time.Second
-
 // Sentinel errors, exposed so the HTTP layer can map failures to correct
 // status codes.
 var (
@@ -182,7 +178,7 @@ type Config struct {
 	// counted as dropped while the store is unreachable).
 	JournalCap int
 	// ProbeInterval is how often a degraded controller probes the store
-	// for recovery; zero means DefaultProbeInterval.
+	// for recovery; zero means kvstore.TimingFor(DefaultLeaseTTL)'s.
 	ProbeInterval time.Duration
 	// Metrics, when non-nil, receives controller telemetry (build with
 	// NewMetrics over an obs.Registry). Nil disables metric updates and
@@ -273,7 +269,7 @@ func New(cfg Config) (*Controller, error) {
 		cfg.JournalCap = 0
 	}
 	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = DefaultProbeInterval
+		cfg.ProbeInterval = kvstore.TimingFor(kvstore.DefaultLeaseTTL).ProbeInterval
 	}
 	m := cfg.Metrics
 	if m == nil {

@@ -19,11 +19,6 @@ import (
 	"switchboard/internal/obs/span"
 )
 
-// DefaultLeaseTTL is the default leadership lease duration. A follower takes
-// over within one TTL of the leader's last renewal, so this bounds the
-// leaderless window after a controller crash.
-const DefaultLeaseTTL = 3 * time.Second
-
 // ElectorConfig parameterizes an Elector.
 type ElectorConfig struct {
 	// Store is the elector's own kvstore client. It must not be shared with
@@ -37,11 +32,10 @@ type ElectorConfig struct {
 	// ID identifies this controller as the lease owner (host:port, pod
 	// name...). Required.
 	ID string
-	// TTL is the lease duration; zero means DefaultLeaseTTL.
+	// TTL is the lease duration; zero means kvstore.DefaultLeaseTTL. The
+	// elector attempts once per renew interval, kvstore.TimingFor(TTL).Renew,
+	// and each attempt ends within it.
 	TTL time.Duration
-	// Renew is the renewal interval; zero means TTL/3. It must be
-	// comfortably under TTL or leadership flaps on every scheduling hiccup.
-	Renew time.Duration
 	// OnLead runs once per leadership acquisition with the granted epoch
 	// (typically Controller.SetLease plus a journal replay). Called from
 	// the elector goroutine.
@@ -69,7 +63,8 @@ type ElectorMetrics struct {
 // Elector runs the lease loop for one controller. Start it with Run (in a
 // goroutine); observe it with IsLeader/Epoch/LeaderHint.
 type Elector struct {
-	cfg ElectorConfig
+	cfg   ElectorConfig
+	renew time.Duration
 
 	mu      sync.Mutex
 	leading bool      // guarded by mu
@@ -85,15 +80,12 @@ type Elector struct {
 // NewElector validates cfg and returns an Elector (not yet running).
 func NewElector(cfg ElectorConfig) *Elector {
 	if cfg.TTL <= 0 {
-		cfg.TTL = DefaultLeaseTTL
-	}
-	if cfg.Renew <= 0 {
-		cfg.Renew = cfg.TTL / 3
+		cfg.TTL = kvstore.DefaultLeaseTTL
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = &ElectorMetrics{}
 	}
-	return &Elector{cfg: cfg, stopCh: make(chan struct{}), done: make(chan struct{})}
+	return &Elector{cfg: cfg, renew: kvstore.TimingFor(cfg.TTL).Renew, stopCh: make(chan struct{}), done: make(chan struct{})}
 }
 
 // Run drives the lease loop until Stop: an immediate acquisition attempt,
@@ -102,7 +94,7 @@ func NewElector(cfg ElectorConfig) *Elector {
 func (e *Elector) Run() {
 	defer close(e.done)
 	e.attempt()
-	t := time.NewTicker(e.cfg.Renew)
+	t := time.NewTicker(e.renew)
 	defer t.Stop()
 	for {
 		select {
@@ -131,7 +123,7 @@ func (e *Elector) attempt() {
 	if e.cfg.Tracer != nil {
 		ctx, sp = e.cfg.Tracer.Start(ctx, name)
 	}
-	ctx, cancel := context.WithTimeout(ctx, e.cfg.Renew)
+	ctx, cancel := context.WithTimeout(ctx, e.renew)
 	epoch, err := e.cfg.Store.SetLeaseContext(ctx, e.cfg.Key, e.cfg.ID, e.cfg.TTL)
 	cancel()
 

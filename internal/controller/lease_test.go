@@ -82,7 +82,6 @@ func TestElectorHandoffAndFencing(t *testing.T) {
 			Key:   testLeaseKey,
 			ID:    id,
 			TTL:   300 * time.Millisecond,
-			Renew: 100 * time.Millisecond,
 			OnLead: func(epoch int64) {
 				ctrl.SetLease(testLeaseKey, epoch)
 				_, _ = ctrl.ReplayJournal(context.Background())
@@ -156,7 +155,6 @@ func TestElectorRenewalKeepsEpoch(t *testing.T) {
 		Key:     testLeaseKey,
 		ID:      "ctrl-A",
 		TTL:     150 * time.Millisecond,
-		Renew:   30 * time.Millisecond,
 		Metrics: m,
 	})
 	startElector(t, el)
@@ -187,7 +185,6 @@ func TestElectorStepsDownWhenStoreUnreachable(t *testing.T) {
 		Key:    testLeaseKey,
 		ID:     "ctrl-A",
 		TTL:    200 * time.Millisecond,
-		Renew:  50 * time.Millisecond,
 		OnLose: func() { lost <- struct{}{} },
 	})
 	startElector(t, el)
@@ -210,6 +207,64 @@ func TestElectorStepsDownWhenStoreUnreachable(t *testing.T) {
 	}
 }
 
+// partitionedElector returns an elector (not running) on a store behind a
+// fault proxy, over a client whose own deadlines would let one call block
+// for ~15 s: three attempts of a 5 s I/O timeout.
+func partitionedElector(t *testing.T, ttl time.Duration, onLose func()) (*Elector, *faults.Proxy) {
+	t.Helper()
+	srv, l := startStore(t)
+	t.Cleanup(func() { _ = srv.Close() })
+	proxy, err := faults.NewProxy(l.Addr().String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = proxy.Close() })
+	store, err := kvstore.DialOptions(proxy.Addr(), kvstore.Options{IOTimeout: 5 * time.Second, MaxRetries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = store.Close() })
+	return NewElector(ElectorConfig{Store: store, Key: testLeaseKey, ID: "ctrl-A", TTL: ttl, OnLose: onLose}), proxy
+}
+
+// TestElectorRenewalBoundedOnPartition: a lease renewal against a silently
+// partitioned store returns within the renew interval, whatever the client's
+// own I/O timeout, and a leader whose store partitions steps down within
+// TTL + Renew of its last successful renewal.
+func TestElectorRenewalBoundedOnPartition(t *testing.T) {
+	const ttl = 300 * time.Millisecond
+	const slack = 50 * time.Millisecond
+
+	el, proxy := partitionedElector(t, ttl, nil)
+	el.attempt()
+	if !el.IsLeader() {
+		t.Fatal("no lease acquired on a healthy store")
+	}
+	proxy.Partition()
+	start := time.Now()
+	el.attempt()
+	if took := time.Since(start); took > el.renew+slack {
+		t.Errorf("renewal on a partitioned store took %v, want <= renew %v + %v", took, el.renew, slack)
+	}
+
+	lost := make(chan time.Time, 1)
+	el, proxy = partitionedElector(t, ttl, func() { lost <- time.Now() })
+	startElector(t, el)
+	await(t, "leading", el.IsLeader)
+	proxy.Partition()
+	select {
+	case lostAt := <-lost:
+		el.mu.Lock()
+		lastOK := el.lastOK
+		el.mu.Unlock()
+		if d := lostAt.Sub(lastOK); d > ttl+el.renew+slack {
+			t.Errorf("leader stepped down %v after its last renewal, want <= TTL %v + renew %v + %v", d, ttl, el.renew, slack)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("leader on a partitioned store never stepped down")
+	}
+}
+
 // TestElectorResignIsNotALoss: an orderly Stop resigns the lease without
 // counting a leadership loss, while still clearing the leader gauge and
 // running OnLose exactly once.
@@ -223,7 +278,6 @@ func TestElectorResignIsNotALoss(t *testing.T) {
 		Key:     testLeaseKey,
 		ID:      "ctrl-A",
 		TTL:     300 * time.Millisecond,
-		Renew:   50 * time.Millisecond,
 		OnLose:  func() { losses.Add(1) },
 		Metrics: m,
 	})

@@ -5,7 +5,6 @@ import (
 
 	"switchboard/internal/controller"
 	"switchboard/internal/faults"
-	"switchboard/internal/kvstore"
 )
 
 // ChaosResult reports the fault-injection drill: the same event stream
@@ -45,18 +44,13 @@ func Chaos(env *Env, seed int64) (*ChaosResult, error) {
 	res := &ChaosResult{Calls: len(d.recs), Events: len(d.events), Seed: seed}
 
 	newCtrl := func(addr string) (*controller.Controller, error) {
-		client, err := d.dial(kvstore.Options{
-			DialTimeout: 250 * time.Millisecond,
-			IOTimeout:   250 * time.Millisecond,
-			MaxRetries:  -1,
-			BackoffMin:  10 * time.Millisecond,
-			BackoffMax:  50 * time.Millisecond,
-			Seed:        seed,
-		}, addr)
+		opts := fleet.Client(seed)
+		opts.MaxRetries = -1
+		client, err := d.dial(opts, addr)
 		if err != nil {
 			return nil, err
 		}
-		return d.controller(client, 0, "")
+		return d.controller(client, fleet, 0, "")
 	}
 
 	// Clean run.

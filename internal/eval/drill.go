@@ -99,8 +99,9 @@ func (d *drill) dial(opts kvstore.Options, addrs ...string) (*kvstore.Client, er
 }
 
 // controller builds a MinACL controller persisting to store under the key
-// namespace prefix ("" for the unsharded layout).
-func (d *drill) controller(store *kvstore.Client, shard int, prefix string) (*controller.Controller, error) {
+// namespace prefix ("" for the unsharded layout), probing a degraded store
+// at t's interval.
+func (d *drill) controller(store *kvstore.Client, t kvstore.Timing, shard int, prefix string) (*controller.Controller, error) {
 	world := d.env.World
 	return controller.New(controller.Config{
 		World: world,
@@ -111,29 +112,21 @@ func (d *drill) controller(store *kvstore.Client, shard int, prefix string) (*co
 		Store:         store,
 		KeyPrefix:     prefix,
 		Shard:         shard,
-		ProbeInterval: 20 * time.Millisecond,
+		ProbeInterval: t.ProbeInterval,
 	})
 }
 
-// fleetOptions are the store-client options of the sharded drills' fleets.
-func fleetOptions(seed int64) kvstore.Options {
-	return kvstore.Options{
-		DialTimeout: 200 * time.Millisecond,
-		IOTimeout:   200 * time.Millisecond,
-		MaxRetries:  1,
-		BackoffMin:  10 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
-		Seed:        seed,
-	}
-}
+// fleet is the timing of the chaos drill and the sharded drills' fleets: a
+// 300 ms lease TTL and every other deadline derived from it.
+var fleet = kvstore.TimingFor(300 * time.Millisecond)
 
 // shardController builds shard i's controller over its own client to via.
 func (d *drill) shardController(via string, seed int64, i int) (*controller.Controller, error) {
-	store, err := d.dial(fleetOptions(seed+int64(i)), via)
+	store, err := d.dial(fleet.Client(seed+int64(i)), via)
 	if err != nil {
 		return nil, err
 	}
-	return d.controller(store, i, shard.KeyPrefix(i))
+	return d.controller(store, fleet, i, shard.KeyPrefix(i))
 }
 
 // manager builds and starts a shard manager that stops when the drill closes.

@@ -43,6 +43,10 @@ type PartitionResult struct {
 	Seed int64
 }
 
+// partitionTiming is the partition drill's store pair and client timing: a
+// 750 ms lease TTL gives the standby a 500 ms failover timeout.
+var partitionTiming = kvstore.TimingFor(750 * time.Millisecond)
+
 // PartitionDrill replays the evaluation window's events against a replicated
 // store pair and partitions the primary mid-stream. Unlike Chaos — which
 // severs a single store and leans on the journal alone — this drill has a hot
@@ -63,10 +67,8 @@ func PartitionDrill(env *Env, seed int64) (*PartitionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	replica.NewPrimary(psrv, 0, replica.PrimaryOptions{
-		Heartbeat:  25 * time.Millisecond,
-		AckTimeout: 500 * time.Millisecond,
-	})
+	primaryOpts, standbyOpts := replica.OptionsFor(partitionTiming)
+	replica.NewPrimary(psrv, 0, primaryOpts)
 	proxy, err := faults.NewProxy(paddr, nil)
 	if err != nil {
 		return nil, err
@@ -81,31 +83,19 @@ func PartitionDrill(env *Env, seed int64) (*PartitionResult, error) {
 	}
 	promoted := make(chan *replica.Primary, 1)
 	var promotedAt time.Time // written before the promoted send, read after the receive
-	standby := replica.NewStandby(ssrv, proxy.Addr(), replica.StandbyOptions{
-		FailoverTimeout: 500 * time.Millisecond,
-		DialTimeout:     100 * time.Millisecond,
-		ReadTimeout:     150 * time.Millisecond,
-		RedialInterval:  20 * time.Millisecond,
-		OnPromote: func(p *replica.Primary) {
-			promotedAt = time.Now() //sblint:allow nondeterminism -- promotion timestamp
-			promoted <- p
-		},
-	})
+	standbyOpts.OnPromote = func(p *replica.Primary) {
+		promotedAt = time.Now() //sblint:allow nondeterminism -- promotion timestamp
+		promoted <- p
+	}
+	standby := replica.NewStandby(ssrv, proxy.Addr(), standbyOpts)
 	go standby.Run()
 	d.onClose(standby.Stop)
 
-	client, err := d.dial(kvstore.Options{
-		DialTimeout: 100 * time.Millisecond,
-		IOTimeout:   250 * time.Millisecond,
-		MaxRetries:  2,
-		BackoffMin:  10 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
-		Seed:        seed,
-	}, proxy.Addr(), saddr)
+	client, err := d.dial(partitionTiming.Client(seed), proxy.Addr(), saddr)
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := d.controller(client, 0, "")
+	ctrl, err := d.controller(client, partitionTiming, 0, "")
 	if err != nil {
 		return nil, err
 	}

@@ -85,16 +85,14 @@ func ReshardDrill(env *Env, seed int64) (*ReshardResult, error) {
 		ID:          "reshard-drill",
 		Controllers: ctrls,
 		ElectorStore: func(i int) (*kvstore.Client, error) {
-			return kvstore.DialOptions(addr, fleetOptions(seed+100+int64(i)))
+			return kvstore.DialOptions(addr, fleet.Client(seed+100+int64(i)))
 		},
 		NewController: newCtrl,
 		WatchStore: func() (*kvstore.Client, error) {
-			return kvstore.DialOptions(addr, fleetOptions(seed+200))
+			return kvstore.DialOptions(addr, fleet.Client(seed+200))
 		},
-		EpochPoll: 50 * time.Millisecond,
-		Prefer:    []int{0, 1, 2},
-		TTL:       300 * time.Millisecond,
-		Renew:     75 * time.Millisecond,
+		Prefer: []int{0, 1, 2},
+		TTL:    fleet.TTL,
 	})
 	if err != nil {
 		return nil, err
@@ -107,17 +105,12 @@ func ReshardDrill(env *Env, seed int64) (*ReshardResult, error) {
 
 	co, err := shard.NewCoordinator(shard.CoordinatorConfig{
 		Dial: func() (*kvstore.Client, error) {
-			return kvstore.DialOptions(addr, fleetOptions(seed+300))
+			return kvstore.DialOptions(addr, fleet.Client(seed+300))
 		},
-		ID:          "reshard-drill-co",
-		BootShards:  drillShards,
-		BootVNodes:  64,
-		TTL:         300 * time.Millisecond,
-		Renew:       75 * time.Millisecond,
-		Poll:        25 * time.Millisecond,
-		CutoverHold: 600 * time.Millisecond,
-		BackoffBase: 10 * time.Millisecond,
-		BackoffMax:  100 * time.Millisecond,
+		ID:         "reshard-drill-co",
+		BootShards: drillShards,
+		BootVNodes: 64,
+		TTL:        fleet.TTL,
 	})
 	if err != nil {
 		return nil, err

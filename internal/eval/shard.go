@@ -86,12 +86,10 @@ func ShardDrill(env *Env, seed int64) (*ShardResult, error) {
 			ID:          id,
 			Controllers: ctrls,
 			ElectorStore: func(i int) (*kvstore.Client, error) {
-				return kvstore.DialOptions(via, fleetOptions(seed+100+int64(i)))
+				return kvstore.DialOptions(via, fleet.Client(seed+100+int64(i)))
 			},
-			Prefer:        prefer,
-			TTL:           300 * time.Millisecond,
-			Renew:         75 * time.Millisecond,
-			TakeoverDelay: 300 * time.Millisecond,
+			Prefer: prefer,
+			TTL:    fleet.TTL,
 		})
 	}
 	a, err := newNode(proxy.Addr(), "drill-a", []int{0, 1}, seed)

@@ -64,7 +64,6 @@ func startFleetNode(t *testing.T, l net.Listener, storeAddr string, ring *shard.
 		},
 		Prefer: prefer,
 		TTL:    300 * time.Millisecond,
-		Renew:  75 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

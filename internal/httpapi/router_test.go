@@ -73,7 +73,6 @@ func startShardNode(t *testing.T, storeAddr string, ring *shard.Ring, prefer []i
 		},
 		Prefer:  prefer,
 		TTL:     300 * time.Millisecond,
-		Renew:   75 * time.Millisecond,
 		Metrics: shard.NewMetrics(obs.NewRegistry()),
 	})
 	if err != nil {

@@ -15,21 +15,20 @@ import (
 	"switchboard/internal/obs/span"
 )
 
-// Options tunes the client's deadlines and redial policy. The zero value
-// gives the production defaults; negative IOTimeout or MaxRetries disable
-// the corresponding behavior.
+// Options tunes the client's deadlines and redial policy. A zero field takes
+// its value from TimingFor(DefaultLeaseTTL); a negative MaxRetries disables
+// retries.
 type Options struct {
-	// DialTimeout bounds each connection attempt (default 2s).
+	// DialTimeout bounds each connection attempt.
 	DialTimeout time.Duration
-	// IOTimeout is the per-command read/write deadline (default 5s;
-	// negative disables deadlines).
+	// IOTimeout is the per-command read/write deadline.
 	IOTimeout time.Duration
 	// MaxRetries is how many times an idempotent command is retried after
 	// a transport failure, each retry preceded by a backoff sleep and a
-	// redial (default 2; negative disables retries).
+	// redial.
 	MaxRetries int
 	// BackoffMin and BackoffMax bound the capped exponential redial
-	// backoff (defaults 50ms and 2s).
+	// backoff.
 	BackoffMin, BackoffMax time.Duration
 	// Seed drives the deterministic backoff jitter (default 1).
 	Seed int64
@@ -40,26 +39,24 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
+	d := TimingFor(DefaultLeaseTTL)
 	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
+		o.DialTimeout = d.DialTimeout
 	}
-	switch {
-	case o.IOTimeout == 0:
-		o.IOTimeout = 5 * time.Second
-	case o.IOTimeout < 0:
-		o.IOTimeout = 0
+	if o.IOTimeout <= 0 {
+		o.IOTimeout = d.IOTimeout
 	}
 	switch {
 	case o.MaxRetries == 0:
-		o.MaxRetries = 2
+		o.MaxRetries = d.MaxRetries
 	case o.MaxRetries < 0:
 		o.MaxRetries = 0
 	}
 	if o.BackoffMin <= 0 {
-		o.BackoffMin = 50 * time.Millisecond
+		o.BackoffMin = d.BackoffMin
 	}
 	if o.BackoffMax <= 0 {
-		o.BackoffMax = 2 * time.Second
+		o.BackoffMax = d.BackoffMax
 	}
 	if o.BackoffMax < o.BackoffMin {
 		o.BackoffMax = o.BackoffMin
@@ -116,7 +113,6 @@ type Client struct {
 	redials    atomic.Int64
 	retries    atomic.Int64
 	poisonings atomic.Int64
-	redirects  atomic.Int64
 
 	// lastRTT is the duration of the most recent round trip, exposed so
 	// the controller benchmark can report write latencies (§6.6).
@@ -176,19 +172,21 @@ func DialFailover(addrs []string, opts Options) (*Client, error) {
 	}
 	c := &Client{addrs: append([]string(nil), addrs...), opts: opts.withDefaults()}
 	c.rng = uint64(c.opts.Seed)
-	if err := c.connect(); err != nil {
+	if err := c.connect(time.Time{}); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrExhausted, err)
 	}
 	return c, nil
 }
 
-// connect dials addrs starting at cur, rotating on failure. Landing on a
-// different address than the previous connection counts as a failover.
-func (c *Client) connect() error {
+// connect dials addrs starting at cur, rotating on failure; each dial is
+// bounded by DialTimeout and by deadline when set. Landing on a different
+// address than the previous connection counts as a failover.
+func (c *Client) connect(deadline time.Time) error {
 	var lastErr error
+	dialer := net.Dialer{Timeout: c.opts.DialTimeout, Deadline: deadline}
 	for i := 0; i < len(c.addrs); i++ {
 		idx := (c.cur + i) % len(c.addrs)
-		conn, err := net.DialTimeout("tcp", c.addrs[idx], c.opts.DialTimeout)
+		conn, err := dialer.Dial("tcp", c.addrs[idx])
 		if err != nil {
 			lastErr = err
 			continue
@@ -226,9 +224,6 @@ func (c *Client) Close() error {
 // LastRTT returns the duration of the most recent command round trip.
 func (c *Client) LastRTT() time.Duration { return c.lastRTT }
 
-// Broken reports whether the connection is currently poisoned.
-func (c *Client) Broken() bool { return !c.closed && c.conn == nil && c.broken != nil }
-
 // Redials returns how many times the client successfully reconnected after
 // a transport failure.
 func (c *Client) Redials() int64 { return c.redials.Load() }
@@ -240,9 +235,6 @@ func (c *Client) Retries() int64 { return c.retries.Load() }
 // Poisonings returns how many times a transport error poisoned the
 // connection.
 func (c *Client) Poisonings() int64 { return c.poisonings.Load() }
-
-// Redirects returns how many MOVED redirects the client followed.
-func (c *Client) Redirects() int64 { return c.redirects.Load() }
 
 // Idempotent reports whether cmd can be retried after an ambiguous
 // transport failure (the in-flight command may or may not have executed
@@ -278,9 +270,9 @@ func (c *Client) poison(err error) {
 }
 
 // ensureConn returns with a live connection, or an error. A poisoned client
-// redials once its backoff window passed (always, when force is set); until
-// then it fails fast with ErrBroken.
-func (c *Client) ensureConn(force bool) error {
+// redials (by deadline, when set) once its backoff window passed (always,
+// when force is set); until then it fails fast with ErrBroken.
+func (c *Client) ensureConn(force bool, deadline time.Time) error {
 	if c.closed {
 		return errClosed
 	}
@@ -290,7 +282,7 @@ func (c *Client) ensureConn(force bool) error {
 	if !force && time.Now().Before(c.nextRedial) {
 		return fmt.Errorf("%w: %v", ErrBroken, c.broken) //sblint:allowalloc(fail-fast error path; connection is down)
 	}
-	if err := c.connect(); err != nil {
+	if err := c.connect(deadline); err != nil {
 		c.failures++
 		c.nextRedial = time.Now().Add(c.backoff(c.failures - 1))
 		c.broken = err
@@ -318,12 +310,13 @@ func (c *Client) backoff(n int) time.Duration {
 	return d + time.Duration(float64(d)*0.5*j)
 }
 
-// doOnce runs one command over the live connection under the per-command
-// deadline.
-func (c *Client) doOnce(args []string) (interface{}, error) {
-	if c.opts.IOTimeout > 0 {
-		_ = c.conn.SetDeadline(time.Now().Add(c.opts.IOTimeout)) //sblint:allowalloc(net.Conn deadline call; dynamic dispatch only, no data-dependent allocation)
+// doOnce runs one command over the live connection under the earlier of
+// IOTimeout from now and deadline (when set).
+func (c *Client) doOnce(args []string, deadline time.Time) (interface{}, error) {
+	if io := time.Now().Add(c.opts.IOTimeout); deadline.IsZero() || io.Before(deadline) {
+		deadline = io
 	}
+	_ = c.conn.SetDeadline(deadline) //sblint:allowalloc(net.Conn deadline call; dynamic dispatch only, no data-dependent allocation)
 	if err := c.writeCommand(args); err != nil {
 		return nil, err
 	}
@@ -341,15 +334,19 @@ func (c *Client) Do(args ...string) (interface{}, error) {
 	return c.DoContext(context.Background(), args...)
 }
 
-// DoContext is Do under a context. When ctx carries an active span, each wire
-// attempt becomes a "kv.<VERB>" child span (retry legs carry retry=true);
-// the command goes on the wire exactly as an untraced one. With no span in
-// ctx the path is identical to Do — no spans, no allocations. The context is
-// used for tracing only; deadlines remain Options.IOTimeout's job.
+// DoContext is Do under a context. Every wire attempt and redial ends by the
+// earlier of ctx's deadline and Options.IOTimeout, and no retry starts once
+// ctx is done or its deadline falls within the backoff, so the call returns
+// by ctx's deadline (one that fires mid-command poisons the connection).
+// When ctx carries an active span, each wire attempt becomes a "kv.<VERB>"
+// child span (retry legs carry retry=true); the command goes on the wire
+// exactly as an untraced one. With no span in ctx the path is identical to
+// Do — no spans, no allocations.
 func (c *Client) DoContext(ctx context.Context, args ...string) (interface{}, error) {
 	if len(args) == 0 {
 		return nil, errKvEmptyCommand
 	}
+	deadline, _ := ctx.Deadline() //sblint:allowalloc(context interface call; the stdlib contexts return a stored deadline without allocating)
 	parent := span.FromContext(ctx)
 	retriable := Idempotent(args[0])
 	start := time.Now()
@@ -363,7 +360,7 @@ func (c *Client) DoContext(ctx context.Context, args ...string) (interface{}, er
 				sp.SetAttr("retry", "true")
 			}
 		}
-		if err := c.ensureConn(attempt > 0); err != nil {
+		if err := c.ensureConn(attempt > 0, deadline); err != nil {
 			lastErr = err
 			sp.SetError(err)
 			sp.End()
@@ -371,12 +368,12 @@ func (c *Client) DoContext(ctx context.Context, args ...string) (interface{}, er
 				return nil, err
 			}
 		} else {
-			reply, err := c.doOnce(args)
+			reply, err := c.doOnce(args, deadline)
 			// A MOVED redirect means the peer refused to execute (it is a
 			// standby), so following it is safe even for non-idempotent
 			// commands and does not consume a retry. Hops are capped so two
 			// confused servers pointing at each other cannot loop us.
-			if addr, ok := MovedAddr(err); ok {
+			if addr, ok := movedAddr(err); ok {
 				if movedHops < maxMovedHops {
 					movedHops++
 					attempt--
@@ -404,12 +401,16 @@ func (c *Client) DoContext(ctx context.Context, args ...string) (interface{}, er
 			sp.SetError(err)
 			sp.End()
 		}
-		if !retriable || attempt >= c.opts.MaxRetries {
+		if !retriable || attempt >= c.opts.MaxRetries || ctx.Err() != nil { //sblint:allowalloc(retry-decision path after a transport failure; the stdlib contexts return a stored error)
+			return nil, lastErr
+		}
+		wait := c.backoff(attempt)
+		if !deadline.IsZero() && time.Until(deadline) <= wait {
 			return nil, lastErr
 		}
 		c.retries.Add(1)
 		c.opts.Metrics.retried()
-		time.Sleep(c.backoff(attempt))
+		time.Sleep(wait)
 	}
 }
 
@@ -430,10 +431,10 @@ func IsServerError(err error) bool {
 // maxMovedHops caps how many MOVED redirects one command follows.
 const maxMovedHops = 4
 
-// MovedAddr extracts the target address from a MOVED redirect error ("-MOVED
+// movedAddr extracts the target address from a MOVED redirect error ("-MOVED
 // <addr>", sent by a standby refusing a mutation); ok is false for any other
 // error.
-func MovedAddr(err error) (addr string, ok bool) {
+func movedAddr(err error) (addr string, ok bool) {
 	var re respError
 	if !errors.As(err, &re) {
 		return "", false
@@ -505,7 +506,6 @@ func (c *Client) redirect(addr string) {
 		c.cur = len(c.addrs) - 1
 	}
 	c.nextRedial = time.Now()
-	c.redirects.Add(1)
 	c.opts.Metrics.redirected()
 }
 
@@ -564,11 +564,6 @@ func (c *Client) GetLease(key string) (owner string, epoch int64, remaining time
 	epoch, _ = strconv.ParseInt(es, 10, 64)
 	remainMS, _ := strconv.ParseInt(ms, 10, 64)
 	return owner, epoch, time.Duration(remainMS) * time.Millisecond, nil
-}
-
-// Ping round-trips a PING.
-func (c *Client) Ping() error {
-	return c.PingContext(context.Background())
 }
 
 // PingContext round-trips a PING under a context (see DoContext).
@@ -682,11 +677,7 @@ func (c *Client) HGetAllContext(ctx context.Context, key string) (map[string]str
 // trailing-star KEYS), sorted; the reply carries one shard's namespace, not
 // the whole store.
 func (c *Client) KeysPrefixContext(ctx context.Context, prefix string) ([]string, error) {
-	return c.keysPattern(ctx, prefix+"*") //sblint:allowalloc(scan path, not a data-path command; one concat per scan)
-}
-
-func (c *Client) keysPattern(ctx context.Context, pattern string) ([]string, error) {
-	r, err := c.DoContext(ctx, "KEYS", pattern)
+	r, err := c.DoContext(ctx, "KEYS", prefix+"*") //sblint:allowalloc(scan path, not a data-path command; one concat per scan)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"context"
 	"errors"
 	"net"
 	"testing"
@@ -60,21 +61,21 @@ func TestMovedMutualRedirectLoop(t *testing.T) {
 		}
 		return ""
 	})
-	c := dialT(t, addrA)
+	c, m := dialMetered(t, addrA)
 	start := time.Now()
 	err := c.Set("k", "v")
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrRedirectLoop) {
 		t.Fatalf("mutual MOVED loop: got %v, want ErrRedirectLoop", err)
 	}
-	if got := c.Redirects(); got != maxMovedHops {
+	if got := m.Redirects.Value(); got != maxMovedHops {
 		t.Fatalf("redirects = %d, want the cap %d", got, maxMovedHops)
 	}
 	if elapsed > 3*time.Second {
 		t.Fatalf("redirect loop took %v to terminate", elapsed)
 	}
 	// The client is still usable against the non-gated read path.
-	if err := c.Ping(); err != nil {
+	if err := c.PingContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

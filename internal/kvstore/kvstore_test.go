@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"switchboard/internal/obs"
 )
 
 // startServer returns a serving store and its dial address.
@@ -34,6 +36,18 @@ func dialT(t *testing.T, addr string) *Client {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// dialMetered is dialT with the client's telemetry counters exposed.
+func dialMetered(t *testing.T, addr string) (*Client, *ClientMetrics) {
+	t.Helper()
+	m := NewClientMetrics(obs.NewRegistry())
+	c, err := DialOptions(addr, Options{Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c, m
 }
 
 func TestSetGet(t *testing.T) {
@@ -316,7 +330,7 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Ping(); err != nil {
+	if err := c.PingContext(context.Background()); err != nil {
 		t.Fatalf("PING while serving: %v", err)
 	}
 	c.Close()

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -132,16 +133,16 @@ func TestMovedRedirectLoopTerminates(t *testing.T) {
 		}
 		return ""
 	})
-	c := dialT(t, addr)
+	c, m := dialMetered(t, addr)
 	err := c.Set("k", "v")
 	if !errors.Is(err, ErrRedirectLoop) {
 		t.Fatalf("redirect loop: got %v, want ErrRedirectLoop", err)
 	}
-	if got := c.Redirects(); got != maxMovedHops {
+	if got := m.Redirects.Value(); got != maxMovedHops {
 		t.Fatalf("redirects = %d, want the cap %d", got, maxMovedHops)
 	}
 	// Reads pass the gate untouched.
-	if err := c.Ping(); err != nil {
+	if err := c.PingContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

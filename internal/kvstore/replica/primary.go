@@ -27,15 +27,15 @@ const (
 	AckRelaxed
 )
 
-// PrimaryOptions tunes the primary half. The zero value gives usable
-// defaults.
+// PrimaryOptions tunes the primary half. A zero timing field takes its value
+// from OptionsFor(kvstore.TimingFor(kvstore.DefaultLeaseTTL)).
 type PrimaryOptions struct {
 	AckMode AckMode
 	// AckTimeout bounds how long a write waits for the standby before it is
-	// refused with REPLWAIT (default 1s).
+	// refused with REPLWAIT.
 	AckTimeout time.Duration
 	// Heartbeat is the idle-stream ping interval; standbys treat silence
-	// beyond their FailoverTimeout as primary death (default 100ms).
+	// beyond their FailoverTimeout as primary death.
 	Heartbeat time.Duration
 	// LogCap bounds the replication log (default 65536 entries).
 	LogCap  int
@@ -43,11 +43,12 @@ type PrimaryOptions struct {
 }
 
 func (o PrimaryOptions) withDefaults() PrimaryOptions {
+	d, _ := OptionsFor(kvstore.TimingFor(kvstore.DefaultLeaseTTL))
 	if o.AckTimeout <= 0 {
-		o.AckTimeout = time.Second
+		o.AckTimeout = d.AckTimeout
 	}
 	if o.Heartbeat <= 0 {
-		o.Heartbeat = 100 * time.Millisecond
+		o.Heartbeat = d.Heartbeat
 	}
 	if o.LogCap <= 0 {
 		o.LogCap = 1 << 16

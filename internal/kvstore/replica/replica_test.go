@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"context"
 	"net"
 	"strconv"
 	"testing"
@@ -178,11 +179,16 @@ func TestStandbyGateMoved(t *testing.T) {
 
 	// A client pointed only at the standby still lands its write on the
 	// primary via the redirect.
-	cli := dial(t, saddr)
+	m := kvstore.NewClientMetrics(obs.NewRegistry())
+	cli, err := kvstore.DialOptions(saddr, kvstore.Options{Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cli.Close() })
 	if err := cli.Set("via-standby", "ok"); err != nil {
 		t.Fatalf("redirected SET: %v", err)
 	}
-	if cli.Redirects() == 0 {
+	if m.Redirects.Value() == 0 {
 		t.Fatal("expected a MOVED redirect to be followed")
 	}
 	waitFor(t, 5*time.Second, "replication", func() bool { return sb.LastSeq() >= prim.LastSeq() })
@@ -218,7 +224,7 @@ func TestAckTimeoutRefusesWrite(t *testing.T) {
 		t.Fatalf("want REPLWAIT error, got %v", err)
 	}
 	// Reads are unaffected by the ack policy.
-	if err := cli.Ping(); err != nil {
+	if err := cli.PingContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

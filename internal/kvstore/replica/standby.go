@@ -12,21 +12,20 @@ import (
 	"switchboard/internal/kvstore"
 )
 
-// StandbyOptions tunes the standby half. The zero value gives usable
-// defaults.
+// StandbyOptions tunes the standby half. A zero timing field takes its value
+// from OptionsFor(kvstore.TimingFor(kvstore.DefaultLeaseTTL)).
 type StandbyOptions struct {
 	// FailoverTimeout is how long the primary may stay silent (no stream
 	// reads — covering crashes and partitions alike) before the standby
-	// promotes itself (default 2s; negative disables self-promotion).
+	// promotes itself (negative disables self-promotion).
 	FailoverTimeout time.Duration
-	// DialTimeout bounds each connection attempt to the primary (default
-	// 500ms).
+	// DialTimeout bounds each connection attempt to the primary.
 	DialTimeout time.Duration
 	// ReadTimeout is the per-read deadline on the sync stream; it must
 	// exceed the primary's heartbeat interval or a healthy idle stream
-	// looks dead (default 300ms).
+	// looks dead.
 	ReadTimeout time.Duration
-	// RedialInterval paces reconnect attempts (default 50ms).
+	// RedialInterval paces reconnect attempts.
 	RedialInterval time.Duration
 	// Promote configures the Primary this standby becomes on promotion.
 	Promote PrimaryOptions
@@ -37,18 +36,27 @@ type StandbyOptions struct {
 	Logger    *slog.Logger
 }
 
+// OptionsFor returns the timing of an HA pair running at t: the primary's
+// options, and the standby's, which promote into the primary's.
+func OptionsFor(t kvstore.Timing) (PrimaryOptions, StandbyOptions) {
+	p := PrimaryOptions{AckTimeout: t.AckTimeout, Heartbeat: t.Heartbeat}
+	return p, StandbyOptions{FailoverTimeout: t.FailoverTimeout, DialTimeout: t.DialTimeout,
+		ReadTimeout: t.SyncTimeout, RedialInterval: t.BackoffMin, Promote: p}
+}
+
 func (o StandbyOptions) withDefaults() StandbyOptions {
+	_, d := OptionsFor(kvstore.TimingFor(kvstore.DefaultLeaseTTL))
 	if o.FailoverTimeout == 0 {
-		o.FailoverTimeout = 2 * time.Second
+		o.FailoverTimeout = d.FailoverTimeout
 	}
 	if o.DialTimeout <= 0 {
-		o.DialTimeout = 500 * time.Millisecond
+		o.DialTimeout = d.DialTimeout
 	}
 	if o.ReadTimeout <= 0 {
-		o.ReadTimeout = 300 * time.Millisecond
+		o.ReadTimeout = d.ReadTimeout
 	}
 	if o.RedialInterval <= 0 {
-		o.RedialInterval = 50 * time.Millisecond
+		o.RedialInterval = d.RedialInterval
 	}
 	return o
 }

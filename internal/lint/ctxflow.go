@@ -13,7 +13,7 @@ import (
 //   - context.Background() / context.TODO() passed as a call argument —
 //     the caller's context (deadline, trace span) is silently dropped
 //   - calls to a context-less function or method when a sibling taking a
-//     context exists (HSet vs HSetContext, Ping vs PingContext): the
+//     context exists (HSet vs HSetContext, HGetAll vs HGetAllContext): the
 //     sibling is there precisely so the context can flow
 //
 // Functions that do not receive a context are exempt — fire-and-forget

@@ -54,7 +54,6 @@ func chaosShard(t *testing.T, partition bool) {
 		},
 		Prefer: []int{0, 1},
 		TTL:    testTTL,
-		Renew:  testRenew,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,17 +13,6 @@ import (
 	"switchboard/internal/obs/span"
 )
 
-// DefaultTakeoverDelay multiplies the lease TTL into the head start a shard's
-// preferred owner gets before peers begin racing its lease (see
-// Config.Prefer).
-const DefaultTakeoverDelay = 1
-
-// DefaultEpochPoll is how often a Manager re-reads the fleet's ring epoch
-// from the store (see Config.WatchStore). The poll bounds how stale a node's
-// routing can be during a reshard; phases tolerate staleness by design (a
-// stale router's writes land on a leader that re-checks its own view).
-const DefaultEpochPoll = 250 * time.Millisecond
-
 // Config parameterizes a Manager.
 type Config struct {
 	// Ring maps conference IDs onto shards at boot. Required; every node in
@@ -50,19 +39,18 @@ type Config struct {
 	// watching. nil disables epoch watching: the node serves its boot ring
 	// forever and takes no part in live resharding.
 	WatchStore func() (*kvstore.Client, error)
-	// EpochPoll is the ring-epoch poll interval; zero means DefaultEpochPoll.
-	EpochPoll time.Duration
 	// Prefer lists the shards this node is the preferred owner of: their
 	// electors race immediately at Start, while every other shard's elector
 	// waits TakeoverDelay first. A fleet whose preferences partition the
 	// shards gets a deterministic steady-state ownership map; failover is
 	// unaffected (after the delay every elector races every renew interval).
 	Prefer []int
-	// TTL and Renew parameterize each shard's lease (see
-	// controller.ElectorConfig); zero means the controller defaults.
-	TTL, Renew time.Duration
+	// TTL is each shard's lease duration (see controller.ElectorConfig);
+	// zero means kvstore.DefaultLeaseTTL.
+	TTL time.Duration
 	// TakeoverDelay is how long a non-preferred elector waits before its
-	// first attempt; zero means one TTL.
+	// first attempt: the head start a shard's preferred owner gets. Zero
+	// means one TTL.
 	TakeoverDelay time.Duration
 	Metrics       *Metrics
 	Logger        *slog.Logger
@@ -173,13 +161,10 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, errConfig("ElectorStore is required")
 	}
 	if cfg.TTL <= 0 {
-		cfg.TTL = controller.DefaultLeaseTTL
+		cfg.TTL = kvstore.DefaultLeaseTTL
 	}
 	if cfg.TakeoverDelay <= 0 {
-		cfg.TakeoverDelay = DefaultTakeoverDelay * cfg.TTL
-	}
-	if cfg.EpochPoll <= 0 {
-		cfg.EpochPoll = DefaultEpochPoll
+		cfg.TakeoverDelay = cfg.TTL
 	}
 	m := &Manager{
 		cfg:           cfg,
@@ -221,7 +206,6 @@ func (m *Manager) addShardLocked(i int, ctrl *controller.Controller) error {
 		Key:     LeaseKey(shard),
 		ID:      m.cfg.ID,
 		TTL:     m.cfg.TTL,
-		Renew:   m.cfg.Renew,
 		OnLead:  func(epoch int64) { m.lead(shard, epoch) },
 		OnLose:  func() { m.lose(shard) },
 		Metrics: m.cfg.Metrics.electorMetrics(shard),

@@ -14,13 +14,10 @@ import (
 
 var world = geo.DefaultWorld()
 
-// Chaos-grade timing: lease TTL well above the client I/O deadline, renew
-// well below the TTL, everything far under the test deadlines so the suite
-// stays solid under -race on a loaded CI box.
-const (
-	testTTL   = 400 * time.Millisecond
-	testRenew = 100 * time.Millisecond
-)
+// Chaos-grade timing: lease TTL well above the client I/O deadline (the
+// renew interval is TTL/3), everything far under the test deadlines so the
+// suite stays solid under -race on a loaded CI box.
+const testTTL = 400 * time.Millisecond
 
 func startStore(t *testing.T) string {
 	t.Helper()
@@ -94,7 +91,6 @@ func newManager(t *testing.T, addr, id string, shards int, prefer []int, seed in
 		},
 		Prefer: prefer,
 		TTL:    testTTL,
-		Renew:  testRenew,
 	})
 	if err != nil {
 		t.Fatal(err)

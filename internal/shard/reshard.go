@@ -37,11 +37,6 @@ import (
 
 // Coordinator step-pacing defaults.
 const (
-	// DefaultReshardPoll paces the coordinator's wait loops (leaders, acks).
-	DefaultReshardPoll = 100 * time.Millisecond
-	// DefaultReshardBackoffBase / Max bound the capped jittered retry backoff.
-	DefaultReshardBackoffBase = 50 * time.Millisecond
-	DefaultReshardBackoffMax  = 2 * time.Second
 	// DefaultReshardAttempts bounds one step's retries before the run fails
 	// (the checkpoint survives; a later run resumes).
 	DefaultReshardAttempts = 8
@@ -63,20 +58,14 @@ type CoordinatorConfig struct {
 	// ever been stored (a fleet still on its boot ring). Required.
 	BootShards int
 	BootVNodes int
-	// TTL and Renew parameterize the coordinator lease's elector; zero
-	// means the controller-lease defaults. A crashed coordinator can be
-	// superseded one TTL after its last renewal.
-	TTL, Renew time.Duration
-	// Poll paces the wait loops; zero means DefaultReshardPoll.
-	Poll time.Duration
-	// CutoverHold is how long cutover keeps serving double reads before the
-	// target ring is declared stable and moved keys are retired; zero means
-	// two lease TTLs (time for every node to observe the flip and recover).
-	CutoverHold time.Duration
-	// BackoffBase/BackoffMax/MaxAttempts shape the per-step retry loop; zero
-	// means the defaults above.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
+	// TTL is the coordinator lease's duration (zero means
+	// kvstore.DefaultLeaseTTL); a crashed coordinator is superseded one TTL
+	// after its last renewal. The wait loops poll at its timing's EpochPoll
+	// (the cadence nodes ack phase flips at), step retries back off within
+	// its backoff bounds, and cutover serves double reads for two TTLs.
+	TTL time.Duration
+	// MaxAttempts bounds one step's retries; zero means
+	// DefaultReshardAttempts.
 	MaxAttempts int
 	Metrics     *Metrics
 	Logger      *slog.Logger
@@ -106,19 +95,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, errConfig("coordinator BootShards is required")
 	}
 	if cfg.TTL <= 0 {
-		cfg.TTL = controller.DefaultLeaseTTL
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = DefaultReshardPoll
-	}
-	if cfg.CutoverHold <= 0 {
-		cfg.CutoverHold = 2 * cfg.TTL
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = DefaultReshardBackoffBase
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = DefaultReshardBackoffMax
+		cfg.TTL = kvstore.DefaultLeaseTTL
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = DefaultReshardAttempts
@@ -298,7 +275,6 @@ func (co *Coordinator) lead(ctx context.Context, body func(ctx context.Context) 
 		Key:   ReshardLeaseKey,
 		ID:    co.cfg.ID,
 		TTL:   co.cfg.TTL,
-		Renew: co.cfg.Renew,
 		OnLead: func(epoch int64) {
 			// Non-blocking: only the first grant is read, and a later
 			// re-grant follows a loss, which has already cancelled the run.
@@ -473,7 +449,7 @@ func (co *Coordinator) cutover(ctx context.Context, st *ReshardState) error {
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-time.After(co.cfg.CutoverHold):
+	case <-time.After(2 * co.cfg.TTL):
 	}
 	co.hook(PhaseCutover, "retire")
 	if err := co.retireMoved(ctx, st); err != nil {
@@ -617,7 +593,7 @@ func (co *Coordinator) waitLeader(ctx context.Context, s int) error {
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("shard: waiting for shard %d leader: %w", s, ctx.Err())
-		case <-time.After(co.cfg.Poll):
+		case <-time.After(kvstore.TimingFor(co.cfg.TTL).EpochPoll):
 		}
 	}
 }
@@ -655,7 +631,7 @@ func (co *Coordinator) waitAcks(ctx context.Context, st *ReshardState) (map[int]
 		select {
 		case <-ctx.Done():
 			return nil, fmt.Errorf("shard: waiting for journal-handoff acks: %w", ctx.Err())
-		case <-time.After(co.cfg.Poll):
+		case <-time.After(kvstore.TimingFor(co.cfg.TTL).EpochPoll):
 		}
 	}
 }
@@ -706,9 +682,10 @@ func (co *Coordinator) retry(ctx context.Context, step string, f func(ctx contex
 // backoff is capped exponential with deterministic jitter (splitmix of the
 // attempt counter — no global randomness, so drills replay identically).
 func (co *Coordinator) backoff(attempt int) time.Duration {
-	d := co.cfg.BackoffBase << (attempt - 1)
-	if d > co.cfg.BackoffMax || d <= 0 {
-		d = co.cfg.BackoffMax
+	t := kvstore.TimingFor(co.cfg.TTL)
+	d := t.BackoffMin << (attempt - 1)
+	if d > t.BackoffMax || d <= 0 {
+		d = t.BackoffMax
 	}
 	jitter := time.Duration(mix64(uint64(attempt)) % uint64(d/2+1))
 	return d/2 + jitter

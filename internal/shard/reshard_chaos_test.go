@@ -13,10 +13,6 @@ import (
 	"switchboard/internal/kvstore"
 )
 
-// reshardTestPoll keeps the drill fast: managers observe phase flips within
-// 50ms, the coordinator's wait loops spin at 25ms.
-const reshardTestPoll = 50 * time.Millisecond
-
 // newReshardManager assembles a reshard-capable node: per-shard controllers
 // and electors dialing through dataAddr/elecAddr (possibly chaos proxies),
 // plus the epoch watcher and live-growth factory that make it a reshard
@@ -62,10 +58,8 @@ func newReshardManager(t *testing.T, dataAddr, elecAddr, id string, shards int, 
 		WatchStore: func() (*kvstore.Client, error) {
 			return kvstore.DialOptions(dataAddr, fastOpts(seed+200))
 		},
-		EpochPoll: reshardTestPoll,
-		Prefer:    prefer,
-		TTL:       testTTL,
-		Renew:     testRenew,
+		Prefer: prefer,
+		TTL:    testTTL,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,16 +80,11 @@ func newTestCoordinator(t *testing.T, storeAddr, id string, seed int64, hook fun
 		Dial: func() (*kvstore.Client, error) {
 			return kvstore.DialOptions(storeAddr, fastOpts(seed))
 		},
-		ID:          id,
-		BootShards:  3,
-		BootVNodes:  16,
-		TTL:         testTTL,
-		Renew:       testRenew,
-		Poll:        25 * time.Millisecond,
-		CutoverHold: 2 * testTTL,
-		BackoffBase: 10 * time.Millisecond,
-		BackoffMax:  100 * time.Millisecond,
-		StepHook:    hook,
+		ID:         id,
+		BootShards: 3,
+		BootVNodes: 16,
+		TTL:        testTTL,
+		StepHook:   hook,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"switchboard/internal/controller"
+	"switchboard/internal/kvstore"
 )
 
 // phaseOrd maps a reshard phase onto the sb_shard_reshard_phase gauge.
@@ -31,10 +32,13 @@ func phaseOrd(phase string) float64 {
 	}
 }
 
-// watchLoop re-reads the ring epoch until Stop.
+// watchLoop re-reads the ring epoch every EpochPoll of the lease TTL's
+// timing until Stop: a node's routing is at most that stale during a
+// reshard, which phases tolerate (a stale router's writes land on a leader
+// that re-checks its own view).
 func (m *Manager) watchLoop() {
 	defer close(m.watchDone)
-	t := time.NewTicker(m.cfg.EpochPoll)
+	t := time.NewTicker(kvstore.TimingFor(m.cfg.TTL).EpochPoll)
 	defer t.Stop()
 	for {
 		select {
