@@ -297,7 +297,7 @@ func TestElectorResignIsNotALoss(t *testing.T) {
 	if n := losses.Load(); n != 1 {
 		t.Fatalf("OnLose ran %d times on resign, want 1", n)
 	}
-	owner, _, _, err := dialStore(t, l.Addr().String()).GetLease(testLeaseKey)
+	owner, _, _, err := dialStore(t, l.Addr().String()).GetLeaseContext(context.Background(), testLeaseKey)
 	if owner != "" || (err != nil && err != kvstore.ErrNil) {
 		t.Fatalf("lease after resign: owner %q, %v; want released", owner, err)
 	}

@@ -30,7 +30,9 @@ func benchRig(b testing.TB, calls int) Config {
 }
 
 // BenchmarkEngine100k measures the full engine loop over a 100k-call day,
-// which is 200k events; it reports the cost per event as ns/event.
+// which is 200k events, source draws included; it reports the cost per
+// event as ns/event. A day's time splits between the departure queue, the
+// workload source (BenchmarkSynthSource200k isolates it) and placement.
 // cmd/sbbench times a 200k-call day, 400k events, for its events/s point.
 func BenchmarkEngine100k(b *testing.B) {
 	const calls = 100_000
@@ -49,6 +51,32 @@ func BenchmarkEngine100k(b *testing.B) {
 	}
 	b.ReportMetric(float64(2*calls), "events/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(2*calls), "ns/event")
+}
+
+// BenchmarkSynthSource200k measures the workload source alone over a
+// 200k-call day, the size of a sim_des day, so the source's share of a day
+// has its own point; it reports the cost per arrival as ns/call.
+func BenchmarkSynthSource200k(b *testing.B) {
+	const calls = 200_000
+	w := geo.DefaultWorld()
+	b.ReportAllocs()
+	var a Arrival
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		src, err := NewSynthSource(w, SynthConfig{Seed: 5, Calls: calls})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		n := 0
+		for src.Next(&a) {
+			n++
+		}
+		if n != calls {
+			b.Fatalf("source yielded %d calls, want %d", n, calls)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/calls, "ns/call")
 }
 
 // TestEngineAllocsBounded runs BenchmarkEngine100k's rig, with its busiest DC

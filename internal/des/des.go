@@ -1,9 +1,10 @@
 // Package des is Switchboard's deterministic discrete-event simulation
 // engine: a shared virtual clock, pending events in three typed sources (the
-// one pending arrival, a 4-ary departure heap, a short fleet-event list)
-// merged by (time, class, sequence) for stable tie-breaking, and seeded
-// splitmix64 RNG streams per entity, so the same seed and workload replay to
-// the byte — across runs, machines, and map-iteration shuffles.
+// one pending arrival, a monotone radix queue of departures, a short
+// fleet-event list) merged by (time, class, push order) for stable
+// tie-breaking, and seeded splitmix64 RNG streams per entity, so the same
+// seed and workload replay to the byte — across runs, machines, and
+// map-iteration shuffles.
 //
 // It is the repo's one replay engine. As a fleet laboratory it models the
 // 12-DC world of internal/geo with per-(config, DC) latency and link loads

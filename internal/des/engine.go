@@ -7,7 +7,8 @@ import (
 
 // Call is one in-flight call's bookkeeping. Calls are pooled (free-listed)
 // and threaded onto an intrusive per-DC doubly-linked list so a DC-failure
-// sweep can walk exactly the calls it hosts without a map or a scan.
+// sweep can walk exactly the calls it hosts without a map or a scan, and
+// onto the departure queue's bucket lists.
 type Call struct {
 	id       uint64
 	end      int64 // departure virtual time
@@ -16,6 +17,7 @@ type Call struct {
 	dc       int32
 	prev     *Call
 	next     *Call // also the free-list link when pooled
+	qnext    *Call // departure-queue bucket link
 }
 
 // DCFailure schedules a datacenter outage: the DC fails at At and recovers
@@ -158,7 +160,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		fail:       fail,
 		tw:         cfg.Trace,
 		policyName: cfg.Placement.Name(),
-		deps:       make(departures, 0, 4096),
 		fleet:      make([]fleetEvent, 0, 3*len(cfg.Failures)),
 		polRng:     NewStream(cfg.Seed, StreamPolicy),
 		failRng:    NewStream(cfg.Seed, StreamFailover),
@@ -188,7 +189,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 // Run drains the event sources and returns the aggregate result. Everything
 // step reaches is the annotated hot path: a call costs a slot fill, one
-// departure-heap push and pop, and pooled bookkeeping, which is what holds
+// departure-queue push and pop, and pooled bookkeeping, which is what holds
 // 10M calls to single-digit seconds on one core.
 func (e *Engine) Run() (Result, error) {
 	e.start()
@@ -275,15 +276,15 @@ func (e *Engine) next() (src uint8, at int64) {
 	if len(e.fleet) > 0 && (src == srcNone || e.fleet[0].at <= at) {
 		src, at = srcFleet, e.fleet[0].at
 	}
-	if len(e.deps) > 0 && (src == srcNone || e.deps[0].at <= at) {
-		src, at = srcDepart, e.deps[0].at
+	if e.deps.n > 0 && (src == srcNone || e.deps.earliest <= at) {
+		src, at = srcDepart, e.deps.earliest
 	}
 	return src, at
 }
 
 // step dispatches next's event. This is the engine's inner loop: everything
 // it reaches must stay heap-allocation-free outside the justified escapes
-// (departure-heap, fleet-list and call-pool growth, sampled trace emission,
+// (fleet-list and call-pool growth, sampled trace emission,
 // and the injected policy interfaces).
 //
 //sblint:hotpath
@@ -313,7 +314,7 @@ func (e *Engine) step(src uint8, at int64) {
 
 // queued counts the events waiting in the three sources.
 func (e *Engine) queued() int {
-	n := len(e.deps) + len(e.fleet)
+	n := e.deps.n + len(e.fleet)
 	if e.arrival != nil {
 		n++
 	}
@@ -431,7 +432,7 @@ func (e *Engine) arrive(call *Call, now int64) {
 	e.placed++
 	e.aclSum += e.f.acl[c][dc]
 	e.regretSum += e.f.acl[c][dc] - e.f.acl[c][cands[0]]
-	e.deps.push(departure{at: call.end, seq: e.seq + 1, call: call})
+	e.deps.push(call)
 	e.pushed()
 	e.scheduleNextArrival()
 }

@@ -3,6 +3,7 @@ package des
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -230,6 +231,23 @@ func TestRecordSourceReplay(t *testing.T) {
 	}
 	if res.RegretMeanMs != 0 {
 		t.Fatalf("lowest-acl with slack capacity should have zero regret, got %v", res.RegretMeanMs)
+	}
+}
+
+// TestRecordSourceNegativeDuration checks that a hand-built record set with
+// a call ending before it starts is refused, not replayed with the clock
+// running backwards.
+func TestRecordSourceNegativeDuration(t *testing.T) {
+	recs := []*model.CallRecord{
+		deFRCall(1, 0, time.Minute),
+		deFRCall(2, time.Minute, -time.Second),
+	}
+	if _, err := NewRecordSource(recs); err == nil || !strings.Contains(err.Error(), "record 2 has negative duration") {
+		t.Fatalf("NewRecordSource = %v, want a negative-duration error for record 2", err)
+	}
+	recs[1].Duration = 0
+	if _, err := NewRecordSource(recs); err != nil {
+		t.Fatalf("a zero-length call is valid: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 	"time"
@@ -9,37 +10,118 @@ import (
 	"switchboard/internal/model"
 )
 
-// TestQueueOrdering pushes a shuffled schedule onto the departure heap and
-// checks the drain order is exactly (at, seq): ties on at go to the earlier
-// push.
+// queueModel drives the departure queue under the engine's scheduling rule
+// (no push due before the last pop) and checks every pop, and the cached
+// minimum the engine peeks before it, against a sorted reference.
+type queueModel struct {
+	t    testing.TB
+	q    departures
+	ref  []*Call // pending calls, sorted by (end, id); id is push order
+	last int64   // the last popped end
+	ids  uint64
+}
+
+// push schedules a call due gap after the last pop, saturating at the
+// largest instant, and returns the bucket the queue filed it in.
+func (m *queueModel) push(gap uint64) int {
+	at := int64(math.MaxInt64)
+	if gap < uint64(math.MaxInt64-m.last) {
+		at = m.last + int64(gap)
+	}
+	m.ids++
+	c := &Call{id: m.ids, end: at}
+	b := m.q.bucket(at)
+	m.q.push(c)
+	i := sort.Search(len(m.ref), func(i int) bool { return m.ref[i].end > at })
+	m.ref = append(m.ref, nil)
+	copy(m.ref[i+1:], m.ref[i:])
+	m.ref[i] = c
+	return b
+}
+
+// pop checks the queue's minimum and its next call against the reference.
+func (m *queueModel) pop() {
+	m.t.Helper()
+	want := m.ref[0]
+	m.ref = m.ref[1:]
+	if m.q.earliest != want.end {
+		m.t.Fatalf("queue peeks %d, want %d (call %d)", m.q.earliest, want.end, want.id)
+	}
+	if got := m.q.pop(); got != want {
+		m.t.Fatalf("pop = call %d due %d, want call %d due %d", got.id, got.end, want.id, want.end)
+	}
+	if m.q.n != len(m.ref) {
+		m.t.Fatalf("queue holds %d, want %d", m.q.n, len(m.ref))
+	}
+	m.last = want.end
+}
+
+func (m *queueModel) drain() {
+	m.t.Helper()
+	for len(m.ref) > 0 {
+		m.pop()
+	}
+	if m.q.occupied != [4]uint64{} {
+		m.t.Fatalf("drained queue still marks buckets %x occupied", m.q.occupied)
+	}
+}
+
+// TestQueueOrdering interleaves seeded pushes and pops in rounds of 2,000
+// operations that each start at instant 0 and end drained. A third of the
+// pushes tie with the last pop, a third land up to 15ns later, and the rest
+// a random gap of any 4-bit digit level later; the pushes must file at every
+// digit level, and ties on the end instant pop in push order.
 func TestQueueOrdering(t *testing.T) {
 	rng := NewStream(7, 99)
-	var want []departure
-	var h departures
-	for i := 0; i < 5000; i++ {
-		d := departure{at: int64(rng.Intn(64)), seq: uint64(i), call: &Call{id: uint64(i)}}
-		want = append(want, d)
-		h.push(d)
-	}
-	sort.Slice(want, func(i, j int) bool {
-		if want[i].at != want[j].at {
-			return want[i].at < want[j].at
+	var levels uint32 // digit levels pushes were filed at, one bit each
+	for round := 0; round < 25; round++ {
+		m := &queueModel{t: t}
+		for i := 0; i < 2000; i++ {
+			if len(m.ref) > 0 && rng.Intn(2) == 0 {
+				m.pop()
+				continue
+			}
+			var gap uint64
+			switch k := rng.Intn(6); {
+			case k < 2:
+			case k < 4:
+				gap = uint64(rng.Intn(16))
+			default:
+				gap = rng.Uint64() >> (1 + 4*rng.Intn(16) + rng.Intn(4))
+			}
+			if b := m.push(gap); b != 0 {
+				levels |= 1 << (b >> 4)
+			}
 		}
-		return want[i].seq < want[j].seq
+		m.drain()
+	}
+	if levels != 1<<16-1 {
+		t.Fatalf("pushes filed at digit levels %016b, want all 16", levels)
+	}
+}
+
+// FuzzDepartureQueue runs the model on byte-coded schedules: a byte with the
+// top bit set pops (when anything is pending), any other pushes a gap of
+// its low three bits shifted up its next four bits' digit levels; zero gaps
+// are ties.
+func FuzzDepartureQueue(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0x80, 0x80, 0x80})
+	f.Add([]byte{1, 0x79, 0x7f, 0x39, 0x80, 0, 0x80, 0x80, 0x0a, 0x80})
+	f.Add([]byte{0x7f, 0x7f, 0x7f, 0x80, 0x7f, 0x80, 0x80, 0x7f, 0x80})
+	f.Add([]byte{0x0f, 0x17, 0x27, 0x37, 0x47, 0x57, 0x67, 0x77, 0x80, 0x80, 0x0f, 0x80, 0x80})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		m := &queueModel{t: t}
+		for _, op := range ops {
+			if op&0x80 != 0 {
+				if len(m.ref) > 0 {
+					m.pop()
+				}
+				continue
+			}
+			m.push(uint64(op&7) << (4 * (op >> 3 & 15)))
+		}
+		m.drain()
 	})
-	for i, d := range want {
-		if len(h) == 0 {
-			t.Fatalf("heap empty after %d pops, want %d", i, len(want))
-		}
-		at, seq := h[0].at, h[0].seq
-		if c := h.pop(); at != d.at || seq != d.seq || c != d.call {
-			t.Fatalf("pop %d = (%d,%d,call %d), want (%d,%d,call %d)",
-				i, at, seq, c.id, d.at, d.seq, d.call.id)
-		}
-	}
-	if len(h) != 0 {
-		t.Fatalf("heap holds %d after draining", len(h))
-	}
 }
 
 // orderLog is a placement, release and failover policy that logs what the

@@ -13,9 +13,12 @@ import (
 // Arrival is one call entering the simulation: a config index into the
 // fleet's universe, a virtual start time, and a duration.
 type Arrival struct {
-	ID  uint64
-	At  int64 // virtual ns since the run origin
-	Dur int64 // call duration, ns
+	ID uint64
+	At int64 // virtual ns since the run origin, ≥ 0
+	// Dur is the call's duration in ns, and must be ≥ 0: the engine's
+	// departure queue takes every departure to be due no earlier than the
+	// last one it dispatched.
+	Dur int64
 	Cfg int32
 }
 
@@ -72,11 +75,19 @@ func (c *SynthConfig) withDefaults() SynthConfig {
 // and durations. It is the million-call counterpart of internal/trace — that
 // generator builds full per-leg call records for the provisioning pipeline;
 // this one builds four-field arrivals at tens of millions per second.
+//
+// Next runs the same IEEE operations on the same inputs as the plain
+// formulas, so the stream is fixed by the seed: the per-slot mean
+// interarrival and the duration scale are divided out once, and a config
+// pick starts its search where a 256-entry guide table puts it.
 type SynthSource struct {
 	cfg      SynthConfig
 	cfgs     []model.CallConfig
-	cumw     []float64 // cumulative config weights, normalized to 1
-	slotRate []float64 // arrivals per ns, per slot of day
+	cumw     []float64  // cumulative config weights, normalized to 1
+	guide    [256]int32 // guide[k]: the first config with cumw ≥ k/256
+	slotRate []float64  // arrivals per ns, per slot of day
+	slotMean []float64  // 1/slotRate: the mean interarrival, ns
+	durScale float64    // MeanDur − MinDur: the mean of the exponential part
 	rng      Stream
 	next     uint64
 	now      int64
@@ -95,6 +106,7 @@ func NewSynthSource(w *geo.World, cfg SynthConfig) (*SynthSource, error) {
 	s := &SynthSource{cfg: cfg, rng: NewStream(cfg.Seed, StreamWorkload)}
 	s.buildUniverse(w)
 	s.buildRateCurve()
+	s.durScale = float64(cfg.MeanDur) - float64(cfg.MinDur)
 	return s, nil
 }
 
@@ -155,6 +167,16 @@ func (s *SynthSource) buildUniverse(w *geo.World) {
 		s.cumw[i] = acc
 	}
 	s.cumw[len(s.cumw)-1] = 1
+	// Every cumw before the last is a running sum, so cumw ≥ u holds from
+	// some index on for any u < 1 and the guided scan in pickConfig stops
+	// where a binary search would.
+	i := int32(0)
+	for k := range s.guide {
+		for s.cumw[i] < float64(k)/256 {
+			i++
+		}
+		s.guide[k] = i
+	}
 }
 
 // buildRateCurve shapes arrivals with a business-hours bump so peaks and
@@ -171,9 +193,11 @@ func (s *SynthSource) buildRateCurve() {
 		sum += factors[i]
 	}
 	s.slotRate = make([]float64, slots)
+	s.slotMean = make([]float64, slots)
 	for i, f := range factors {
 		// Integrating rate over a day yields CallsPerDay.
 		s.slotRate[i] = float64(s.cfg.CallsPerDay) * f / (sum * float64(slotNs))
+		s.slotMean[i] = 1 / s.slotRate[i]
 	}
 }
 
@@ -185,11 +209,11 @@ func (s *SynthSource) Next(a *Arrival) bool {
 	if s.next >= uint64(s.cfg.Calls) {
 		return false
 	}
-	slot := int(s.now/slotNs) % len(s.slotRate)
+	slot := int(s.now/slotNs) % len(s.slotMean)
 	if slot < 0 {
 		slot = 0
 	}
-	s.now += int64(s.rng.Exp(1 / s.slotRate[slot]))
+	s.now += int64(s.rng.Exp(s.slotMean[slot]))
 	s.next++
 	a.ID = s.next
 	a.At = s.now
@@ -198,18 +222,20 @@ func (s *SynthSource) Next(a *Arrival) bool {
 	return true
 }
 
+// pickConfig returns the first config whose cumulative weight reaches a
+// uniform draw u. u·256 is exact, so u ≥ k/256 for its guide slot k, and the
+// scan cannot start past the answer; it ends by the last config (cumw = 1).
 func (s *SynthSource) pickConfig() int32 {
 	u := s.rng.Float64()
-	i := sort.SearchFloat64s(s.cumw, u)
-	if i >= len(s.cumw) {
-		i = len(s.cumw) - 1
+	i := s.guide[int(u*256)]
+	for s.cumw[i] < u {
+		i++
 	}
-	return int32(i)
+	return i
 }
 
 func (s *SynthSource) drawDuration() int64 {
-	min := float64(s.cfg.MinDur)
-	d := min + s.rng.Exp(float64(s.cfg.MeanDur)-min)
+	d := float64(s.cfg.MinDur) + s.rng.Exp(s.durScale)
 	if max := float64(s.cfg.MaxDur); d > max {
 		d = max
 	}
@@ -256,16 +282,22 @@ type RecordSource struct {
 }
 
 // NewRecordSource indexes the records. The source's virtual origin is the
-// earliest record start; Origin exposes it so trace timestamps line up.
+// earliest record start; Origin exposes it so trace timestamps line up. A
+// record with legs and a negative Duration is an error: its call would end
+// before it began.
 func NewRecordSource(recs []*model.CallRecord) (*RecordSource, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("des: empty record set")
 	}
 	sorted := make([]*model.CallRecord, 0, len(recs))
 	for _, r := range recs {
-		if len(r.Legs) > 0 {
-			sorted = append(sorted, r)
+		if len(r.Legs) == 0 {
+			continue
 		}
+		if r.Duration < 0 {
+			return nil, fmt.Errorf("des: record %d has negative duration %v", r.ID, r.Duration)
+		}
+		sorted = append(sorted, r)
 	}
 	if len(sorted) == 0 {
 		return nil, fmt.Errorf("des: no records with legs")

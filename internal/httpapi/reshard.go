@@ -43,7 +43,8 @@ func (e errReshardBusy) Error() string {
 }
 
 // Start launches a coordinator run toward target shards in the background.
-func (ra *ReshardAdmin) Start(target int) error {
+// ctx bounds only the advisory lease check; the run outlives it.
+func (ra *ReshardAdmin) Start(ctx context.Context, target int) error {
 	ra.mu.Lock()
 	defer ra.mu.Unlock()
 	if ra.running {
@@ -56,11 +57,12 @@ func (ra *ReshardAdmin) Start(target int) error {
 	// Advisory pre-check so a second node's POST answers 409 instead of
 	// silently queueing a coordinator behind the live one. Racy by nature —
 	// the lease, not this check, is what actually arbitrates.
-	if holder := co.LeaseHolder(); holder != "" && holder != ra.Manager.ID() {
+	if holder := co.LeaseHolder(ctx); holder != "" && holder != ra.Manager.ID() {
 		_ = co.Close()
 		return errReshardBusy{holder: holder}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	//sblint:allow ctxflow -- the run outlives the request that starts it
+	runCtx, cancel := context.WithCancel(context.Background())
 	ra.running, ra.cancel = true, cancel
 	go func() {
 		defer func() {
@@ -70,9 +72,9 @@ func (ra *ReshardAdmin) Start(target int) error {
 			ra.running, ra.cancel = false, nil
 			ra.mu.Unlock()
 		}()
-		st, err := co.Run(ctx, target)
+		st, err := co.Run(runCtx, target)
 		if err != nil && ra.Logger != nil {
-			ra.Logger.Warn("reshard run ended with error",
+			ra.Logger.WarnContext(runCtx, "reshard run ended with error",
 				"target", target, "phase", st.Phase, "err", err)
 		}
 	}()
@@ -92,7 +94,7 @@ func (ra *ReshardAdmin) Abort(ctx context.Context) (shard.ReshardState, error) {
 		return shard.ReshardState{}, err
 	}
 	defer func() { _ = co.Close() }()
-	if holder := co.LeaseHolder(); holder != "" && holder != ra.Manager.ID() {
+	if holder := co.LeaseHolder(ctx); holder != "" && holder != ra.Manager.ID() {
 		return shard.ReshardState{}, errReshardBusy{holder: holder}
 	}
 	return co.Abort(ctx)
@@ -114,7 +116,7 @@ func (s *Server) handleReshardStart(w http.ResponseWriter, r *http.Request) {
 				req.TargetShards, s.Reshard.Manager.Ring().Shards()))
 		return
 	}
-	if err := s.Reshard.Start(req.TargetShards); err != nil {
+	if err := s.Reshard.Start(r.Context(), req.TargetShards); err != nil {
 		code := http.StatusInternalServerError
 		if _, busy := err.(errReshardBusy); busy {
 			code = http.StatusConflict

@@ -548,9 +548,11 @@ func (c *Client) DelLease(key, owner string) error {
 	return err
 }
 
-// GetLease returns the live lease on key (ErrNil when free or lapsed).
-func (c *Client) GetLease(key string) (owner string, epoch int64, remaining time.Duration, err error) {
-	r, err := c.Do("GETLEASE", key)
+// GetLeaseContext returns the live lease on key (ErrNil when free or
+// lapsed) under a context (see DoContext), so a caller polling a lease stops
+// waiting by its own deadline.
+func (c *Client) GetLeaseContext(ctx context.Context, key string) (owner string, epoch int64, remaining time.Duration, err error) {
+	r, err := c.DoContext(ctx, "GETLEASE", key)
 	if err != nil {
 		return "", 0, 0, err
 	}

@@ -23,7 +23,7 @@ func TestLeaseAcquireRenewRelease(t *testing.T) {
 	if err != nil || e2 != e1 {
 		t.Fatalf("renew = %d, %v (want %d)", e2, err, e1)
 	}
-	owner, epoch, remaining, err := c.GetLease("leader")
+	owner, epoch, remaining, err := c.GetLeaseContext(context.Background(), "leader")
 	if err != nil || owner != "ctrl-A" || epoch != 1 {
 		t.Fatalf("GetLease = %q/%d, %v", owner, epoch, err)
 	}
@@ -34,7 +34,7 @@ func TestLeaseAcquireRenewRelease(t *testing.T) {
 	if err := c.DelLease("leader", "ctrl-A"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.GetLease("leader"); err != ErrNil {
+	if _, _, _, err := c.GetLeaseContext(context.Background(), "leader"); err != ErrNil {
 		t.Fatalf("released lease GetLease err = %v, want ErrNil", err)
 	}
 	e3, err := c.SetLease("leader", "ctrl-B", 10*time.Second)
@@ -63,7 +63,7 @@ func TestLeaseHeldAndExpiry(t *testing.T) {
 	if err := c.DelLease("leader", "ctrl-B"); err != nil {
 		t.Fatal(err)
 	}
-	if owner, _, _, _ := c.GetLease("leader"); owner != "ctrl-A" {
+	if owner, _, _, _ := c.GetLeaseContext(context.Background(), "leader"); owner != "ctrl-A" {
 		t.Fatalf("non-holder release took the lease: owner %q", owner)
 	}
 	time.Sleep(60 * time.Millisecond)

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -81,7 +82,7 @@ func chaosFailover(t *testing.T, partition bool) {
 	// from here on, every acked write is guaranteed to be on the standby.
 	rdr := dial(t, saddr)
 	waitFor(t, 5*time.Second, "lease replication", func() bool {
-		owner, _, _, err := rdr.GetLease("leader")
+		owner, _, _, err := rdr.GetLeaseContext(context.Background(), "leader")
 		return err == nil && owner == "ctrl-A"
 	})
 

@@ -158,7 +158,7 @@ func TestSnapshotCatchUp(t *testing.T) {
 			t.Fatalf("standby GET k%d = %q, %v", i, v, err)
 		}
 	}
-	owner, epoch, _, err := rdr.GetLease("leader")
+	owner, epoch, _, err := rdr.GetLeaseContext(context.Background(), "leader")
 	if err != nil || owner != "ctrl-A" || epoch != 1 {
 		t.Fatalf("standby lease = %q/%d, %v", owner, epoch, err)
 	}

@@ -113,10 +113,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 }
 
 // LeaseHolder reports who currently holds the reshard coordinator lease (""
-// when free). Advisory: the lease itself arbitrates, this only lets an API
-// answer 409 instead of silently queueing behind a live coordinator.
-func (co *Coordinator) LeaseHolder() string {
-	owner, _, _, err := co.store.GetLease(ReshardLeaseKey)
+// when free, or when the store does not answer by ctx's deadline).
+// Advisory: the lease itself arbitrates, this only lets an API answer 409
+// instead of silently queueing behind a live coordinator.
+func (co *Coordinator) LeaseHolder(ctx context.Context) string {
+	owner, _, _, err := co.store.GetLeaseContext(ctx, ReshardLeaseKey)
 	if err != nil {
 		return ""
 	}
@@ -587,7 +588,7 @@ func (co *Coordinator) clearControlState(ctx context.Context, st ReshardState) e
 // waitLeader polls until shard s's lease has a live owner.
 func (co *Coordinator) waitLeader(ctx context.Context, s int) error {
 	for {
-		if owner, _, _, err := co.store.GetLease(LeaseKey(s)); err == nil && owner != "" {
+		if owner, _, _, err := co.store.GetLeaseContext(ctx, LeaseKey(s)); err == nil && owner != "" {
 			return nil
 		}
 		select {
@@ -608,7 +609,7 @@ func (co *Coordinator) waitAcks(ctx context.Context, st *ReshardState) (map[int]
 	for {
 		all := true
 		for s := 0; s < st.From; s++ {
-			owner, epoch, _, err := co.store.GetLease(LeaseKey(s))
+			owner, epoch, _, err := co.store.GetLeaseContext(ctx, LeaseKey(s))
 			if err != nil || owner == "" {
 				all = false
 				continue
@@ -640,7 +641,7 @@ func (co *Coordinator) waitAcks(ctx context.Context, st *ReshardState) (map[int]
 // its ack was collected.
 func (co *Coordinator) acksStillCurrent(ctx context.Context, st *ReshardState, acked map[int]int64) (bool, error) {
 	for s := 0; s < st.From; s++ {
-		owner, epoch, _, err := co.store.GetLease(LeaseKey(s))
+		owner, epoch, _, err := co.store.GetLeaseContext(ctx, LeaseKey(s))
 		if err != nil || owner == "" || epoch != acked[s] {
 			if ctx.Err() != nil {
 				return false, ctx.Err()
