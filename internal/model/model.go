@@ -132,21 +132,29 @@ type CallConfig struct {
 // Key returns a canonical string encoding, e.g. "video|IN:2,JP:1", usable as
 // a map key and stable across processes.
 func (c CallConfig) Key() string {
-	var b strings.Builder
-	b.WriteString(c.Media.String())
-	b.WriteByte('|')
-	for i, cc := range c.Spread {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(string(cc.Country))
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(cc.Count))
-	}
-	return b.String()
+	var buf [64]byte
+	return string(c.AppendKey(buf[:0]))
 }
 
-// ParseConfigKey is the inverse of Key.
+// AppendKey appends Key's encoding to b. A map lookup written as
+// m[string(c.AppendKey(buf[:0]))] over a stack buffer allocates nothing.
+func (c CallConfig) AppendKey(b []byte) []byte {
+	b = append(b, c.Media.String()...)
+	b = append(b, '|')
+	for i, cc := range c.Spread {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, cc.Country...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(cc.Count), 10)
+	}
+	return b
+}
+
+// ParseConfigKey is the inverse of Key. It accepts any key whose elements
+// are country:count pairs with positive counts, in any order; repeated
+// countries are merged, so the result is the canonical spread.
 func ParseConfigKey(key string) (CallConfig, error) {
 	media, rest, ok := strings.Cut(key, "|")
 	if !ok {
@@ -156,21 +164,50 @@ func ParseConfigKey(key string) (CallConfig, error) {
 	if err != nil {
 		return CallConfig{}, err
 	}
-	counts := make(map[geo.CountryCode]int)
+	n := 0 // elements, as strings.Split would cut them
 	if rest != "" {
-		for _, part := range strings.Split(rest, ",") {
-			country, countStr, ok := strings.Cut(part, ":")
-			if !ok {
-				return CallConfig{}, fmt.Errorf("model: bad spread element %q in %q", part, key)
-			}
-			n, err := strconv.Atoi(countStr)
-			if err != nil || n <= 0 {
-				return CallConfig{}, fmt.Errorf("model: bad count in %q", part)
-			}
-			counts[geo.CountryCode(country)] += n
+		n = strings.Count(rest, ",") + 1
+	}
+	s := make(Spread, 0, n)
+	for i := 0; i < n; i++ {
+		var part string
+		part, rest, _ = strings.Cut(rest, ",")
+		country, countStr, ok := strings.Cut(part, ":")
+		if !ok {
+			return CallConfig{}, fmt.Errorf("model: bad spread element %q in %q", part, key)
+		}
+		count, err := strconv.Atoi(countStr)
+		if err != nil || count <= 0 {
+			return CallConfig{}, fmt.Errorf("model: bad count in %q", part)
+		}
+		s = s.add(geo.CountryCode(country), count)
+	}
+	// A merged count that overflowed int is not positive; NewSpread drops
+	// such entries, and so does this.
+	kept := s[:0]
+	for _, cc := range s {
+		if cc.Count > 0 {
+			kept = append(kept, cc)
 		}
 	}
-	return CallConfig{Spread: NewSpread(counts), Media: m}, nil
+	return CallConfig{Spread: kept, Media: m}, nil
+}
+
+// add merges count participants from country into s, which is sorted by
+// country code, keeping it sorted (an insertion sort: spreads are short).
+func (s Spread) add(country geo.CountryCode, count int) Spread {
+	i := len(s)
+	for i > 0 && s[i-1].Country >= country {
+		i--
+	}
+	if i < len(s) && s[i].Country == country {
+		s[i].Count += count
+		return s
+	}
+	s = append(s, CountryCount{})
+	copy(s[i+1:], s[i:])
+	s[i] = CountryCount{Country: country, Count: count}
+	return s
 }
 
 // Participants returns the total participant count of the config.

@@ -237,3 +237,24 @@ func TestPropertySlotIndexMonotonic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConfigKeyAllocs pins the allocation counts of Key and ParseConfigKey:
+// Key builds its string on a stack buffer, and ParseConfigKey allocates only
+// the spread.
+func TestConfigKeyAllocs(t *testing.T) {
+	cfg, err := ParseConfigKey("video|US:3,JP:1,IN:2,US:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = cfg.Key() }); n > 1 {
+		t.Errorf("Key allocates %v times, want at most 1", n)
+	}
+	var buf [64]byte
+	m := map[string]int{cfg.Key(): 1}
+	if n := testing.AllocsPerRun(100, func() { _ = m[string(cfg.AppendKey(buf[:0]))] }); n > 0 {
+		t.Errorf("a map lookup through AppendKey allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = ParseConfigKey("video|US:3,JP:1,IN:2,US:1") }); n > 1 {
+		t.Errorf("ParseConfigKey allocates %v times, want at most 1", n)
+	}
+}

@@ -3,13 +3,16 @@ package obs
 import (
 	"net/http"
 	"time"
+
+	"switchboard/internal/obs/span"
 )
 
 // HTTPMetrics instruments HTTP routes with request counts (by route and
 // status class), latency histograms (by route), and an in-flight gauge.
 // Children are resolved once per route at wrap time, so the per-request cost
 // is two atomic ops and one histogram observe — no label lookups, no
-// allocations beyond the status-recording writer.
+// allocations beyond the status-recording writer, which it shares with the
+// tracing middleware (see span.StatusWriter).
 type HTTPMetrics struct {
 	requests *CounterVec   // labels: route, code (status class: "2xx"...)
 	latency  *HistogramVec // labels: route
@@ -65,15 +68,16 @@ func (m *HTTPMetrics) Wrap(route string, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		m.inflight.Add(1)
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := span.RecordStatus(w)
 		h.ServeHTTP(sw, r)
 		lat.Observe(time.Since(start).Seconds())
 		m.inflight.Add(-1)
 		m.total.Inc()
-		if sw.code >= 500 && sw.Header().Get(StandbyHeader) == "" {
+		code := sw.Status()
+		if code >= 500 && sw.Header().Get(StandbyHeader) == "" {
 			m.err5xx.Inc()
 		}
-		if i := sw.code/100 - 1; i >= 0 && i < len(byClass) {
+		if i := code/100 - 1; i >= 0 && i < len(byClass) {
 			byClass[i].Inc()
 		}
 	})
@@ -86,17 +90,4 @@ func (m *HTTPMetrics) Totals() (total, err5xx uint64) {
 		return 0, 0
 	}
 	return m.total.Value(), m.err5xx.Value()
-}
-
-// statusWriter captures the response status code. It deliberately implements
-// only http.ResponseWriter: the API serves small JSON bodies, so Flusher/
-// Hijacker passthrough is not needed on these routes.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
 }

@@ -5,6 +5,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"switchboard/internal/obs/span"
 )
 
 func TestHTTPMiddleware(t *testing.T) {
@@ -78,5 +80,43 @@ func TestStandby503ExemptFromBurn(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `sb_http_requests_total{route="POST /v1/call/start",code="5xx"} 3`) {
 		t.Fatalf("per-route counter lost the standby 503s:\n%s", sb.String())
+	}
+}
+
+// TestMiddlewaresShareStatusWriter: the metrics middleware around the
+// tracing one wraps the response writer once, and both read the status the
+// handler wrote through that one writer.
+func TestMiddlewaresShareStatusWriter(t *testing.T) {
+	reg := NewRegistry()
+	m := NewHTTPMetrics(reg)
+	ring := span.NewRing(8)
+	rec := httptest.NewRecorder()
+	var wraps int
+	h := m.Wrap("POST /v1/call/start", span.NewTracer(1, ring).WrapHTTP("POST /v1/call/start",
+		http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			inner := w
+			for {
+				sw, ok := inner.(*span.StatusWriter)
+				if !ok {
+					break
+				}
+				wraps++
+				inner = sw.ResponseWriter
+			}
+			if inner != rec {
+				t.Errorf("handler's writer wraps %T, want the recorder", inner)
+			}
+			http.Error(w, "boom", http.StatusInternalServerError)
+		})))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/call/start", nil))
+	if wraps != 1 {
+		t.Fatalf("handler's writer is wrapped %d times, want once", wraps)
+	}
+	if _, err5xx := m.Totals(); err5xx != 1 {
+		t.Errorf("err5xx = %d, want 1", err5xx)
+	}
+	recs := ring.Snapshot(0)
+	if len(recs) != 1 || recs[0].Attrs.Get("http.status") != "500" || recs[0].Status != "error" {
+		t.Fatalf("request span = %+v, want http.status 500 and status error", recs)
 	}
 }

@@ -66,3 +66,42 @@ func TestLeaseReadsStopAtDeadline(t *testing.T) {
 		}
 	}
 }
+
+// TestLeaseReadStopsOnCancel: a cancel without a deadline interrupts the
+// store read in flight. Through a partition at a 1s lease TTL, one read
+// would otherwise wait out the ~100ms kv I/O timeout after the cancel.
+func TestLeaseReadStopsOnCancel(t *testing.T) {
+	const ttl, cancelAt, bound = time.Second, 20 * time.Millisecond, 50 * time.Millisecond
+	proxy, err := faults.NewProxy(startStore(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = proxy.Close() })
+	co, err := NewCoordinator(CoordinatorConfig{
+		Dial: func() (*kvstore.Client, error) {
+			return kvstore.DialOptions(proxy.Addr(), kvstore.TimingFor(ttl).Client(1))
+		},
+		ID:         "coord",
+		BootShards: 2,
+		BootVNodes: 16,
+		TTL:        ttl,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = co.Close() })
+	proxy.Partition()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(cancelAt, cancel)
+	start := time.Now()
+	err = co.waitLeader(ctx, 0)
+	took := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("waitLeader = %v, want the cancel's error", err)
+	}
+	if took > bound {
+		t.Errorf("waitLeader returned %v after its start, want within %v of a cancel at %v", took.Round(time.Millisecond), bound, cancelAt)
+	}
+}
