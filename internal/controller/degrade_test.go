@@ -428,3 +428,48 @@ func TestFailDCLatencyFallback(t *testing.T) {
 		t.Errorf("drained to %d, want nearest survivor %d", got, want)
 	}
 }
+
+// TestPersistOutlivesRequestCancel: a request whose client hangs up while
+// its call-state write is in flight must not cut the write off. The write
+// lands, and the controller stays out of degraded mode.
+func TestPersistOutlivesRequestCancel(t *testing.T) {
+	srv, l := startStore(t)
+	defer srv.Close()
+	// Each store reply crosses the proxy 100 ms late, so the HSET is still
+	// in flight when the request is cancelled at 20 ms.
+	const delay = 100 * time.Millisecond
+	inj := faults.NewInjector(3, faults.Rule{Kind: faults.Latency, Prob: 1, Delay: delay})
+	proxy, err := faults.NewProxy(l.Addr().String(), inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	opts := fastOptions()
+	opts.IOTimeout = time.Second
+	client, err := kvstore.DialOptions(proxy.Addr(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ctrl, err := New(Config{World: world, Store: client, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(20*time.Millisecond, cancel)
+	start := time.Now()
+	if _, err := ctrl.CallStarted(ctx, 1, "JP", start); err != nil {
+		t.Fatal(err)
+	}
+	if ctrl.Degraded() || ctrl.JournalDepth() != 0 {
+		t.Fatalf("after a cancelled request: degraded=%v depth=%d, want a healthy store path", ctrl.Degraded(), ctrl.JournalDepth())
+	}
+	if took := time.Since(start); took < delay {
+		t.Fatalf("CallStarted returned after %v, before the store reply could arrive", took)
+	}
+	if v, err := client.HGet(CallKey("", 1), "dc"); err != nil || v == "" {
+		t.Fatalf("call state after a cancelled request: %q, %v", v, err)
+	}
+}

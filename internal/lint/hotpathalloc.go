@@ -90,6 +90,7 @@ var stdlibAllocators = map[string]bool{
 	"time.After": true, "time.NewTimer": true, "time.NewTicker": true, "time.AfterFunc": true,
 	"context.WithCancel": true, "context.WithTimeout": true,
 	"context.WithDeadline": true, "context.WithValue": true,
+	"context.WithoutCancel": true, "context.AfterFunc": true,
 	"bytes.NewReader": true, "strings.NewReader": true,
 	"bufio.NewReader": true, "bufio.NewWriter": true, "bufio.NewReadWriter": true,
 }
