@@ -75,8 +75,9 @@ des-smoke:
 
 # Live-drill smoke: the four store/controller fault drills (chaos,
 # partition, shard, reshard) end to end at quick scale, through sbexp's
-# printers. Each drill fails the run on a replay error, a journal that never
-# drains, a failover that never lands or an unreadable audit.
+# printers. Each drill fails the run on a replay error other than a shed
+# write (which it re-sends), a failover that never lands or an unreadable
+# audit.
 drill-smoke:
 	$(GO) run ./cmd/sbexp -exp chaos,partition,shard,reshard -scale quick
 

@@ -54,7 +54,7 @@ var experiments = []struct {
 	{"predict-migrations", "migration reduction via config prediction", true, predictMigrations},
 	{"drill", "DC-failure drill: backup vs serving-only plans", true, drill},
 	{"forecast-baselines", "Holt-Winters vs seasonal-naive and drift", true, forecastBaselines},
-	{"chaos", "fault-injection drill: degraded mode vs clean run", true, chaos},
+	{"chaos", "fault-injection drill: shed-and-retry vs clean run", true, chaos},
 	{"partition", "HA failover drill: silent primary partition, standby promotes", true, partitionExp},
 	{"shard", "sharded-fleet drill: kill a shard leader, survivor takes over", true, shardExp},
 	{"reshard", "live shard-split drill: grow the ring online under load", true, reshardExp},
@@ -406,15 +406,14 @@ func chaos(env *eval.Env) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replayed %d calls (%d events); store partitioned for the middle third (seed %d)\n",
-		res.Calls, res.Events, res.Seed)
+	fmt.Printf("replayed %d calls (%d events); store cut at the first third for %d attempts (seed %d)\n",
+		res.Calls, res.Events, eval.ChaosCutAttempts, res.Seed)
 	fmt.Printf("%-22s %12s %12s\n", "", "clean", "chaos")
 	fmt.Printf("%-22s %12.0f %12.0f\n", "events/s", res.CleanEventsPerSec, res.ChaosEventsPerSec)
 	fmt.Printf("%-22s %12d %12d\n", "migrations", res.CleanMigrated, res.ChaosMigrated)
 	fmt.Printf("max op stall under faults: %s (bounded by client deadlines)\n", res.MaxStall)
-	fmt.Printf("degraded intervals %d, journaled writes replayed %d, dropped %d\n",
-		res.Degraded, res.Replayed, res.Dropped)
-	fmt.Printf("lost transitions after replay: %d (want 0)\n", res.LostTransitions)
+	fmt.Printf("shed attempts (re-sent until stored): %d\n", res.Shed)
+	fmt.Printf("lost transitions: %d (want 0)\n", res.LostTransitions)
 	return nil
 }
 
@@ -429,8 +428,7 @@ func partitionExp(env *eval.Env) error {
 	fmt.Printf("%-28s %12s\n", "standby promotion latency", res.PromotionLatency.Round(time.Millisecond))
 	fmt.Printf("%-28s %12s\n", "max op stall", res.MaxStall.Round(time.Millisecond))
 	fmt.Printf("%-28s %12d\n", "replicated log position", res.ReplicatedSeq)
-	fmt.Printf("degraded intervals %d, journaled writes replayed %d, dropped %d\n",
-		res.Degraded, res.Replayed, res.Dropped)
+	fmt.Printf("shed attempts (re-sent until stored): %d\n", res.Shed)
 	fmt.Printf("lost transitions after failover: %d (want 0)\n", res.LostTransitions)
 	return nil
 }

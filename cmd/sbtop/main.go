@@ -6,7 +6,7 @@
 //   - per-shard leader and lease epoch (an epoch climbing fast means churn)
 //   - placement rate (calls/s, from the started-counter delta) and the p99
 //     placement latency estimated from the fleet-merged histogram
-//   - journal depth, active calls, kv retries, and SLO burn rates
+//   - store write failures, active calls, kv retries, and SLO burn rates
 //   - the slowest placement's exemplar trace ID, ready to paste into
 //     sbtrace or /debug/spans?trace=
 //
@@ -228,9 +228,9 @@ func renderRates(b *strings.Builder, prev, cur *sample) {
 			p99 = formatSeconds(q)
 		}
 	}
-	fmt.Fprintf(b, "placements %-12s p99 place %-10s journal depth %-8.0f active calls %-8.0f kv retries %d (%s)\n\n",
+	fmt.Fprintf(b, "placements %-12s p99 place %-10s store write failures %-8d active calls %-8.0f kv retries %d (%s)\n\n",
 		placeRate, p99,
-		gaugeTotal(cur.fleet.Families, "sb_controller_journal_depth"),
+		counterTotal(cur.fleet.Families, "sb_controller_store_write_failures_total"),
 		gaugeTotal(cur.fleet.Families, "sb_controller_active_calls"),
 		retries, retryRate)
 }

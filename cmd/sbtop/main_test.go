@@ -24,8 +24,8 @@ func testSample(at time.Time, started uint64) *sample {
 					Points: []obs.SnapPoint{{Value: 12}, {Value: 30}}},
 				{Name: "sb_controller_calls_started_total", Kind: "counter",
 					Points: []obs.SnapPoint{{Count: started}}},
-				{Name: "sb_controller_journal_depth", Kind: "gauge",
-					Points: []obs.SnapPoint{{Value: 3}}},
+				{Name: "sb_controller_store_write_failures_total", Kind: "counter",
+					Points: []obs.SnapPoint{{Count: 3}}},
 				{Name: "sb_controller_place_seconds", Kind: "histogram",
 					Bounds: []float64{0.001, 0.01, 0.1},
 					Points: []obs.SnapPoint{{
@@ -76,7 +76,7 @@ func TestRenderFrame(t *testing.T) {
 		"connection refused",
 		"placements 25.0/s", // (150-100)/2s
 		"p99 place 10.0ms",  // nearest-rank 99 of 100 lands in the (0.001,0.01] bucket
-		"journal depth 3",
+		"store write failures 3",
 		"active calls 42",
 		"latency[5m]=0.25",
 		"trace 00000000deadbeef",

@@ -21,8 +21,8 @@
 //	GET  /v1/reshard     (ring epoch, phase, copy progress)
 //	POST /v1/reshard/abort  (pre-cutover rollback)
 //	GET  /healthz        (liveness: process is serving)
-//	GET  /readyz         (readiness: 503 while the store path is degraded;
-//	                      includes SLO burn rates)
+//	GET  /readyz         (readiness, with SLO burn rates; a store outage
+//	                      answers each call write 503 instead)
 //
 // With -debug-addr a second listener serves operator endpoints (see
 // internal/obs and DESIGN.md "Observability" / "Tracing"):
@@ -111,7 +111,6 @@ func main() {
 	callsPerDay := flag.Int("calls", 4000, "synthetic history calls per day")
 	seed := flag.Int64("seed", 1, "synthetic history seed")
 	worldPath := flag.String("world", "", "JSON world definition (default: the built-in world)")
-	journalCap := flag.Int("journal-cap", 8192, "degraded-mode write-behind journal capacity (-1 disables)")
 	debugAddr := flag.String("debug-addr", "", "debug HTTP listen address serving /metrics, /debug/trace, /debug/spans, and pprof (empty disables)")
 	traceCap := flag.Int("trace-cap", obs.DefaultRingCapacity, "decision trace ring capacity")
 	spanCap := flag.Int("span-cap", span.DefaultRingCapacity, "span ring capacity behind /debug/spans")
@@ -124,7 +123,7 @@ func main() {
 	flag.Parse()
 
 	// Logs carry trace_id/span_id whenever the context has a span, so a
-	// degraded-store warning can be joined to the request that tripped it.
+	// fenced-write warning can be joined to the request that tripped it.
 	slog.SetDefault(slog.New(span.NewLogHandler(slog.NewTextHandler(os.Stderr, nil))))
 
 	timing := kvstore.TimingFor(*leaseTTL)
@@ -302,16 +301,14 @@ func main() {
 	}
 	newCtrl := func(store *switchboard.KVClient, prefix string, sh int) *switchboard.Controller {
 		c, err := switchboard.NewController(switchboard.ControllerConfig{
-			World:         world,
-			Placer:        placer,
-			Store:         store,
-			KeyPrefix:     prefix,
-			Shard:         sh,
-			JournalCap:    *journalCap,
-			ProbeInterval: timing.ProbeInterval,
-			Metrics:       ctrlMetrics,
-			Decisions:     ring,
-			Logger:        slog.Default(),
+			World:     world,
+			Placer:    placer,
+			Store:     store,
+			KeyPrefix: prefix,
+			Shard:     sh,
+			Metrics:   ctrlMetrics,
+			Decisions: ring,
+			Logger:    slog.Default(),
 		})
 		if err != nil {
 			fatal("building controller", err)
@@ -435,18 +432,16 @@ func main() {
 		Handler:           api.Mux(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-	// Orderly stop: SIGINT/SIGTERM hands owned shards off (journal drain
-	// while the fence is still valid, then lease resignation so successors
-	// promote within a renew interval) before the listener closes.
+	// Orderly stop: SIGINT/SIGTERM hands owned shards off (lease
+	// resignation, so successors promote within a renew interval) before the
+	// listener closes.
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-stop
 		if mgr != nil {
 			slog.Info("shutting down; handing off shards")
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			mgr.Stop(ctx)
-			cancel()
+			mgr.Stop()
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		_ = server.Shutdown(ctx)

@@ -30,9 +30,6 @@ import (
 // known (§6.4 picks 300 s, where ~80% of participants have joined).
 const DefaultFreeze = 300 * time.Second
 
-// DefaultJournalCap bounds the degraded-mode write-behind journal.
-const DefaultJournalCap = 8192
-
 // Sentinel errors, exposed so the HTTP layer can map failures to correct
 // status codes.
 var (
@@ -45,6 +42,10 @@ var (
 	ErrNoDC = errors.New("controller: no DC available")
 	// ErrInvalidDC reports an out-of-range DC ID.
 	ErrInvalidDC = errors.New("controller: invalid DC")
+	// ErrStoreUnavailable reports a call-state write the store did not take:
+	// a transport failure, a REPLWAIT refusal or a fenced write. The
+	// transition it carried did not happen, so the request may be retried.
+	ErrStoreUnavailable = errors.New("controller: call-state store unavailable")
 )
 
 // Placer decides the planned DC for a call once its config is known.
@@ -75,7 +76,7 @@ type Predictor interface {
 
 // Stats summarizes controller activity.
 type Stats struct {
-	// Started counts calls assigned on first join.
+	// Started counts calls assigned on first join whose start was stored.
 	Started int64
 	// Frozen counts calls whose config became known.
 	Frozen int64
@@ -83,7 +84,7 @@ type Stats struct {
 	Migrated int64
 	// Unplanned counts frozen calls whose config was not in the plan.
 	Unplanned int64
-	// Ended counts completed calls.
+	// Ended counts completed calls whose end was stored.
 	Ended int64
 	// Predicted counts calls placed from a series-config prediction at
 	// start time (§8 extension).
@@ -93,21 +94,17 @@ type Stats struct {
 	// can help.
 	FrozenRecurring   int64
 	MigratedRecurring int64
-	// Degraded counts transitions into store-degraded mode (the store
-	// became unreachable and writes started journaling).
+	// Degraded counts call-state writes that failed, each of which failed
+	// its request with ErrStoreUnavailable (fenced writes included).
 	Degraded int64
-	// JournalDepth is the current number of buffered call-state writes
-	// awaiting replay.
+	// JournalDepth and Dropped are always zero: the controller buffers no
+	// write, so none waits and none is dropped. They stay because the
+	// benchmark harness reads them.
 	JournalDepth int64
-	// Replayed counts journaled writes successfully replayed after a
-	// reconnect.
-	Replayed int64
-	// Dropped counts journaled writes lost to the journal cap.
-	Dropped int64
+	Dropped      int64
 	// Fenced counts call-state writes the store rejected by lease fencing —
 	// writes this controller issued after another controller took the lease.
-	// They are dropped, not journaled: replaying them later would corrupt the
-	// new leader's state.
+	// Each failed its request.
 	Fenced int64
 	// FailedOver counts live calls drained off failed DCs by FailDC.
 	FailedOver int64
@@ -125,9 +122,6 @@ func (s *Stats) Accumulate(o Stats) {
 	s.FrozenRecurring += o.FrozenRecurring
 	s.MigratedRecurring += o.MigratedRecurring
 	s.Degraded += o.Degraded
-	s.JournalDepth += o.JournalDepth
-	s.Replayed += o.Replayed
-	s.Dropped += o.Dropped
 	s.Fenced += o.Fenced
 	s.FailedOver += o.FailedOver
 }
@@ -156,12 +150,13 @@ type Config struct {
 	// initial assignment" (a pure locality controller).
 	Placer Placer
 	// Store, when non-nil, receives call-state writes (one HSET per
-	// transition). Each worker goroutine must use its own Store client;
-	// the controller serializes writes through one.
+	// transition); a transition is answered only once its write landed.
+	// Each worker goroutine must use its own Store client; the controller
+	// serializes writes through one.
 	Store *kvstore.Client
 	// KeyPrefix namespaces every call-state key ("" for the unsharded
 	// layout). A sharded deployment passes shard.KeyPrefix(i) so shard
-	// journals and state never collide in the shared store, letting one
+	// state never collides in the shared store, letting one
 	// process lead shard 2 while standby for shard 5.
 	KeyPrefix string
 	// Shard is the shard this controller serves, stamped on decision traces
@@ -173,13 +168,6 @@ type Config struct {
 	// Predictor, when non-nil, supplies config predictions for recurring
 	// calls at start time (§8 extension).
 	Predictor Predictor
-	// JournalCap bounds the degraded-mode write-behind journal; zero
-	// means DefaultJournalCap, negative disables journaling (writes are
-	// counted as dropped while the store is unreachable).
-	JournalCap int
-	// ProbeInterval is how often a degraded controller probes the store
-	// for recovery; zero means kvstore.TimingFor(DefaultLeaseTTL)'s.
-	ProbeInterval time.Duration
 	// Metrics, when non-nil, receives controller telemetry (build with
 	// NewMetrics over an obs.Registry). Nil disables metric updates and
 	// their clock reads entirely.
@@ -188,9 +176,9 @@ type Config struct {
 	// decision into a bounded ring for /debug/trace.
 	Decisions *obs.DecisionRing
 	// Logger, when non-nil, receives structured events for the rare state
-	// transitions worth a log line (degraded-mode entry and recovery). Use a
-	// logger built over span.NewLogHandler so the records carry the active
-	// trace ID. Nil disables logging.
+	// transitions worth a log line (a write fenced after leadership loss).
+	// Use a logger built over span.NewLogHandler so the records carry the
+	// active trace ID. Nil disables logging.
 	Logger *slog.Logger
 }
 
@@ -203,9 +191,6 @@ type Controller struct {
 	predictor Predictor
 	keyPrefix string
 	shard     int // -1 when unsharded
-
-	journalCap int
-	probeEvery time.Duration
 
 	// metrics is never nil (a zero-value Metrics when telemetry is off);
 	// decisions may be nil. obsOn gates the wall-clock reads that only
@@ -225,23 +210,13 @@ type Controller struct {
 	failed    map[int]bool          // guarded by mu; DCs declared down via FailDC
 	recoverOK func(id uint64) bool  // guarded by mu; nil admits all (see SetRecoverFilter)
 
-	// storeMu guards the store client and the write-behind journal. It is
-	// strictly ordered after mu: persist() never holds mu, and FailDC/
-	// ConfigKnown release mu before persisting. Keeping store I/O off mu
-	// means a stalled store can never block call admission.
-	storeMu       sync.Mutex
-	journal       []journalEntry // guarded by storeMu
-	degraded      bool           // guarded by storeMu
-	degradedCount int64          // guarded by storeMu
-	replayed      int64          // guarded by storeMu
-	dropped       int64          // guarded by storeMu
-	fenced        int64          // guarded by storeMu
-	lastProbe     time.Time      // guarded by storeMu
-}
-
-// journalEntry is one buffered HSET awaiting replay.
-type journalEntry struct {
-	key, field, value string
+	// storeMu guards the single-connection store client and the write
+	// counters. It is strictly ordered after mu: persist() never holds mu,
+	// and every transition releases mu before persisting. Keeping store I/O
+	// off mu means a stalled store can never block call admission.
+	storeMu      sync.Mutex
+	failedWrites int64 // guarded by storeMu
+	fenced       int64 // guarded by storeMu
 }
 
 type callState struct {
@@ -251,8 +226,20 @@ type callState struct {
 	cfg     model.CallConfig
 	planned bool
 	frozen  bool
+	// owed is what a frozen call's freeze still has to store: owedNone,
+	// owedConfig, or owedConfigDC for a freeze that migrated the call. It
+	// is set when the freeze's write failed, so a retried config writes
+	// again instead of answering from memory.
+	owed    uint8
 	country geo.CountryCode // first joiner, kept for failover rerouting
 }
+
+// Values of callState.owed.
+const (
+	owedNone uint8 = iota
+	owedConfig
+	owedConfigDC
+)
 
 // New returns a controller.
 func New(cfg Config) (*Controller, error) {
@@ -261,15 +248,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	if cfg.Freeze == 0 {
 		cfg.Freeze = DefaultFreeze
-	}
-	if cfg.JournalCap == 0 {
-		cfg.JournalCap = DefaultJournalCap
-	}
-	if cfg.JournalCap < 0 {
-		cfg.JournalCap = 0
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = kvstore.TimingFor(kvstore.DefaultLeaseTTL).ProbeInterval
 	}
 	m := cfg.Metrics
 	if m == nil {
@@ -284,22 +262,20 @@ func New(cfg Config) (*Controller, error) {
 		dcNames[i] = strconv.Itoa(i)
 	}
 	return &Controller{
-		world:      cfg.World,
-		placer:     cfg.Placer,
-		store:      cfg.Store,
-		freeze:     cfg.Freeze,
-		predictor:  cfg.Predictor,
-		keyPrefix:  cfg.KeyPrefix,
-		shard:      shard,
-		journalCap: cfg.JournalCap,
-		probeEvery: cfg.ProbeInterval,
-		metrics:    m,
-		decisions:  cfg.Decisions,
-		logger:     cfg.Logger,
-		obsOn:      cfg.Metrics != nil || cfg.Decisions != nil,
-		calls:      make(map[uint64]*callState),
-		failed:     make(map[int]bool),
-		dcNames:    dcNames,
+		world:     cfg.World,
+		placer:    cfg.Placer,
+		store:     cfg.Store,
+		freeze:    cfg.Freeze,
+		predictor: cfg.Predictor,
+		keyPrefix: cfg.KeyPrefix,
+		shard:     shard,
+		metrics:   m,
+		decisions: cfg.Decisions,
+		logger:    cfg.Logger,
+		obsOn:     cfg.Metrics != nil || cfg.Decisions != nil,
+		calls:     make(map[uint64]*callState),
+		failed:    make(map[int]bool),
+		dcNames:   dcNames,
 	}, nil
 }
 
@@ -312,20 +288,8 @@ func (c *Controller) dcName(dc int) string {
 	return strconv.Itoa(dc) //sblint:allowalloc(out-of-range fallback; never taken for world DCs)
 }
 
-// storeSnapshot reads the degraded flag and journal depth for decision
-// records; only called when the decision ring is enabled. Without a store
-// both are trivially zero, so the hot path skips storeMu entirely.
-func (c *Controller) storeSnapshot() (bool, int) {
-	if c.store == nil {
-		return false, 0
-	}
-	c.storeMu.Lock()
-	defer c.storeMu.Unlock()
-	return c.degraded, len(c.journal)
-}
-
-// record stamps store-path state onto a decision and appends it to the ring.
-// No-op when tracing is off. The caller supplies the timing it already
+// record stamps a decision with its timing and shard and appends it to the
+// ring. No-op when tracing is off. The caller supplies the timing it already
 // measured so the trace costs no extra clock reads.
 func (c *Controller) record(d obs.Decision, start time.Time, dur time.Duration) {
 	if c.decisions == nil {
@@ -334,7 +298,6 @@ func (c *Controller) record(d obs.Decision, start time.Time, dur time.Duration) 
 	d.Time = start
 	d.Duration = dur
 	d.Shard = c.shard
-	d.Degraded, d.JournalDepth = c.storeSnapshot()
 	c.decisions.Record(d)
 }
 
@@ -359,6 +322,10 @@ func (c *Controller) CallStarted(ctx context.Context, id uint64, firstJoiner geo
 // recurring meeting series. When a Predictor is configured and yields a
 // prediction, the call is placed for the predicted config immediately (§8),
 // which avoids a migration at freeze time if the prediction holds.
+//
+// A start whose write the store does not take returns ErrStoreUnavailable
+// and leaves nothing behind: the call is forgotten, so a retry is a fresh
+// start, not a duplicate.
 func (c *Controller) CallStartedWithSeries(ctx context.Context, id uint64, firstJoiner geo.CountryCode, seriesID uint64, at time.Time) (dcOut int, errOut error) {
 	sp := span.FromContext(ctx).NewChild("controller.start")
 	if sp != nil {
@@ -413,17 +380,13 @@ func (c *Controller) CallStartedWithSeries(ctx context.Context, id uint64, first
 			return -1, fmt.Errorf("%w: all DCs reachable from %q failed", ErrNoDC, firstJoiner) //sblint:allowalloc(error path; every DC failed)
 		}
 	}
-	c.calls[id] = &callState{dc: dc, slot: model.SlotOfDay(at), series: seriesID, country: firstJoiner} //sblint:allowalloc(the one intended per-call allocation: call state)
+	st := &callState{dc: dc, slot: model.SlotOfDay(at), series: seriesID, country: firstJoiner} //sblint:allowalloc(the one intended per-call allocation: call state)
+	c.calls[id] = st
 	c.stats.Started++
 	if predicted {
 		c.stats.Predicted++
 	}
 	c.mu.Unlock()
-	c.metrics.Started.Inc()
-	if predicted {
-		c.metrics.Predicted.Inc()
-	}
-	c.metrics.ActiveCalls.Add(1)
 	dur, secs := sinceObs(obsT)
 	if secs > 0 {
 		c.observePlace(sp, secs)
@@ -455,7 +418,23 @@ func (c *Controller) CallStartedWithSeries(ctx context.Context, id uint64, first
 			Reason:     reason,
 		}, obsT, dur)
 	}
-	c.persist(ctx, id, "dc", c.dcName(dc))
+	if err := c.persist(ctx, id, "dc", c.dcName(dc)); err != nil {
+		c.mu.Lock()
+		if c.calls[id] == st {
+			delete(c.calls, id)
+			c.stats.Started--
+			if predicted {
+				c.stats.Predicted--
+			}
+		}
+		c.mu.Unlock()
+		return -1, err
+	}
+	c.metrics.Started.Inc()
+	if predicted {
+		c.metrics.Predicted.Inc()
+	}
+	c.metrics.ActiveCalls.Add(1)
 	return dc, nil
 }
 
@@ -479,6 +458,10 @@ func (c *Controller) placeFor(cfg model.CallConfig, at time.Time, current int) i
 // ConfigKnown freezes the call's config (A into the call), reconciles the
 // call against the allocation plan, and returns the (possibly new) DC and
 // whether the call migrated.
+//
+// The freeze is decided once. When its write fails ConfigKnown returns
+// ErrStoreUnavailable and the call owes the write: a retried config writes
+// it again and answers only once it landed.
 func (c *Controller) ConfigKnown(ctx context.Context, id uint64, cfg model.CallConfig, at time.Time) (dc int, migrated bool, err error) {
 	sp := span.FromContext(ctx).NewChild("controller.freeze")
 	if sp != nil {
@@ -504,8 +487,15 @@ func (c *Controller) ConfigKnown(ctx context.Context, id uint64, cfg model.CallC
 		return -1, false, fmt.Errorf("%w: %d", ErrUnknownCall, id)
 	}
 	if st.frozen {
+		owed, dc, key := st.owed, st.dc, ""
+		if owed != owedNone {
+			key = st.cfg.Key()
+		}
 		c.mu.Unlock()
-		return st.dc, false, nil
+		if owed == owedNone {
+			return dc, false, nil
+		}
+		return c.storeFreeze(ctx, id, st, key, dc, owed == owedConfigDC, true)
 	}
 	st.frozen = true
 	st.cfg = cfg
@@ -600,18 +590,53 @@ func (c *Controller) ConfigKnown(ctx context.Context, id uint64, cfg model.CallC
 			Reason:   reason,
 		}, obsT, dur)
 	}
-	c.persist(ctx, id, "config", key)
-	if migrated {
-		c.persist(ctx, id, "dc", c.dcName(dc))
+	return c.storeFreeze(ctx, id, st, key, dc, migrated, false)
+}
+
+// storeFreeze writes a freeze's config, and its DC when the freeze migrated
+// the call. A failed write marks the call as owing both, so the retried
+// config writes them again; a retry that lands clears the debt.
+func (c *Controller) storeFreeze(ctx context.Context, id uint64, st *callState, key string, dc int, migrated, retry bool) (int, bool, error) {
+	err := c.persist(ctx, id, "config", key)
+	if err == nil && migrated {
+		err = c.persist(ctx, id, "dc", c.dcName(dc))
+	}
+	if err == nil && !retry {
+		return dc, migrated, nil
+	}
+	owed := owedNone
+	if err != nil {
+		owed = owedConfig
+		if migrated {
+			owed = owedConfigDC
+		}
+	}
+	c.mu.Lock()
+	st.owed = owed
+	c.mu.Unlock()
+	if err != nil {
+		return -1, false, err
 	}
 	return dc, migrated, nil
 }
 
-// CallEnded releases the call's state and returns its plan slot if any.
+// CallEnded stores the call's end, then releases its state and returns its
+// plan slot if any. The end is stored before the call leaves memory, so an
+// end that returns ErrStoreUnavailable leaves the call live and its retry
+// ends it.
 func (c *Controller) CallEnded(ctx context.Context, id uint64) error {
 	c.mu.Lock()
 	st, ok := c.calls[id]
+	c.mu.Unlock()
 	if !ok {
+		return fmt.Errorf("%w: %d", ErrUnknownCall, id)
+	}
+	if err := c.persist(ctx, id, "state", "ended"); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	if c.calls[id] != st {
+		// A concurrent end (or an eviction) took the call first.
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrUnknownCall, id)
 	}
@@ -623,14 +648,13 @@ func (c *Controller) CallEnded(ctx context.Context, id uint64) error {
 	c.mu.Unlock()
 	c.metrics.Ended.Inc()
 	c.metrics.ActiveCalls.Add(-1)
-	c.persist(ctx, id, "state", "ended")
 	return nil
 }
 
 // ParticipantJoined records a later participant joining a live call. Joins
 // only matter as state writes in this model — they do not change placement.
-func (c *Controller) ParticipantJoined(ctx context.Context, id uint64, country geo.CountryCode, media model.MediaType) {
-	c.persist(ctx, id, "join:"+string(country), media.String())
+func (c *Controller) ParticipantJoined(ctx context.Context, id uint64, country geo.CountryCode, media model.MediaType) error {
+	return c.persist(ctx, id, "join:"+string(country), media.String())
 }
 
 // ActiveCalls returns the number of in-flight calls.
@@ -646,26 +670,10 @@ func (c *Controller) Stats() Stats {
 	s := c.stats
 	c.mu.Unlock()
 	c.storeMu.Lock()
-	s.Degraded = c.degradedCount
-	s.JournalDepth = int64(len(c.journal))
-	s.Replayed = c.replayed
-	s.Dropped = c.dropped
+	s.Degraded = c.failedWrites
 	s.Fenced = c.fenced
 	c.storeMu.Unlock()
 	return s
-}
-
-// persistDone finishes one persist: it publishes the post-write journal
-// depth, releases storeMu, and then records the persist latency outside the
-// lock.
-//
-//sblint:holds storeMu
-func (c *Controller) persistDone(obsT time.Time) {
-	c.metrics.JournalDepth.Set(float64(len(c.journal)))
-	c.storeMu.Unlock()
-	if _, secs := sinceObs(obsT); secs > 0 {
-		c.metrics.PersistSeconds.Observe(secs)
-	}
 }
 
 // CallKeyPrefix is the prefix every call-state key under a key namespace
@@ -680,12 +688,13 @@ func CallKey(keyPrefix string, id uint64) string {
 	return keyPrefix + "call:" + strconv.FormatUint(id, 10) //sblint:allowalloc(store key; written over the wire, so it must materialize)
 }
 
-// persist writes one call-state transition to the store. The store is an
-// availability optimization, not the source of truth for in-flight
-// decisions, so a write never blocks a worker beyond the client's own I/O
-// deadline: when the store is unreachable the controller enters degraded
-// mode and buffers the write in a bounded journal instead, replaying it once
-// a periodic probe finds the store healthy again.
+// persist writes one call-state transition to the store and reports whether
+// it landed. A write the store does not take — a transport failure, a
+// REPLWAIT refusal (applied on the primary but not confirmed on a standby)
+// or a fenced write — returns an error wrapping ErrStoreUnavailable, and the
+// caller fails its request with it, so a 2xx always means the store holds
+// the transition. Every write is an idempotent HSET, so the client's retry
+// of a refused one is safe.
 //
 // persist is a fencing entry point: every store mutation reachable from it
 // must go through the client's fence-arming typed wrappers (enforced by the
@@ -694,13 +703,13 @@ func CallKey(keyPrefix string, id uint64) string {
 //
 // The write outlives ctx's cancellation: a request context ends when its
 // client hangs up, and the store client cuts a cancelled command off
-// mid-flight, which would read as a store outage and degrade the
-// controller. ctx still carries the span.
+// mid-flight, which could leave the write applied but reported failed.
+// ctx still carries the span.
 //
 //sblint:fencepath
-func (c *Controller) persist(ctx context.Context, id uint64, field, value string) {
+func (c *Controller) persist(ctx context.Context, id uint64, field, value string) error {
 	if c.store == nil {
-		return
+		return nil
 	}
 	//sblint:allowalloc(context interface call; the stdlib contexts return a stored channel without allocating)
 	if ctx.Done() != nil {
@@ -714,138 +723,33 @@ func (c *Controller) persist(ctx context.Context, id uint64, field, value string
 	key := CallKey(c.keyPrefix, id)
 	obsT := c.obsStart()
 	c.storeMu.Lock()
-	defer c.persistDone(obsT)
-	if c.degraded {
-		// Probe at most once per interval; the client's own fail-fast
-		// window (ErrBroken until its redial backoff expires) keeps a
-		// probe cheap even when the store is still down.
-		if time.Since(c.lastProbe) >= c.probeEvery {
-			c.lastProbe = time.Now()
-			if c.store.PingContext(ctx) == nil {
-				c.replayLocked(ctx)
-			}
-		}
-		if c.degraded {
-			sp.SetAttr("journaled", "true")
-			c.appendJournalLocked(journalEntry{key, field, value})
-			return
-		}
-	}
 	err := c.store.HSetContext(ctx, key, field, value)
-	switch {
-	case err == nil:
-	case kvstore.IsFencedError(err):
-		// Another controller holds a newer lease epoch: this write (and any
-		// retry of it) belongs to a leadership this controller no longer has.
-		// Journaling it would replay a deposed leader's state over the
-		// successor's, so it is dropped and counted instead.
+	fenced := err != nil && kvstore.IsFencedError(err)
+	if err != nil {
+		c.failedWrites++
+	}
+	if fenced {
 		c.fenced++
+	}
+	c.storeMu.Unlock()
+	if _, secs := sinceObs(obsT); secs > 0 {
+		c.metrics.PersistSeconds.Observe(secs)
+	}
+	if err == nil {
+		return nil
+	}
+	c.metrics.StoreWriteFailures.Inc()
+	sp.SetError(err)
+	if fenced {
+		// Another controller holds a newer lease epoch: this write belongs
+		// to a leadership this controller no longer has.
 		c.metrics.FencedWrites.Inc()
-		sp.SetError(err)
 		if c.logger != nil {
 			c.logger.WarnContext(ctx, "call-state write fenced; leadership lost", //sblint:allowalloc(fenced-write log; fires only on leadership loss)
 				"err", err, "key", key, "field", field)
 		}
-	case !kvstore.IsServerError(err) || kvstore.IsReplWaitError(err):
-		// Transport failure — or REPLWAIT, where the store applied the write
-		// locally but could not confirm replication, which the controller
-		// treats like a transport failure: the journaled retry is an
-		// idempotent HSET, so replaying an already-applied write is safe.
-		c.degraded = true
-		c.degradedCount++
-		c.metrics.Degraded.Inc()
-		c.lastProbe = time.Now()
-		sp.SetError(err)
-		sp.SetAttr("journaled", "true")
-		c.appendJournalLocked(journalEntry{key, field, value})
-		if c.logger != nil {
-			c.logger.WarnContext(ctx, "store degraded; journaling call-state writes", //sblint:allowalloc(degraded-mode log; fires once per outage transition)
-				"err", err, "journal_depth", len(c.journal))
-		}
 	}
-}
-
-// appendJournalLocked buffers a write, dropping the oldest entry when the
-// cap is hit. Callers hold storeMu.
-//
-//sblint:holds storeMu
-func (c *Controller) appendJournalLocked(e journalEntry) {
-	if c.journalCap <= 0 {
-		c.dropped++
-		c.metrics.Dropped.Inc()
-		return
-	}
-	if len(c.journal) >= c.journalCap {
-		c.journal = c.journal[1:]
-		c.dropped++
-		c.metrics.Dropped.Inc()
-	}
-	c.journal = append(c.journal, e) //sblint:allowalloc(journal growth is the degraded-mode design; bounded by journalCap)
-}
-
-// replayLocked drains the journal into a healthy store and clears degraded
-// mode. If a write fails mid-drain the controller stays degraded with the
-// unflushed suffix intact. Callers hold storeMu.
-//
-// Journal drain is a fencing entry point (see persist): drained writes must
-// stay on the fence-arming wrappers so a deposed leader's backlog fences
-// out instead of applying.
-//
-//sblint:fencepath
-//sblint:holds storeMu
-func (c *Controller) replayLocked(ctx context.Context) {
-	var n int64
-	for len(c.journal) > 0 {
-		e := c.journal[0]
-		err := c.store.HSetContext(ctx, e.key, e.field, e.value)
-		if kvstore.IsFencedError(err) {
-			// Leadership moved while this write sat in the journal; it must
-			// not land on the new leader's state. Drop it and keep draining.
-			c.journal = c.journal[1:]
-			c.fenced++
-			c.metrics.FencedWrites.Inc()
-			continue
-		}
-		if err != nil && (!kvstore.IsServerError(err) || kvstore.IsReplWaitError(err)) {
-			return // still down; keep journaling
-		}
-		c.journal = c.journal[1:]
-		c.replayed++
-		n++
-		c.metrics.Replayed.Inc()
-	}
-	c.degraded = false
-	c.metrics.JournalDepth.Set(float64(len(c.journal)))
-	if c.logger != nil {
-		c.logger.InfoContext(ctx, "store recovered; journal replayed", "replayed", n) //sblint:allowalloc(recovery log; fires once per outage)
-	}
-}
-
-// ReplayJournal forces an immediate probe-and-drain, returning how many
-// journaled writes were flushed. Callers use it to bound recovery latency
-// instead of waiting for the next persist-triggered probe.
-//
-//sblint:fencepath
-func (c *Controller) ReplayJournal(ctx context.Context) (int, error) {
-	if c.store == nil {
-		return 0, nil
-	}
-	c.storeMu.Lock()
-	defer c.storeMu.Unlock()
-	if !c.degraded {
-		return 0, nil
-	}
-	c.lastProbe = time.Now()
-	before := c.replayed
-	if err := c.store.PingContext(ctx); err != nil {
-		return 0, err
-	}
-	c.replayLocked(ctx)
-	n := int(c.replayed - before)
-	if c.degraded {
-		return n, fmt.Errorf("controller: store lost again after replaying %d writes", n)
-	}
-	return n, nil
+	return fmt.Errorf("%w: %w", ErrStoreUnavailable, err) //sblint:allowalloc(error path; the store did not take the write)
 }
 
 // Shard returns the shard this controller serves (-1 when unsharded).
@@ -930,21 +834,6 @@ func (c *Controller) SetLease(key string, epoch int64) {
 	c.storeMu.Unlock()
 }
 
-// Degraded reports whether call-state writes are currently journaled
-// instead of persisted.
-func (c *Controller) Degraded() bool {
-	c.storeMu.Lock()
-	defer c.storeMu.Unlock()
-	return c.degraded
-}
-
-// JournalDepth returns the number of buffered writes awaiting replay.
-func (c *Controller) JournalDepth() int {
-	c.storeMu.Lock()
-	defer c.storeMu.Unlock()
-	return len(c.journal)
-}
-
 // nearestSurvivingLocked returns the closest non-failed DC to code, or -1.
 // Callers hold c.mu.
 //
@@ -1001,7 +890,9 @@ func (c *Controller) drainTargetLocked(st *callState) int {
 // capacity, preferring the allocation plan's backup slots. It returns how
 // many calls were moved. Calls with no surviving DC stay recorded on the
 // failed DC (and are counted as moved=0, not dropped — they will reroute at
-// freeze or end normally).
+// freeze or end normally). A move whose write the store does not take goes
+// back onto the failed DC and FailDC returns ErrStoreUnavailable; failing
+// the DC again drains what is still on it.
 func (c *Controller) FailDC(ctx context.Context, dc int) (int, error) {
 	if dc < 0 || len(c.world.DCs()) <= dc {
 		return 0, fmt.Errorf("%w: %d", ErrInvalidDC, dc)
@@ -1016,12 +907,8 @@ func (c *Controller) FailDC(ctx context.Context, dc int) (int, error) {
 		id uint64
 		dc int
 	}
-	var moves []move
+	var moves, shed []move
 	c.mu.Lock()
-	if c.failed[dc] {
-		c.mu.Unlock()
-		return 0, nil
-	}
 	c.failed[dc] = true
 	for id, st := range c.calls {
 		if st.dc != dc {
@@ -1029,13 +916,12 @@ func (c *Controller) FailDC(ctx context.Context, dc int) (int, error) {
 		}
 		if target := c.drainTargetLocked(st); target >= 0 && target != dc {
 			st.dc = target
-			c.stats.FailedOver++
 			moves = append(moves, move{id, target})
 		}
 	}
 	c.mu.Unlock()
-	c.metrics.FailedOver.Add(uint64(len(moves)))
 	// Persist outside c.mu: store I/O must not block call admission.
+	var err error
 	for _, m := range moves {
 		c.record(obs.Decision{
 			Kind:     "failover",
@@ -1045,9 +931,26 @@ func (c *Controller) FailDC(ctx context.Context, dc int) (int, error) {
 			Migrated: true,
 			Reason:   "drain-failed-dc",
 		}, obsT, 0)
-		c.persist(ctx, m.id, "dc", strconv.Itoa(m.dc))
+		if perr := c.persist(ctx, m.id, "dc", c.dcName(m.dc)); perr != nil {
+			shed = append(shed, m)
+			err = perr
+		}
 	}
-	return len(moves), nil
+	c.mu.Lock()
+	for _, m := range shed {
+		if st, ok := c.calls[m.id]; ok && st.dc == m.dc {
+			if st.planned {
+				c.placer.Release(st.cfg, st.slot, st.dc)
+				st.planned = false
+			}
+			st.dc = dc
+		}
+	}
+	moved := len(moves) - len(shed)
+	c.stats.FailedOver += int64(moved)
+	c.mu.Unlock()
+	c.metrics.FailedOver.Add(uint64(moved))
+	return moved, err
 }
 
 // RecoverDC marks a failed DC healthy again. Drained calls stay where they

@@ -17,7 +17,7 @@ import (
 )
 
 // fastOptions keeps chaos tests quick: tight deadlines, no automatic
-// retries (the controller's journal is the retry mechanism).
+// retries (a shed write fails its caller, who retries).
 func fastOptions() kvstore.Options {
 	return kvstore.Options{
 		DialTimeout: 250 * time.Millisecond,
@@ -39,30 +39,33 @@ func startStore(t *testing.T) (*kvstore.Server, net.Listener) {
 	return srv, l
 }
 
-// drainJournal retries ReplayJournal until the store accepts the backlog.
-func drainJournal(t *testing.T, c *Controller) int {
+// retryShed re-sends op, as a client honouring Retry-After would, while it
+// fails with ErrStoreUnavailable; any other error, or five seconds of
+// shedding, fails the test.
+func retryShed(t *testing.T, what string, op func() error) {
 	t.Helper()
-	total := 0
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		n, err := c.ReplayJournal(context.Background())
-		total += n
-		if err == nil {
-			return total
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("journal did not drain: %v (flushed %d)", err, total)
+		err := op()
+		switch {
+		case err == nil:
+			return
+		case !errors.Is(err, ErrStoreUnavailable):
+			t.Fatalf("%s: %v", what, err)
+		case time.Now().After(deadline):
+			t.Fatalf("%s still shed after 5s: %v", what, err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// TestChaosJournalAndReplay is the acceptance drill: the kvstore is
-// partitioned away mid-replay (via the chaos proxy, so its contents
-// survive), concurrent controller workers keep processing events without
-// blocking past the client's deadline, the missed writes are journaled, and
-// after the partition heals the journal replays with zero lost transitions.
-func TestChaosJournalAndReplay(t *testing.T) {
+// TestChaosShedAndRetry is the acceptance drill: the kvstore is cut off
+// mid-replay (via the chaos proxy, so its contents survive) while concurrent
+// controller workers keep processing events. No worker blocks past the
+// client's deadline, every event the cut refuses fails with
+// ErrStoreUnavailable and is re-sent until it commits, and once the store is
+// back every call's end is in it: zero lost transitions.
+func TestChaosShedAndRetry(t *testing.T) {
 	srv, l := startStore(t)
 	defer srv.Close()
 	proxy, err := faults.NewProxy(l.Addr().String(), nil)
@@ -77,11 +80,7 @@ func TestChaosJournalAndReplay(t *testing.T) {
 	}
 	defer client.Close()
 
-	ctrl, err := New(Config{
-		World:         world,
-		Store:         client,
-		ProbeInterval: 10 * time.Millisecond,
-	})
+	ctrl, err := New(Config{World: world, Store: client})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +95,10 @@ func TestChaosJournalAndReplay(t *testing.T) {
 	recs := g.GenerateAll()
 	events := BuildEvents(recs, DefaultFreeze)
 
-	// Partition the store away for the middle third of the event stream.
-	cutAt, restoreAt := len(events)/3, 2*len(events)/3
-	var processed atomic.Int64
+	// Cut the store a third of the way in; restore it 200 attempts later.
+	// The cut is counted in attempts, since no event gets past it.
+	cutAt, restoreAt := int64(len(events)/3), int64(len(events)/3+200)
+	var attempts atomic.Int64
 	var cutOnce, restoreOnce sync.Once
 
 	const workers = 4
@@ -115,24 +115,32 @@ func TestChaosJournalAndReplay(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for _, e := range queues[i] {
-				n := processed.Add(1)
-				if n == int64(cutAt) {
-					cutOnce.Do(proxy.Cut)
-				}
-				if n == int64(restoreAt) {
-					restoreOnce.Do(proxy.Restore)
-				}
-				begin := time.Now()
-				if err := ctrl.Apply(context.Background(), e); err != nil {
-					errCh <- err
-					return
-				}
-				stall := int64(time.Since(begin))
 				for {
-					cur := atomic.LoadInt64(&maxStall)
-					if stall <= cur || atomic.CompareAndSwapInt64(&maxStall, cur, stall) {
-						break
+					n := attempts.Add(1)
+					if n == cutAt {
+						cutOnce.Do(proxy.Cut)
 					}
+					if n == restoreAt {
+						restoreOnce.Do(proxy.Restore)
+					}
+					begin := time.Now()
+					err := ctrl.Apply(context.Background(), e)
+					stall := int64(time.Since(begin))
+					for {
+						cur := atomic.LoadInt64(&maxStall)
+						if stall <= cur || atomic.CompareAndSwapInt64(&maxStall, cur, stall) {
+							break
+						}
+					}
+					if errors.Is(err, ErrStoreUnavailable) {
+						time.Sleep(time.Millisecond)
+						continue
+					}
+					if err != nil {
+						errCh <- err
+						return
+					}
+					break
 				}
 			}
 		}(i)
@@ -150,19 +158,12 @@ func TestChaosJournalAndReplay(t *testing.T) {
 		t.Errorf("a controller op stalled %v during the outage, want bounded by deadlines", stall)
 	}
 
-	drainJournal(t, ctrl)
 	st := ctrl.Stats()
 	if st.Degraded < 1 {
-		t.Error("controller never recorded a degraded interval")
+		t.Error("no call-state write failed during the cut")
 	}
-	if st.Replayed == 0 {
-		t.Error("no journaled writes were replayed")
-	}
-	if st.Dropped != 0 {
-		t.Errorf("%d journaled writes dropped, want 0", st.Dropped)
-	}
-	if st.JournalDepth != 0 || ctrl.Degraded() {
-		t.Errorf("after replay: depth=%d degraded=%v, want drained and healthy", st.JournalDepth, ctrl.Degraded())
+	if want := int64(len(recs)); st.Started != want || st.Ended != want {
+		t.Errorf("started %d, ended %d; want %d each (only committed transitions count)", st.Started, st.Ended, want)
 	}
 	if ctrl.ActiveCalls() != 0 {
 		t.Errorf("%d calls leaked", ctrl.ActiveCalls())
@@ -198,9 +199,12 @@ func itoa64(n uint64) string {
 	return string(b)
 }
 
-// TestDegradedServerKillRestart actually kills the store process analogue
-// (Server.Close) mid-stream and restarts a fresh one on the same address:
-// the controller journals across the gap and drains into the new instance.
+// TestDegradedServerKillRestart kills the store process analogue
+// (Server.Close) mid-stream and restarts a fresh one on the same address.
+// Across the gap every transition fails and leaves the controller as it was: a start is
+// forgotten, a config stays owed (asking again does not answer from
+// memory), an end leaves the call live. Re-sent once the store is back, each
+// one lands in the new instance.
 func TestDegradedServerKillRestart(t *testing.T) {
 	srv, l := startStore(t)
 	addr := l.Addr().String()
@@ -210,30 +214,42 @@ func TestDegradedServerKillRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	ctrl, err := New(Config{World: world, Store: client, ProbeInterval: 10 * time.Millisecond})
+	ctrl, err := New(Config{World: world, Store: client})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	now := time.Now()
-	if _, err := ctrl.CallStarted(context.Background(), 1, "JP", now); err != nil {
-		t.Fatal(err)
+	ctx, now := context.Background(), time.Now()
+	for _, id := range []uint64{1, 3} {
+		if _, err := ctrl.CallStarted(ctx, id, "JP", now); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Writes during the outage must not error call admission and must land
-	// in the journal.
-	if _, err := ctrl.CallStarted(context.Background(), 2, "DE", now); err != nil {
-		t.Fatal(err)
+	if _, err := ctrl.CallStarted(ctx, 2, "DE", now); !errors.Is(err, ErrStoreUnavailable) {
+		t.Fatalf("start during the outage = %v, want ErrStoreUnavailable", err)
 	}
-	if err := ctrl.CallEnded(context.Background(), 2); err != nil {
-		t.Fatal(err)
+	if ctrl.Knows(2) || ctrl.ActiveCalls() != 2 {
+		t.Fatalf("a shed start left state behind: knows=%v active=%d", ctrl.Knows(2), ctrl.ActiveCalls())
 	}
-	if !ctrl.Degraded() || ctrl.JournalDepth() == 0 {
-		t.Fatalf("degraded=%v depth=%d, want journaling", ctrl.Degraded(), ctrl.JournalDepth())
+	cfg := cfgOf(model.Audio, map[geo.CountryCode]int{"JP": 2})
+	for i := 0; i < 2; i++ {
+		if _, _, err := ctrl.ConfigKnown(ctx, 1, cfg, now); !errors.Is(err, ErrStoreUnavailable) {
+			t.Fatalf("config #%d during the outage = %v, want ErrStoreUnavailable", i+1, err)
+		}
+	}
+	if err := ctrl.CallEnded(ctx, 3); !errors.Is(err, ErrStoreUnavailable) {
+		t.Fatalf("end during the outage = %v, want ErrStoreUnavailable", err)
+	}
+	if !ctrl.Knows(3) {
+		t.Fatal("a shed end took the call out of memory")
+	}
+	if st := ctrl.Stats(); st.Started != 2 || st.Ended != 0 {
+		t.Fatalf("started %d, ended %d during the outage; want 2, 0", st.Started, st.Ended)
 	}
 
 	// Restart on the same address.
@@ -252,57 +268,92 @@ func TestDegradedServerKillRestart(t *testing.T) {
 	go srv2.Serve(l2)
 	defer srv2.Close()
 
-	flushed := drainJournal(t, ctrl)
-	if flushed == 0 {
-		t.Error("replay flushed nothing")
+	retryShed(t, "start 2", func() error {
+		_, err := ctrl.CallStarted(ctx, 2, "DE", now)
+		return err
+	})
+	retryShed(t, "config 1", func() error {
+		_, _, err := ctrl.ConfigKnown(ctx, 1, cfg, now)
+		return err
+	})
+	retryShed(t, "end 3", func() error { return ctrl.CallEnded(ctx, 3) })
+	if st := ctrl.Stats(); st.Started != 3 || st.Ended != 1 || ctrl.ActiveCalls() != 2 {
+		t.Errorf("after the retries: started %d, ended %d, active %d; want 3, 1, 2", st.Started, st.Ended, ctrl.ActiveCalls())
 	}
-	if ctrl.Degraded() || ctrl.JournalDepth() != 0 {
-		t.Errorf("degraded=%v depth=%d after restart", ctrl.Degraded(), ctrl.JournalDepth())
-	}
+
 	reader, err := kvstore.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reader.Close()
-	if v, err := reader.HGet("call:2", "state"); err != nil || v != "ended" {
-		t.Errorf("journaled transition missing after restart: %q, %v", v, err)
+	if v, err := reader.HGet("call:2", "dc"); err != nil || v == "" {
+		t.Errorf("retried start missing after restart: %q, %v", v, err)
+	}
+	if v, err := reader.HGet("call:1", "config"); err != nil || v != cfg.Key() {
+		t.Errorf("retried config missing after restart: %q, %v", v, err)
+	}
+	if v, err := reader.HGet("call:3", "state"); err != nil || v != "ended" {
+		t.Errorf("retried end missing after restart: %q, %v", v, err)
 	}
 }
 
-// TestJournalCapDropsOldest pins the bounded-journal semantics: beyond the
-// cap the oldest writes are dropped and counted.
-func TestJournalCapDropsOldest(t *testing.T) {
+// TestFailDCShedMovesBack: a drain move whose write the store does not take
+// goes back onto the failed DC, FailDC reports ErrStoreUnavailable, and
+// failing the DC again once the store is back drains and stores the move.
+func TestFailDCShedMovesBack(t *testing.T) {
 	srv, l := startStore(t)
-	client, err := kvstore.DialOptions(l.Addr().String(), fastOptions())
+	defer srv.Close()
+	proxy, err := faults.NewProxy(l.Addr().String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	client, err := kvstore.DialOptions(proxy.Addr(), fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	ctrl, err := New(Config{
-		World:         world,
-		Store:         client,
-		JournalCap:    2,
-		ProbeInterval: time.Hour, // never probe during the test
-	})
+	ctrl, err := New(Config{World: world, Store: client})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Close(); err != nil {
+	ctx := context.Background()
+	dc0, err := ctrl.CallStarted(ctx, 1, "JP", time.Now())
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		ctrl.persist(context.Background(), uint64(i), "f", "v")
+
+	proxy.Cut()
+	if moved, err := ctrl.FailDC(ctx, dc0); moved != 0 || !errors.Is(err, ErrStoreUnavailable) {
+		t.Fatalf("FailDC with the store cut = %d, %v; want 0, ErrStoreUnavailable", moved, err)
 	}
-	st := ctrl.Stats()
-	if st.JournalDepth != 2 || st.Dropped != 2 {
-		t.Errorf("depth=%d dropped=%d, want 2/2", st.JournalDepth, st.Dropped)
+	ctrl.mu.Lock()
+	onFailed := ctrl.calls[1].dc == dc0
+	ctrl.mu.Unlock()
+	if !onFailed || ctrl.Stats().FailedOver != 0 {
+		t.Fatalf("a shed drain move stayed applied: on failed DC=%v, failed over %d", onFailed, ctrl.Stats().FailedOver)
 	}
-	// The survivors are the newest entries.
-	ctrl.storeMu.Lock()
-	last := ctrl.journal[len(ctrl.journal)-1]
-	ctrl.storeMu.Unlock()
-	if last.key != "call:3" {
-		t.Errorf("newest journal entry = %q, want call:3", last.key)
+
+	proxy.Restore()
+	var moved int
+	retryShed(t, "FailDC", func() error {
+		n, err := ctrl.FailDC(ctx, dc0)
+		moved += n
+		return err
+	})
+	ctrl.mu.Lock()
+	now := ctrl.calls[1].dc
+	ctrl.mu.Unlock()
+	if moved != 1 || now == dc0 || ctrl.Stats().FailedOver != 1 {
+		t.Fatalf("retried FailDC moved %d (call on %d, failed DC %d, failed over %d); want 1 move off it", moved, now, dc0, ctrl.Stats().FailedOver)
+	}
+	reader, err := kvstore.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	if v, err := reader.HGet("call:1", "dc"); err != nil || v != itoa64(uint64(now)) {
+		t.Errorf("stored dc %q (%v), want the drain target %d", v, err, now)
 	}
 }
 
@@ -431,7 +482,7 @@ func TestFailDCLatencyFallback(t *testing.T) {
 
 // TestPersistOutlivesRequestCancel: a request whose client hangs up while
 // its call-state write is in flight must not cut the write off. The write
-// lands, and the controller stays out of degraded mode.
+// lands and the start succeeds.
 func TestPersistOutlivesRequestCancel(t *testing.T) {
 	srv, l := startStore(t)
 	defer srv.Close()
@@ -451,7 +502,7 @@ func TestPersistOutlivesRequestCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	ctrl, err := New(Config{World: world, Store: client, ProbeInterval: time.Hour})
+	ctrl, err := New(Config{World: world, Store: client})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,8 +514,8 @@ func TestPersistOutlivesRequestCancel(t *testing.T) {
 	if _, err := ctrl.CallStarted(ctx, 1, "JP", start); err != nil {
 		t.Fatal(err)
 	}
-	if ctrl.Degraded() || ctrl.JournalDepth() != 0 {
-		t.Fatalf("after a cancelled request: degraded=%v depth=%d, want a healthy store path", ctrl.Degraded(), ctrl.JournalDepth())
+	if n := ctrl.Stats().Degraded; n != 0 {
+		t.Fatalf("after a cancelled request: %d failed writes, want 0", n)
 	}
 	if took := time.Since(start); took < delay {
 		t.Fatalf("CallStarted returned after %v, before the store reply could arrive", took)

@@ -1,7 +1,7 @@
 // Lease-based controller leadership. Controllers race SETLEASE on a
 // shared store key; the winner leads and renews within the TTL, the
-// losers run hot — journal-replaying standbys — and watch the lease so they
-// can take over the moment it lapses. Leadership changes bump the lease
+// losers run hot standbys and watch the lease so they can take over the
+// moment it lapses. Leadership changes bump the lease
 // epoch, which the leader stamps onto every call-state write (see
 // Controller.SetLease), so a deposed leader is fenced out of the store even
 // if it keeps running.
@@ -37,7 +37,7 @@ type ElectorConfig struct {
 	// and each attempt ends within it.
 	TTL time.Duration
 	// OnLead runs once per leadership acquisition with the granted epoch
-	// (typically Controller.SetLease plus a journal replay). Called from
+	// (typically Controller.SetLease plus a call-state recovery). Called from
 	// the elector goroutine.
 	OnLead func(epoch int64)
 	// OnLose runs once per leadership loss (lease observed under another

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -60,8 +61,9 @@ func await(t *testing.T, what string, cond func() bool) {
 // TestElectorHandoffAndFencing drives the full leadership story: A leads and
 // its fenced writes land; B follows with a hint pointing at A; A resigns and
 // B takes over with a bumped epoch; A's fence stays armed at its deposed
-// epoch, so its stale writes are fenced out of the store and surface in its
-// Stats rather than corrupting B's state.
+// epoch, so its stale writes are fenced out of the store, fail with
+// ErrStoreUnavailable and surface in its Stats rather than corrupting B's
+// state.
 func TestElectorHandoffAndFencing(t *testing.T) {
 	srv, l := startStore(t)
 	defer srv.Close()
@@ -84,7 +86,6 @@ func TestElectorHandoffAndFencing(t *testing.T) {
 			TTL:   300 * time.Millisecond,
 			OnLead: func(epoch int64) {
 				ctrl.SetLease(testLeaseKey, epoch)
-				_, _ = ctrl.ReplayJournal(context.Background())
 			},
 			OnLose: onLose,
 		})
@@ -126,8 +127,11 @@ func TestElectorHandoffAndFencing(t *testing.T) {
 
 	// A kept its controller running, its fence still armed at epoch 1 (OnLose
 	// leaves it, as shard.Manager does): its later writes are stale.
-	if _, err := ctrlA.CallStarted(context.Background(), 2, "JP", time.Now()); err != nil {
-		t.Fatal(err)
+	if _, err := ctrlA.CallStarted(context.Background(), 2, "JP", time.Now()); !errors.Is(err, ErrStoreUnavailable) {
+		t.Fatalf("deposed leader's start = %v, want ErrStoreUnavailable", err)
+	}
+	if ctrlA.Knows(2) {
+		t.Fatal("deposed leader kept a start the store fenced")
 	}
 	if _, err := rdr.HGet("call:2", "dc"); err != kvstore.ErrNil {
 		t.Fatalf("stale leader's write visible in store: %v", err)
@@ -303,11 +307,11 @@ func TestElectorResignIsNotALoss(t *testing.T) {
 	}
 }
 
-// TestJournalReplayIdempotent duplicates every journaled entry before the
-// drain: the journal is at-least-once by design (a REPLWAIT write may already
-// be applied), so replaying duplicates must converge to the same store state
-// and a second drain must be a no-op.
-func TestJournalReplayIdempotent(t *testing.T) {
+// TestRetryAfterLostReplyIdempotent: a write the store applied but whose
+// reply never arrived (the reply path is blackholed, as when a REPLWAIT or an
+// ack is lost) fails its request, and the client's retry rewrites the same
+// fields. The store converges on one copy of the call's state.
+func TestRetryAfterLostReplyIdempotent(t *testing.T) {
 	srv, l := startStore(t)
 	defer srv.Close()
 	proxy, err := faults.NewProxy(l.Addr().String(), nil)
@@ -315,109 +319,86 @@ func TestJournalReplayIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer proxy.Close()
-	ctrl, err := New(Config{
-		World:         world,
-		Store:         dialStore(t, proxy.Addr()),
-		ProbeInterval: 10 * time.Millisecond,
-	})
+	ctrl, err := New(Config{World: world, Store: dialStore(t, proxy.Addr())})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rdr := dialStore(t, l.Addr().String())
+	ctx := context.Background()
 
-	proxy.Cut()
-	const calls = 20
-	for i := uint64(1); i <= calls; i++ {
-		if _, err := ctrl.CallStarted(context.Background(), i, "JP", time.Now()); err != nil {
+	// Requests reach the store; replies do not.
+	proxy.PartitionDirs(false, true)
+	if _, err := ctrl.CallStarted(ctx, 1, "JP", time.Now()); !errors.Is(err, ErrStoreUnavailable) {
+		t.Fatalf("start with its reply lost = %v, want ErrStoreUnavailable", err)
+	}
+	await(t, "the unacknowledged write to apply", func() bool {
+		dc, err := rdr.HGet("call:1", "dc")
+		return err == nil && dc != ""
+	})
+	if ctrl.Knows(1) || ctrl.Stats().Started != 0 {
+		t.Fatal("a start that answered an error is still counted in memory")
+	}
+
+	proxy.Heal()
+	var dc int
+	await(t, "the retried start to commit", func() bool {
+		var err error
+		dc, err = ctrl.CallStarted(ctx, 1, "JP", time.Now())
+		if err != nil && !errors.Is(err, ErrStoreUnavailable) {
 			t.Fatal(err)
 		}
+		return err == nil
+	})
+	fields, err := rdr.HGetAll("call:1")
+	if err != nil || len(fields) != 1 || fields["dc"] != strconv.Itoa(dc) {
+		t.Fatalf("call:1 = %v (%v), want exactly dc=%d", fields, err, dc)
 	}
-	await(t, "journaling", func() bool { return ctrl.JournalDepth() == calls })
-
-	// Duplicate the whole journal, as if every entry had been retried.
-	ctrl.storeMu.Lock()
-	ctrl.journal = append(ctrl.journal, ctrl.journal...)
-	ctrl.storeMu.Unlock()
-
-	proxy.Restore()
-	if n := drainJournal(t, ctrl); n != 2*calls {
-		t.Fatalf("replayed %d entries, want %d", n, 2*calls)
-	}
-	rdr := dialStore(t, l.Addr().String())
-	for i := uint64(1); i <= calls; i++ {
-		key := "call:" + strconv.FormatUint(i, 10)
-		if dc, err := rdr.HGet(key, "dc"); err != nil || dc == "" {
-			t.Fatalf("%s dc = %q, %v after duplicated replay", key, dc, err)
-		}
-		if fields, err := rdr.HGetAll(key); err != nil || len(fields) != 1 {
-			t.Fatalf("%s has %d fields (%v), want exactly 1", key, len(fields), err)
-		}
-	}
-	if ctrl.Degraded() {
-		t.Fatal("still degraded after a clean drain")
-	}
-	if n, err := ctrl.ReplayJournal(context.Background()); n != 0 || err != nil {
-		t.Fatalf("second drain = %d, %v; want a no-op", n, err)
+	if st := ctrl.Stats(); st.Started != 1 || ctrl.ActiveCalls() != 1 {
+		t.Fatalf("started %d, active %d after the retry; want 1, 1", st.Started, ctrl.ActiveCalls())
 	}
 }
 
-// TestJournalDrainDropsFencedEntries: writes journaled before a leadership
-// loss must not land on the new leader's state when the store comes back —
-// the drain drops them as fenced and keeps draining.
-func TestJournalDrainDropsFencedEntries(t *testing.T) {
+// TestFencedWritesFailRequests: once leadership moves, every write of the
+// deposed controller is fenced by the store, fails with ErrStoreUnavailable
+// and leaves nothing behind, in the store or in memory.
+func TestFencedWritesFailRequests(t *testing.T) {
 	srv, l := startStore(t)
 	defer srv.Close()
-	proxy, err := faults.NewProxy(l.Addr().String(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-	ctrl, err := New(Config{
-		World:         world,
-		Store:         dialStore(t, proxy.Addr()),
-		ProbeInterval: 10 * time.Millisecond,
-	})
+	ctrl, err := New(Config{World: world, Store: dialStore(t, l.Addr().String())})
 	if err != nil {
 		t.Fatal(err)
 	}
 	admin := dialStore(t, l.Addr().String())
-	epoch, err := admin.SetLease(testLeaseKey, "ctrl-A", 10*time.Second)
+	ctx := context.Background()
+	epoch, err := admin.SetLeaseContext(ctx, testLeaseKey, "ctrl-A", 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctrl.SetLease(testLeaseKey, epoch)
 
-	proxy.Cut()
-	const calls = 5
-	for i := uint64(1); i <= calls; i++ {
-		if _, err := ctrl.CallStarted(context.Background(), i, "JP", time.Now()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	await(t, "journaling", func() bool { return ctrl.JournalDepth() == calls })
-
-	// Leadership moves while the store is unreachable.
+	// Leadership moves.
 	if err := admin.DelLease(testLeaseKey, "ctrl-A"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := admin.SetLease(testLeaseKey, "ctrl-B", 10*time.Second); err != nil {
+	if _, err := admin.SetLeaseContext(ctx, testLeaseKey, "ctrl-B", 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
-	proxy.Restore()
-	if n := drainJournal(t, ctrl); n != 0 {
-		t.Fatalf("drain replayed %d fenced entries, want 0", n)
+	const calls = 5
+	for i := uint64(1); i <= calls; i++ {
+		if _, err := ctrl.CallStarted(ctx, i, "JP", time.Now()); !errors.Is(err, ErrStoreUnavailable) || !kvstore.IsFencedError(err) {
+			t.Fatalf("deposed start %d = %v, want a fenced ErrStoreUnavailable", i, err)
+		}
 	}
 	st := ctrl.Stats()
-	if st.Fenced != calls {
-		t.Fatalf("fenced = %d, want %d", st.Fenced, calls)
-	}
-	if st.JournalDepth != 0 {
-		t.Fatalf("journal depth = %d after drain", st.JournalDepth)
+	if st.Fenced != calls || st.Degraded != calls || st.Started != 0 || ctrl.ActiveCalls() != 0 {
+		t.Fatalf("fenced %d, failed writes %d, started %d, active %d; want %d, %d, 0, 0",
+			st.Fenced, st.Degraded, st.Started, ctrl.ActiveCalls(), calls, calls)
 	}
 	for i := uint64(1); i <= calls; i++ {
 		key := "call:" + strconv.FormatUint(i, 10)
 		if _, err := admin.HGet(key, "dc"); err != kvstore.ErrNil {
-			t.Fatalf("fenced entry %s landed in the store: %v", key, err)
+			t.Fatalf("fenced write %s landed in the store: %v", key, err)
 		}
 	}
 }

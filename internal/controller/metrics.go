@@ -19,19 +19,18 @@ type Metrics struct {
 	Ended      *obs.Counter
 	Predicted  *obs.Counter
 	FailedOver *obs.Counter
-	Degraded   *obs.Counter // transitions into store-degraded mode
-	Replayed   *obs.Counter
-	Dropped    *obs.Counter
+	// StoreWriteFailures counts call-state writes the store did not take,
+	// each of which failed its request.
+	StoreWriteFailures *obs.Counter
 	// FencedWrites counts call-state writes rejected by the store's fencing
 	// check — evidence this controller kept writing after losing leadership.
 	FencedWrites *obs.Counter
 
-	JournalDepth *obs.Gauge
-	ActiveCalls  *obs.Gauge
+	ActiveCalls *obs.Gauge
 
 	// PlaceSeconds times the placement decisions (CallStarted and
 	// ConfigKnown, excluding store I/O); PersistSeconds times the store
-	// write path including journaling.
+	// write path.
 	PlaceSeconds   *obs.Histogram
 	PersistSeconds *obs.Histogram
 }
@@ -47,18 +46,15 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		Ended:      r.Counter("sb_controller_calls_ended_total", "Completed calls."),
 		Predicted:  r.Counter("sb_controller_calls_predicted_total", "Calls placed from a series-config prediction at start."),
 		FailedOver: r.Counter("sb_controller_calls_failed_over_total", "Live calls drained off failed DCs."),
-		Degraded:   r.Counter("sb_controller_degraded_transitions_total", "Transitions into store-degraded (journaling) mode."),
-		Replayed:   r.Counter("sb_controller_journal_replayed_total", "Journaled writes replayed after a reconnect."),
-		Dropped:    r.Counter("sb_controller_journal_dropped_total", "Journaled writes lost to the journal cap."),
+		StoreWriteFailures: r.Counter("sb_controller_store_write_failures_total",
+			"Call-state writes the store did not take; each failed its request with 503."),
 		FencedWrites: r.Counter("sb_controller_fenced_writes_total",
 			"Call-state writes rejected by lease fencing after leadership loss."),
-		JournalDepth: r.Gauge("sb_controller_journal_depth",
-			"Buffered call-state writes awaiting replay."),
 		ActiveCalls: r.Gauge("sb_controller_active_calls", "In-flight calls."),
 		PlaceSeconds: r.Histogram("sb_controller_place_seconds",
 			"Placement decision time (start and freeze), excluding store I/O.", nil),
 		PersistSeconds: r.Histogram("sb_controller_persist_seconds",
-			"Call-state persist time, including journaling when degraded.", nil),
+			"Call-state persist time, store round trip included.", nil),
 	}
 }
 

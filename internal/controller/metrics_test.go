@@ -2,6 +2,7 @@ package controller
 
 import (
 	"context"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -106,8 +107,9 @@ func TestControllerMetricsAndTrace(t *testing.T) {
 }
 
 // TestDegradedMetrics checks the persist-path telemetry across a store
-// outage: the degraded transition counter, the journal depth gauge, and the
-// replay counter.
+// outage: a shed start moves the write-failure counter (Stats().Degraded)
+// and nothing else, and its retry once the store is back counts the start
+// and the active call.
 func TestDegradedMetrics(t *testing.T) {
 	srv, l := startStore(t)
 	addr := l.Addr().String()
@@ -119,18 +121,13 @@ func TestDegradedMetrics(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	ctrl, err := New(Config{
-		World:         world,
-		Store:         client,
-		Metrics:       m,
-		ProbeInterval: 10 * time.Millisecond,
-	})
+	ctrl, err := New(Config{World: world, Store: client, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	now := time.Now()
-	if _, err := ctrl.CallStarted(context.Background(), 1, "JP", now); err != nil {
+	ctx, now := context.Background(), time.Now()
+	if _, err := ctrl.CallStarted(ctx, 1, "JP", now); err != nil {
 		t.Fatal(err)
 	}
 	if m.PersistSeconds.Count() == 0 {
@@ -140,14 +137,17 @@ func TestDegradedMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := ctrl.CallStarted(context.Background(), 2, "DE", now); err != nil {
-		t.Fatal(err)
+	if _, err := ctrl.CallStarted(ctx, 2, "DE", now); !errors.Is(err, ErrStoreUnavailable) {
+		t.Fatalf("start during the outage = %v, want ErrStoreUnavailable", err)
 	}
-	if m.Degraded.Value() != 1 {
-		t.Errorf("degraded transitions = %d, want 1", m.Degraded.Value())
+	if m.StoreWriteFailures.Value() != 1 {
+		t.Errorf("store write failures = %d, want 1", m.StoreWriteFailures.Value())
 	}
-	if m.JournalDepth.Value() == 0 {
-		t.Error("journal depth gauge still 0 while degraded")
+	if m.Started.Value() != 1 || m.ActiveCalls.Value() != 1 {
+		t.Errorf("started %d, active %v after a shed start; want 1, 1", m.Started.Value(), m.ActiveCalls.Value())
+	}
+	if m.PersistSeconds.Count() != 2 {
+		t.Errorf("persists timed = %d, want 2 (the failed one included)", m.PersistSeconds.Count())
 	}
 
 	srv2 := kvstore.NewServer()
@@ -165,12 +165,15 @@ func TestDegradedMetrics(t *testing.T) {
 	go srv2.Serve(l2)
 	defer srv2.Close()
 
-	drainJournal(t, ctrl)
-	if m.Replayed.Value() == 0 {
-		t.Error("replay counter still 0 after drain")
+	retryShed(t, "start 2", func() error {
+		_, err := ctrl.CallStarted(ctx, 2, "DE", now)
+		return err
+	})
+	if m.Started.Value() != 2 || m.ActiveCalls.Value() != 2 {
+		t.Errorf("started %d, active %v after the retry; want 2, 2", m.Started.Value(), m.ActiveCalls.Value())
 	}
-	if m.JournalDepth.Value() != 0 {
-		t.Errorf("journal depth gauge = %v after drain, want 0", m.JournalDepth.Value())
+	if got := ctrl.Stats().Degraded; got != int64(m.StoreWriteFailures.Value()) {
+		t.Errorf("Stats().Degraded = %d, counter %d; want them equal", got, m.StoreWriteFailures.Value())
 	}
 }
 

@@ -70,7 +70,7 @@ func TestRecoverCalls(t *testing.T) {
 	// Neighbors under and next to the prefix that recovery must skip: the
 	// shard's own lease key and another shard's call state.
 	seed := dialRecover(t, addr)
-	if err := seed.Set(prefix+"leader", "node-a"); err != nil {
+	if err := seed.SetContext(ctx, prefix+"leader", "node-a"); err != nil {
 		t.Fatal(err)
 	}
 	if err := seed.HSet("shard/1/call:99", "dc", "0"); err != nil {
@@ -79,7 +79,8 @@ func TestRecoverCalls(t *testing.T) {
 
 	next := mk()
 	// Pre-existing knowledge wins: the successor already placed call 1 (say,
-	// via journal replay) and recovery must not clobber it.
+	// a start it served before the recovery ran) and recovery must not
+	// clobber it.
 	if _, err := next.CallStarted(ctx, 1, "JP", now); err != nil {
 		t.Fatal(err)
 	}

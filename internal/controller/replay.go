@@ -109,7 +109,7 @@ func (c *Controller) Apply(ctx context.Context, e Event) error {
 	case EventStart:
 		_, err = c.CallStartedWithSeries(ctx, e.CallID, e.Country, e.SeriesID, e.Time)
 	case EventJoin:
-		c.ParticipantJoined(ctx, e.CallID, e.Country, e.Media)
+		err = c.ParticipantJoined(ctx, e.CallID, e.Country, e.Media)
 	case EventFreeze:
 		_, _, err = c.ConfigKnown(ctx, e.CallID, e.Config, e.Time)
 	case EventEnd:

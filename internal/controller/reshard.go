@@ -1,7 +1,7 @@
 // Resharding support: the controller-side primitives live resharding rides
 // on. The shard.Coordinator moves persisted call state between shard key
-// prefixes; the controller's part is (1) an atomic drain-and-ack so the
-// coordinator knows every write this leadership accepted has landed, (2)
+// prefixes; the controller's part is (1) an ack taken under the store lock so
+// the coordinator knows every write this leadership accepted has landed, (2)
 // single-call recovery with an old-prefix fallback for the cutover window's
 // double reads, (3) eviction of calls whose ownership moved away, and (4) a
 // recovery filter so a source shard's leader stops resurrecting moved calls
@@ -13,20 +13,18 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"time"
 
 	"switchboard/internal/model"
 	"switchboard/internal/obs/span"
 )
 
-// AckHandoff drains the write-behind journal and, with the store healthy and
-// the journal empty, writes this leadership's lease epoch under ackKey — all
-// under storeMu, so the drain and the ack are atomic with respect to every
-// persist. Combined with the manager's moved-write gate this is the
+// AckHandoff writes this leadership's lease epoch under ackKey while holding
+// storeMu, so the ack is ordered after every persist that took the lock
+// before it. Combined with the manager's moved-write gate this is the
 // journal-handoff barrier: any call-state write accepted before the hold
-// flipped has either landed or sits in the journal this call flushes, and the
-// ack itself rides the armed fence, so a deposed leader's ack is rejected
-// instead of green-lighting a delta copy over state it no longer owns.
+// flipped has either landed or been answered 503, and the ack itself rides
+// the armed fence, so a deposed leader's ack is rejected instead of
+// green-lighting a delta copy over state it no longer owns.
 //
 //sblint:fencepath
 func (c *Controller) AckHandoff(ctx context.Context, ackKey string, epoch int64) error {
@@ -35,16 +33,6 @@ func (c *Controller) AckHandoff(ctx context.Context, ackKey string, epoch int64)
 	}
 	c.storeMu.Lock()
 	defer c.storeMu.Unlock()
-	if c.degraded {
-		c.lastProbe = time.Now()
-		if err := c.store.PingContext(ctx); err != nil {
-			return err
-		}
-		c.replayLocked(ctx)
-		if c.degraded {
-			return fmt.Errorf("controller: journal not drained; store lost mid-handoff")
-		}
-	}
 	return c.store.SetContext(ctx, ackKey, strconv.FormatInt(epoch, 10))
 }
 

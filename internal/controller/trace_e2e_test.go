@@ -38,11 +38,7 @@ func TestTraceThroughChaosProxy(t *testing.T) {
 	}
 	defer client.Close()
 
-	ctrl, err := New(Config{
-		World:         world,
-		Store:         client,
-		ProbeInterval: 10 * time.Millisecond,
-	})
+	ctrl, err := New(Config{World: world, Store: client})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,15 @@ const drillMaxCalls = 1500
 // drillPoll paces every wait and watcher a drill runs.
 const drillPoll = 5 * time.Millisecond
 
+// shedPause is how long a drill waits before re-sending an event the
+// controller shed: a client honouring Retry-After, scaled down to the drills'
+// sub-second lease TTLs. An event still shed after shedGiveUp fails the
+// drill instead of hanging it.
+const (
+	shedPause  = time.Millisecond
+	shedGiveUp = 10 * time.Second
+)
+
 // drill is the harness the live drills (Chaos, PartitionDrill, ShardDrill,
 // ReshardDrill) share: the eval window's event stream, loopback stores and
 // controllers, one timed replay loop, polling waits and the terminal-state
@@ -99,9 +108,8 @@ func (d *drill) dial(opts kvstore.Options, addrs ...string) (*kvstore.Client, er
 }
 
 // controller builds a MinACL controller persisting to store under the key
-// namespace prefix ("" for the unsharded layout), probing a degraded store
-// at t's interval.
-func (d *drill) controller(store *kvstore.Client, t kvstore.Timing, shard int, prefix string) (*controller.Controller, error) {
+// namespace prefix ("" for the unsharded layout).
+func (d *drill) controller(store *kvstore.Client, shard int, prefix string) (*controller.Controller, error) {
 	world := d.env.World
 	return controller.New(controller.Config{
 		World: world,
@@ -109,10 +117,9 @@ func (d *drill) controller(store *kvstore.Client, t kvstore.Timing, shard int, p
 			ACLOf: func(cfg model.CallConfig, dc int) float64 { return cfg.ACL(world, dc) },
 			NDCs:  len(world.DCs()),
 		},
-		Store:         store,
-		KeyPrefix:     prefix,
-		Shard:         shard,
-		ProbeInterval: t.ProbeInterval,
+		Store:     store,
+		KeyPrefix: prefix,
+		Shard:     shard,
 	})
 }
 
@@ -126,7 +133,7 @@ func (d *drill) shardController(via string, seed int64, i int) (*controller.Cont
 	if err != nil {
 		return nil, err
 	}
-	return d.controller(store, fleet, i, shard.KeyPrefix(i))
+	return d.controller(store, i, shard.KeyPrefix(i))
 }
 
 // manager builds and starts a shard manager that stops when the drill closes.
@@ -136,11 +143,7 @@ func (d *drill) manager(cfg shard.Config) (*shard.Manager, error) {
 		return nil, err
 	}
 	m.Start()
-	d.onClose(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		m.Stop(ctx)
-	})
+	d.onClose(m.Stop)
 	return m, nil
 }
 
@@ -152,31 +155,52 @@ func to(ctrl *controller.Controller) func(controller.Event) (*controller.Control
 	return func(controller.Event) (*controller.Controller, func(), error) { return ctrl, nil, nil }
 }
 
-// replay drives the event stream once and returns the sustained events/s.
-// before(i) runs ahead of event i (nil for none); route picks the controller
+// replay drives the event stream once, as a client would: an event the
+// controller sheds (ErrStoreUnavailable) is re-sent in place after shedPause
+// until it commits (or fails after shedGiveUp), so faults change timing,
+// never the order of events. It
+// returns the sustained events/s and the number of shed attempts.
+// before(n) runs ahead of the n-th attempt, counting from 0 (nil for none);
+// with nothing shed, attempt n is event n. route picks the controller
 // serving an event plus an optional release to call once it is applied;
-// stall gets each op's wall-clock time, routing included.
-func (d *drill) replay(before func(i int), route func(controller.Event) (*controller.Controller, func(), error), stall func(e controller.Event, took time.Duration)) (float64, error) {
+// stall gets each attempt's wall-clock time, routing included.
+func (d *drill) replay(before func(attempt int), route func(controller.Event) (*controller.Controller, func(), error), stall func(e controller.Event, took time.Duration)) (float64, int, error) {
 	ctx := context.Background()
 	start := time.Now() //sblint:allow nondeterminism -- measuring real elapsed time
-	for i, e := range d.events {
-		if before != nil {
-			before(i)
+	attempt, shed := 0, 0
+	for _, e := range d.events {
+		var shedSince time.Time
+		for {
+			if before != nil {
+				before(attempt)
+			}
+			attempt++
+			opStart := time.Now() //sblint:allow nondeterminism -- measuring real per-op stall
+			ctrl, release, err := route(e)
+			if err == nil {
+				err = ctrl.Apply(ctx, e)
+			}
+			if release != nil {
+				release()
+			}
+			stall(e, time.Since(opStart)) //sblint:allow nondeterminism -- measuring real per-op stall
+			if errors.Is(err, controller.ErrStoreUnavailable) {
+				if shedSince.IsZero() {
+					shedSince = opStart
+				} else if time.Since(shedSince) > shedGiveUp { //sblint:allow nondeterminism -- bounding a real wait
+					return 0, shed, fmt.Errorf("eval: %s replay %v(%d): still shed after %v: %w", d.name, e.Kind, e.CallID, shedGiveUp, err)
+				}
+				shed++
+				time.Sleep(shedPause)
+				continue
+			}
+			if err != nil {
+				return 0, shed, fmt.Errorf("eval: %s replay %v(%d): %w", d.name, e.Kind, e.CallID, err)
+			}
+			break
 		}
-		opStart := time.Now() //sblint:allow nondeterminism -- measuring real per-op stall
-		ctrl, release, err := route(e)
-		if err == nil {
-			err = ctrl.Apply(ctx, e)
-		}
-		if release != nil {
-			release()
-		}
-		if err != nil {
-			return 0, fmt.Errorf("eval: %s replay %v(%d): %w", d.name, e.Kind, e.CallID, err)
-		}
-		stall(e, time.Since(opStart)) //sblint:allow nondeterminism -- measuring real per-op stall
 	}
-	return float64(len(d.events)) / time.Since(start).Seconds(), nil //sblint:allow nondeterminism -- measuring real elapsed time
+	return float64(len(d.events)) / time.Since(start).Seconds(), shed, nil //sblint:allow nondeterminism -- measuring real elapsed time
 }
 
 // waitUntil polls cond until it holds, failing after timeout.
@@ -215,15 +239,6 @@ func (d *drill) when(cond func() bool) <-chan time.Time {
 		at <- time.Now() //sblint:allow nondeterminism -- the moment a watched fleet condition took hold
 	}()
 	return at
-}
-
-// drainJournal replays ctrl's journal until it drains, retrying through the
-// store client's backoff.
-func (d *drill) drainJournal(ctrl *controller.Controller) error {
-	return d.waitUntil(10*time.Second, "journal drain", func() bool {
-		_, err := ctrl.ReplayJournal(context.Background())
-		return err == nil
-	})
 }
 
 // lost audits the store at addr and counts the drill's calls whose state is

@@ -91,7 +91,7 @@ type Env struct {
 	EvalStart time.Time
 
 	// Obs, when non-nil, receives experiment telemetry: one completed-run
-	// counter per experiment plus the chaos drill's journal tallies.
+	// counter per experiment plus the drills' shed and lost tallies.
 	Obs *obs.Registry
 
 	// experiments is the lazily registered completed-run counter family.

@@ -701,14 +701,8 @@ func TestChaosDrill(t *testing.T) {
 	if res.Calls == 0 || res.Events == 0 {
 		t.Fatalf("empty drill: %+v", res)
 	}
-	if res.Degraded < 1 {
-		t.Error("chaos run never degraded")
-	}
-	if res.Replayed == 0 {
-		t.Error("no journaled writes replayed")
-	}
-	if res.Dropped != 0 {
-		t.Errorf("dropped %d journaled writes", res.Dropped)
+	if res.Shed < 1 {
+		t.Error("the store cut never shed an event")
 	}
 	if res.LostTransitions != 0 {
 		t.Errorf("lost %d transitions", res.LostTransitions)
@@ -737,8 +731,8 @@ func TestPartitionDrill(t *testing.T) {
 	if res.ReplicatedSeq == 0 {
 		t.Error("standby promoted with an empty replication log")
 	}
-	if res.Dropped != 0 {
-		t.Errorf("dropped %d journaled writes", res.Dropped)
+	if res.Shed < 1 {
+		t.Error("the partition never shed an event")
 	}
 	if res.LostTransitions != 0 {
 		t.Errorf("lost %d transitions across failover", res.LostTransitions)

@@ -31,13 +31,13 @@ type PartitionResult struct {
 	// ReplicatedSeq is the promoted standby's replication log position; it
 	// covers every write acked before the partition.
 	ReplicatedSeq uint64
-	// Degraded / Replayed / Dropped are the controller's journal counters:
-	// writes that failed during the failover window are journaled and
-	// drained against the promoted standby.
-	Degraded, Replayed, Dropped int64
+	// Shed counts attempts the controller refused with ErrStoreUnavailable
+	// during the failover window; the drill re-sent each until the promoted
+	// standby took it.
+	Shed int
 	// LostTransitions counts calls whose terminal state never reached the
-	// promoted standby (must be 0: acked writes were replicated, failed
-	// writes were journaled).
+	// promoted standby (must be 0: acked writes were replicated, shed writes
+	// were re-sent).
 	LostTransitions int
 	// Seed reproduces the drill's client jitter.
 	Seed int64
@@ -49,10 +49,10 @@ var partitionTiming = kvstore.TimingFor(750 * time.Millisecond)
 
 // PartitionDrill replays the evaluation window's events against a replicated
 // store pair and partitions the primary mid-stream. Unlike Chaos — which
-// severs a single store and leans on the journal alone — this drill has a hot
-// standby: acked writes survive on the replica, the standby promotes within
-// its failover timeout, and the client follows it, so the journal only has to
-// cover the promotion window.
+// severs a single store until it is restored — this drill has a hot standby:
+// acked writes survive on the replica, the standby promotes within its
+// failover timeout, and the client follows it, so events are shed only
+// during the promotion window.
 func PartitionDrill(env *Env, seed int64) (*PartitionResult, error) {
 	d, err := newDrill(env, "PartitionDrill")
 	if err != nil {
@@ -95,7 +95,7 @@ func PartitionDrill(env *Env, seed int64) (*PartitionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := d.controller(client, partitionTiming, 0, "")
+	ctrl, err := d.controller(client, 0, "")
 	if err != nil {
 		return nil, err
 	}
@@ -103,8 +103,8 @@ func PartitionDrill(env *Env, seed int64) (*PartitionResult, error) {
 	// Replay, partitioning the primary a third of the way in.
 	cutAt := len(d.events) / 3
 	var partitionedAt time.Time
-	res.EventsPerSec, err = d.replay(func(i int) {
-		if i == cutAt {
+	res.EventsPerSec, res.Shed, err = d.replay(func(attempt int) {
+		if attempt == cutAt {
 			proxy.Partition()
 			partitionedAt = time.Now() //sblint:allow nondeterminism -- promotion latency reference point
 		}
@@ -123,24 +123,16 @@ func PartitionDrill(env *Env, seed int64) (*PartitionResult, error) {
 		return nil, fmt.Errorf("eval: standby never promoted after the partition")
 	}
 
-	// Drain whatever the failover window journaled against the promoted
-	// standby.
-	if err := d.drainJournal(ctrl); err != nil {
-		return nil, err
-	}
-	st := ctrl.Stats()
-	res.Degraded, res.Replayed, res.Dropped = st.Degraded, st.Replayed, st.Dropped
-
 	// Audit against the promoted standby: every call must have reached its
-	// terminal state — replicated before the partition or replayed after.
+	// terminal state — replicated before the partition or re-sent after.
 	if res.LostTransitions, err = d.lost(saddr, unsharded); err != nil {
 		return nil, err
 	}
 
 	env.countRun("partition")
 	if env.Obs != nil {
-		env.Obs.Counter("sb_eval_partition_replayed_total",
-			"Journaled writes replayed across partition drills.").Add(uint64(res.Replayed))
+		env.Obs.Counter("sb_eval_partition_shed_total",
+			"Call events shed (and re-sent) across partition drills.").Add(uint64(res.Shed))
 		env.Obs.Counter("sb_eval_partition_lost_total",
 			"Call transitions lost across partition drills (must stay 0).").Add(uint64(res.LostTransitions))
 	}

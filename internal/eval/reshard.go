@@ -127,7 +127,7 @@ func ReshardDrill(env *Env, seed int64) (*ReshardResult, error) {
 	splitDone := make(chan error, 1)
 	var splitStart time.Time
 	held := false
-	res.EventsPerSec, err = d.replay(func(i int) {
+	res.EventsPerSec, _, err = d.replay(func(i int) {
 		if i == cutAt {
 			splitStart = time.Now() //sblint:allow nondeterminism -- split duration reference point
 			go func() {

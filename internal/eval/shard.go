@@ -111,13 +111,12 @@ func ShardDrill(env *Env, seed int64) (*ShardResult, error) {
 	// Replay, killing node A a third of the way in. Each op routes to the
 	// live leader of the call's shard, waiting out the takeover window when
 	// the leader just died. After the kill node A is never consulted: like a
-	// load balancer dropping a dead backend, so no op can be acked into a
-	// journal that dies with it.
+	// load balancer dropping a dead backend.
 	cutAt := len(d.events) / 3
 	killed := false
 	var cutTime time.Time
 	var promoted <-chan time.Time
-	res.EventsPerSec, err = d.replay(func(i int) {
+	res.EventsPerSec, _, err = d.replay(func(i int) {
 		if i == cutAt {
 			killed = true
 			proxy.Cut()

@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"context"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -68,11 +67,7 @@ func startFleetNode(t *testing.T, l net.Listener, storeAddr string, ring *shard.
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		mgr.Stop(ctx)
-		cancel()
-	})
+	t.Cleanup(mgr.Stop)
 	s := New(world, nil)
 	s.Shards = &ShardRouter{Manager: mgr, Forward: true, Peers: peers}
 	s.Registry = reg

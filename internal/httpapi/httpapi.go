@@ -98,11 +98,11 @@ func New(world *geo.World, ctrl *controller.Controller) *Server {
 //	GET  /healthz
 //	GET  /readyz
 //
-// /healthz answers 200 whenever the process serves requests (liveness).
-// /readyz additionally demands the store path be healthy: while the
-// controller runs degraded (journaling writes) it answers 503, so load
-// balancers stop steering new call-control traffic at this replica without
-// killing it — the journal still needs to drain.
+// /healthz answers 200 whenever the process serves requests (liveness), and
+// so does /readyz. A store outage does not fail readiness: each call-state
+// write that cannot be stored answers its own request 503, and a readiness
+// flag that only a write could clear would never clear once load balancers
+// stopped sending writes.
 func (s *Server) Mux() *http.ServeMux {
 	s.startReplies, s.configReplies = replyBodies(s.world.DCs())
 	s.countries = make(map[string]geo.CountryCode, len(s.world.Countries()))
@@ -150,9 +150,23 @@ func statusFor(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, controller.ErrDuplicateCall):
 		return http.StatusConflict
+	case errors.Is(err, controller.ErrStoreUnavailable):
+		return http.StatusServiceUnavailable
 	default:
 		return http.StatusBadRequest
 	}
+}
+
+// controllerError answers a controller error with statusFor's status. A
+// write the store did not take answers 503 with Retry-After: 1, as a held
+// write does, but without obs.StandbyHeader: the transition was refused, so
+// the request burns the availability SLO.
+func controllerError(w http.ResponseWriter, err error) {
+	code := statusFor(err)
+	if code == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
+	httpError(w, code, err)
 }
 
 // callHandler is a call-control handler bound late to a controller: the
@@ -271,7 +285,7 @@ func (s *Server) handleStart(ctrl *controller.Controller, req *callBody, w http.
 	}
 	dc, err := ctrl.CallStartedWithSeries(r.Context(), req.id, country, req.seriesID, s.Now())
 	if err != nil {
-		httpError(w, statusFor(err), err)
+		controllerError(w, err)
 		return
 	}
 	writeJSON(w, s.startReplies[dc])
@@ -298,7 +312,7 @@ func (s *Server) handleConfig(ctrl *controller.Controller, req *callBody, w http
 	}
 	dc, migrated, err := ctrl.ConfigKnown(r.Context(), req.id, cfg, s.Now())
 	if err != nil {
-		httpError(w, statusFor(err), err)
+		controllerError(w, err)
 		return
 	}
 	m := 0
@@ -318,7 +332,7 @@ var endReply = []byte("{\"ok\":true}\n")
 
 func (s *Server) handleEnd(ctrl *controller.Controller, req *callBody, w http.ResponseWriter, r *http.Request) {
 	if err := ctrl.CallEnded(r.Context(), req.id); err != nil {
-		httpError(w, statusFor(err), err)
+		controllerError(w, err)
 		return
 	}
 	writeJSON(w, endReply)
@@ -357,15 +371,26 @@ func (s *Server) handleDCFail(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A DC failure is world state, not call state: every controller this
-	// process hosts (one per shard when sharded) drains its own calls.
+	// process hosts (one per shard when sharded) drains its own calls. A
+	// shard this node does not lead may still hold a deposed reign's calls;
+	// the store fences their moves, which are the successor's to make, so
+	// only a shard this node serves fails the request.
 	moved := 0
-	for _, c := range s.controllers() {
+	var drainErr error
+	for i, c := range s.controllers() {
 		n, err := c.FailDC(r.Context(), req.DC)
-		if err != nil {
-			httpError(w, statusFor(err), err)
+		if errors.Is(err, controller.ErrInvalidDC) {
+			controllerError(w, err)
 			return
 		}
 		moved += n
+		if err != nil && drainErr == nil && (s.Shards == nil || s.Shards.Manager.Owns(i)) {
+			drainErr = err
+		}
+	}
+	if drainErr != nil {
+		controllerError(w, drainErr)
+		return
 	}
 	s.reply(w, map[string]any{"failed": req.DC, "drained": moved})
 }
@@ -377,7 +402,7 @@ func (s *Server) handleDCRecover(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, c := range s.controllers() {
 		if err := c.RecoverDC(req.DC); err != nil {
-			httpError(w, statusFor(err), err)
+			controllerError(w, err)
 			return
 		}
 	}
@@ -385,38 +410,6 @@ func (s *Server) handleDCRecover(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	// A sharded node is degraded only if a shard it LEADS is journaling;
-	// standby shards journal by design and must not fail readiness — that
-	// would let one dead shard 503 the whole fleet.
-	degraded, depth := false, 0
-	if s.Shards != nil {
-		for _, sh := range s.Shards.Manager.Owned() {
-			if c := s.Shards.Manager.Controller(sh); c.Degraded() {
-				degraded = true
-				depth += c.JournalDepth()
-			}
-		}
-	} else if s.ctrl.Degraded() {
-		degraded, depth = true, s.ctrl.JournalDepth()
-	}
-	if degraded {
-		w.Header().Set("Content-Type", "application/json")
-		// Degraded is a real (if survivable) failure — unlike a routing
-		// 503 it carries no exemption header and burns the availability SLO;
-		// Retry-After reflects the journal-replay probe cadence.
-		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		out := map[string]any{
-			"ready":         false,
-			"reason":        "store degraded; journaling call-state writes",
-			"journal_depth": depth,
-		}
-		if s.SLO != nil {
-			out["slo"] = s.SLO.Summary()
-		}
-		_ = json.NewEncoder(w).Encode(out)
-		return
-	}
 	out := map[string]any{"ready": true}
 	if s.Shards != nil {
 		out["owned_shards"] = s.Shards.Manager.Owned()
@@ -482,10 +475,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"migration_rate":           st.MigrationRate(),
 		"recurring_migration_rate": st.RecurringMigrationRate(),
 		"active_calls":             active,
-		"degraded":                 st.Degraded,
-		"journal_depth":            st.JournalDepth,
-		"replayed":                 st.Replayed,
-		"dropped":                  st.Dropped,
+		"store_write_failures":     st.Degraded,
 		"failed_over":              st.FailedOver,
 		"fenced":                   st.Fenced,
 		"failed_dcs":               ctrls[0].FailedDCs(),
@@ -564,8 +554,9 @@ func (s *Server) decodeBytes(w http.ResponseWriter, body []byte, v any) bool {
 		return false
 	}
 	// Exactly one JSON document per request: trailing garbage is a client
-	// bug we refuse rather than silently ignore.
-	if dec.More() {
+	// bug we refuse rather than silently ignore. Only whitespace may follow
+	// (dec.More alone misses a stray '}' or ']').
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
 		httpError(w, http.StatusBadRequest, errors.New("trailing data after JSON body"))
 		return false
 	}

@@ -7,11 +7,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"switchboard/internal/controller"
+	"switchboard/internal/faults"
 	"switchboard/internal/geo"
 	"switchboard/internal/kvstore"
 	"switchboard/internal/model"
@@ -146,6 +148,10 @@ func TestRequestValidation(t *testing.T) {
 		{"wrong type", "/v1/call/start", `{"id":"one","country":"US"}`, http.StatusBadRequest},
 		{"unknown field", "/v1/call/start", `{"id":3,"country":"US","bogus":1}`, http.StatusBadRequest},
 		{"trailing garbage", "/v1/call/start", `{"id":3,"country":"US"} extra`, http.StatusBadRequest},
+		{"trailing brace", "/v1/call/start", `{"id":8,"country":"US"}}`, http.StatusBadRequest},
+		{"trailing bracket", "/v1/call/start", `{"id":8,"country":"US"}]`, http.StatusBadRequest},
+		{"trailing brace dc fail", "/v1/dc/fail", `{"dc":1}}`, http.StatusBadRequest},
+		{"trailing bracket dc fail", "/v1/dc/fail", `{"dc":1}]`, http.StatusBadRequest},
 		{"oversized body", "/v1/call/start", `{"id":3,"country":"` + string(big) + `"}`, http.StatusRequestEntityTooLarge},
 		{"unknown call config", "/v1/call/config", `{"id":555,"config":"audio|US:2"}`, http.StatusNotFound},
 		{"unknown call end", "/v1/call/end", `{"id":556}`, http.StatusNotFound},
@@ -170,7 +176,12 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-func TestReadyzTracksDegradation(t *testing.T) {
+// storeBehindProxy boots a kvstore behind a faults.Proxy, so a test can cut
+// the store off and restore it with its data intact, and serves a controller
+// writing through it. It returns the proxy, a direct client for audits, the
+// controller and the API.
+func storeBehindProxy(t *testing.T) (*faults.Proxy, *kvstore.Client, *controller.Controller, *httptest.Server) {
+	t.Helper()
 	world := geo.DefaultWorld()
 	srv := kvstore.NewServer()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -178,7 +189,13 @@ func TestReadyzTracksDegradation(t *testing.T) {
 		t.Fatal(err)
 	}
 	go srv.Serve(l)
-	client, err := kvstore.DialOptions(l.Addr().String(), kvstore.Options{
+	t.Cleanup(func() { srv.Close() })
+	proxy, err := faults.NewProxy(l.Addr().String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { proxy.Close() })
+	client, err := kvstore.DialOptions(proxy.Addr(), kvstore.Options{
 		DialTimeout: 250 * time.Millisecond,
 		IOTimeout:   250 * time.Millisecond,
 		MaxRetries:  -1,
@@ -188,78 +205,147 @@ func TestReadyzTracksDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	ctrl, err := controller.New(controller.Config{World: world, Store: client, ProbeInterval: time.Hour})
+	t.Cleanup(func() { client.Close() })
+	audit, err := kvstore.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { audit.Close() })
+	ctrl, err := controller.New(controller.Config{
+		World: world,
+		Placer: &controller.MinACLPlacer{
+			ACLOf: func(cfg model.CallConfig, dc int) float64 { return cfg.ACL(world, dc) },
+			NDCs:  len(world.DCs()),
+		},
+		Store: client,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(New(world, ctrl).Mux())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	return proxy, audit, ctrl, ts
+}
 
-	// Healthy: both probes pass.
-	for _, path := range []string{"/healthz", "/readyz"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s while healthy: %v %v", path, err, resp)
-		}
-		resp.Body.Close()
-	}
-
-	// Kill the store and force a degraded write.
-	srv.Close()
-	post(t, ts, "/v1/call/start", StartRequest{ID: 1, Country: "JP"})
-
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz while degraded: %v %v", err, resp)
-	}
-	resp.Body.Close()
-	resp, out := get(t, ts, "/readyz")
+// wantShed checks a 503 for a write the store did not take: Retry-After: 1
+// and no standby header, so the refusal burns the availability SLO.
+func wantShed(t *testing.T, what string, resp *http.Response) {
+	t.Helper()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("readyz while degraded -> %d, want 503", resp.StatusCode)
+		t.Fatalf("%s with the store cut -> %d, want 503", what, resp.StatusCode)
 	}
-	if out["ready"] != false || out["journal_depth"].(float64) < 1 {
-		t.Errorf("readyz body = %v", out)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("%s 503 Retry-After = %q, want \"1\"", what, got)
 	}
-	_, stats := get(t, ts, "/v1/stats")
-	if stats["degraded"].(float64) < 1 || stats["journal_depth"].(float64) < 1 {
-		t.Errorf("stats while degraded = %v", stats)
+	if resp.Header.Get(obs.StandbyHeader) != "" {
+		t.Errorf("%s 503 carries %s; a shed write must burn the SLO", what, obs.StandbyHeader)
+	}
+}
+
+// retryUntilOK re-sends a request, as a client honouring Retry-After would,
+// until it answers 200; anything but 200 or 503 fails the test.
+func retryUntilOK(t *testing.T, ts *httptest.Server, path string, body any) map[string]any {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, out := post(t, ts, path, body)
+		switch {
+		case resp.StatusCode == http.StatusOK:
+			return out
+		case resp.StatusCode != http.StatusServiceUnavailable:
+			t.Fatalf("%s retry -> %d %v, want 200 or 503", path, resp.StatusCode, out)
+		case time.Now().After(deadline):
+			t.Fatalf("%s still 503 five seconds after the store came back", path)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestShedWritesAnswer503: with the store cut off, each call transition
+// answers 503 and leaves nothing behind in memory that the store lacks; once
+// the store is back, re-sending each one answers 200, and the store agrees
+// with every 200 the server gave.
+func TestShedWritesAnswer503(t *testing.T) {
+	proxy, audit, ctrl, ts := storeBehindProxy(t)
+	// Call 10 awaits its config, call 20 its end.
+	for _, id := range []uint64{10, 20} {
+		if resp, out := post(t, ts, "/v1/call/start", StartRequest{ID: id, Country: "JP"}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("start %d: %d %v", id, resp.StatusCode, out)
+		}
+	}
+	if resp, out := post(t, ts, "/v1/call/config", ConfigRequest{ID: 20, Config: "audio|JP:2"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("config 20: %d %v", resp.StatusCode, out)
 	}
 
-	// Recover: restart the store on the same address, drain the journal, and
-	// readiness must flip back to 200.
-	srv2 := kvstore.NewServer()
-	addr := l.Addr().String()
-	var l2 net.Listener
-	for i := 0; ; i++ {
-		l2, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		if i > 50 {
-			t.Fatalf("could not rebind %s: %v", addr, err)
-		}
-		time.Sleep(20 * time.Millisecond)
+	proxy.Cut()
+	resp, _ := post(t, ts, "/v1/call/start", StartRequest{ID: 2, Country: "JP"})
+	wantShed(t, "start", resp)
+	if n := ctrl.ActiveCalls(); n != 2 {
+		t.Errorf("active calls after a shed start = %d, want 2", n)
 	}
-	go srv2.Serve(l2)
-	defer srv2.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, err := ctrl.ReplayJournal(context.Background()); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("journal did not drain after store restart")
-		}
-		time.Sleep(20 * time.Millisecond)
+	resp, _ = post(t, ts, "/v1/call/config", ConfigRequest{ID: 10, Config: "video|ID:5,JP:3"})
+	wantShed(t, "config", resp)
+	resp, _ = post(t, ts, "/v1/call/end", EndRequest{ID: 20})
+	wantShed(t, "end", resp)
+	if !ctrl.Knows(20) {
+		t.Error("a shed end took the call out of memory")
 	}
-	resp, out = get(t, ts, "/readyz")
-	if resp.StatusCode != http.StatusOK || out["ready"] != true {
-		t.Errorf("readyz after recovery -> %d %v, want 200 ready", resp.StatusCode, out)
+	// Readiness does not follow the store: each write answers for itself.
+	if resp, out := get(t, ts, "/readyz"); resp.StatusCode != http.StatusOK || out["ready"] != true {
+		t.Errorf("readyz with the store cut -> %d %v, want 200 ready", resp.StatusCode, out)
 	}
-	_, stats = get(t, ts, "/v1/stats")
-	if stats["journal_depth"].(float64) != 0 {
-		t.Errorf("journal_depth after drain = %v, want 0", stats["journal_depth"])
+	if _, stats := get(t, ts, "/v1/stats"); stats["store_write_failures"].(float64) < 3 {
+		t.Errorf("stats store_write_failures = %v, want >= 3", stats["store_write_failures"])
+	}
+
+	proxy.Restore()
+	start := retryUntilOK(t, ts, "/v1/call/start", StartRequest{ID: 2, Country: "JP"})
+	if dc, err := audit.HGet("call:2", "dc"); err != nil || dc != strconv.Itoa(int(start["dc"].(float64))) {
+		t.Errorf("call 2 answered dc %v, store holds %q (%v)", start["dc"], dc, err)
+	}
+	config := retryUntilOK(t, ts, "/v1/call/config", ConfigRequest{ID: 10, Config: "video|ID:5,JP:3"})
+	if got, err := audit.HGet("call:10", "config"); err != nil || got != "video|ID:5,JP:3" {
+		t.Errorf("call 10 config answered 200, store holds %q (%v)", got, err)
+	}
+	if dc, err := audit.HGet("call:10", "dc"); err != nil || dc != strconv.Itoa(int(config["dc"].(float64))) {
+		t.Errorf("call 10 answered dc %v, store holds %q (%v)", config["dc"], dc, err)
+	}
+	if config["migrated"] != true {
+		t.Errorf("call 10's retried config answered %v; the freeze migrated it", config)
+	}
+	retryUntilOK(t, ts, "/v1/call/end", EndRequest{ID: 20})
+	if state, err := audit.HGet("call:20", "state"); err != nil || state != "ended" {
+		t.Errorf("call 20 end answered 200, store holds state %q (%v)", state, err)
+	}
+	if ctrl.Knows(20) {
+		t.Error("call 20 still live after its end answered 200")
+	}
+}
+
+// TestFencedWriteAnswers503: a controller whose lease moved to another owner
+// has its writes fenced by the store, and each answers 503 instead of 200.
+func TestFencedWriteAnswers503(t *testing.T) {
+	_, audit, ctrl, ts := storeBehindProxy(t)
+	ctx := context.Background()
+	epoch, err := audit.SetLeaseContext(ctx, "leader", "node-a", 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.SetLease("leader", epoch)
+	if resp, out := post(t, ts, "/v1/call/start", StartRequest{ID: 1, Country: "JP"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("start while leading: %d %v", resp.StatusCode, out)
+	}
+	time.Sleep(100 * time.Millisecond) // node-a's grant lapses
+	if _, err := audit.SetLeaseContext(ctx, "leader", "node-b", time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	resp, _ := post(t, ts, "/v1/call/start", StartRequest{ID: 2, Country: "JP"})
+	wantShed(t, "deposed start", resp)
+	if ctrl.Stats().Fenced != 1 {
+		t.Errorf("fenced writes = %d, want 1", ctrl.Stats().Fenced)
+	}
+	if h, err := audit.HGetAll("call:2"); err != nil || len(h) != 0 {
+		t.Errorf("fenced start landed: %v, %v", h, err)
 	}
 }
 
@@ -285,7 +371,7 @@ func TestStatsKVCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	ctrl, err := controller.New(controller.Config{World: world, Store: client, ProbeInterval: time.Hour})
+	ctrl, err := controller.New(controller.Config{World: world, Store: client})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +387,7 @@ func TestStatsKVCounters(t *testing.T) {
 		}
 	}
 
-	// Sever the store: the degraded write poisons the connection.
+	// Sever the store: the shed write poisons the connection.
 	srv.Close()
 	post(t, ts, "/v1/call/start", StartRequest{ID: 1, Country: "JP"})
 	_, stats = get(t, ts, "/v1/stats")

@@ -146,7 +146,7 @@ func (rt *ShardRouter) relay(d shard.RouteDecision, body []byte, w http.Response
 // hopsExhausted answers the typed proxy-hop-budget 503: Retry-After from the
 // lease TTL (ownership settles within one), StandbyHeader so a routing
 // refusal does not burn the availability SLO, and a machine-readable reason
-// so clients and drills can tell it from a standby or degraded 503.
+// so clients and drills can tell it from a standby or shed-write 503.
 func (rt *ShardRouter) hopsExhausted(sh int, w http.ResponseWriter) {
 	if m := rt.Manager.Metrics(); m != nil {
 		m.ProxyHopsExhausted.Inc()
@@ -173,7 +173,7 @@ func (rt *ShardRouter) heldResponse(d shard.RouteDecision, w http.ResponseWriter
 	w.Header().Set("Retry-After", "1")
 	w.WriteHeader(http.StatusServiceUnavailable)
 	_ = json.NewEncoder(w).Encode(map[string]any{
-		"shard": d.Shard, "reason": "write held: key migrating (journal handoff)",
+		"shard": d.Shard, "reason": "write held: key migrating (journal-handoff)",
 	})
 }
 
@@ -250,9 +250,8 @@ func (rt *ShardRouter) forward(sh, hops int, body []byte, w http.ResponseWriter,
 // forwardDeadline bounds one forward, all attempts and backoffs: two renew
 // intervals of the lease TTL. A live owner's worst case is one call-state
 // write that waits out the store-call budget (at most one renew interval, by
-// kvstore's Timing.Validate) before its controller degrades and journals the
-// rest without waiting, so the owner's answer arrives with a renew interval
-// to spare. An owner that never answers is given up on within the TTL, the
+// kvstore's Timing.Validate) and fails, after which the owner answers 503 at
+// once, so the owner's answer arrives with a renew interval to spare. An owner that never answers is given up on within the TTL, the
 // time ownership takes to settle, and the caller gets a routing hint.
 func forwardDeadline(ttl time.Duration) time.Duration {
 	return 2 * kvstore.TimingFor(ttl).Renew

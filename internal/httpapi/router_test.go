@@ -84,11 +84,7 @@ func startShardNodeTTL(t *testing.T, ttl time.Duration, storeAddr string, ring *
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		mgr.Stop(ctx)
-		cancel()
-	})
+	t.Cleanup(mgr.Stop)
 	s := New(world, nil)
 	s.Shards = &ShardRouter{Manager: mgr, Forward: forward, Peers: peers}
 	hs := &http.Server{Handler: s.Mux()}
@@ -463,9 +459,7 @@ func TestHAPairTakeoverKeepsCalls(t *testing.T) {
 	}
 
 	// The leader stops; the follower takes over and recovers the call.
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	a.mgr.Stop(ctx)
-	cancel()
+	a.mgr.Stop()
 	for !b.mgr.Owns(0) {
 		if time.Now().After(deadline) {
 			t.Fatal("follower never took the shard over")
@@ -480,6 +474,60 @@ func TestHAPairTakeoverKeepsCalls(t *testing.T) {
 	}
 	if code := postCall(t, b.addr, "/v1/call/end", EndRequest{ID: 1}); code != http.StatusOK {
 		t.Fatalf("end on the new leader: %d, want 200", code)
+	}
+}
+
+// TestDCFailIgnoresDeposedShard: a node that lost a shard's lease still
+// holds that reign's calls in memory, and the store fences their drain
+// moves. Those moves are the successor's to make, so /v1/dc/fail answers 200
+// rather than a 503 no retry could clear.
+func TestDCFailIgnoresDeposedShard(t *testing.T) {
+	store := startShardStore(t)
+	ring, _ := shard.NewRing(1, 16)
+	a := startShardNode(t, store, ring, []int{0}, nil, true)
+	a.mgr.Start()
+	awaitCond(t, "a to lead shard 0", func() bool { return a.mgr.Owns(0) })
+	resp := postStart(t, a.addr, 1, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("start: %d, want 200", resp.StatusCode)
+	}
+	var started StartResponse
+	if err := json.NewDecoder(resp.Body).Decode(&started); err != nil {
+		t.Fatal(err)
+	}
+
+	// The lease moves to another owner behind a's back.
+	admin, err := kvstore.Dial(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	ctx := context.Background()
+	if err := admin.DelLease(shard.LeaseKey(0), a.addr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := admin.SetLeaseContext(ctx, shard.LeaseKey(0), "elsewhere", time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	awaitCond(t, "a to notice it is deposed", func() bool { return !a.mgr.Owns(0) })
+
+	if code := postCall(t, a.addr, "/v1/dc/fail", DCRequest{DC: started.DC}); code != http.StatusOK {
+		t.Fatalf("dc fail on a node with a deposed shard: %d, want 200", code)
+	}
+	if a.mgr.Controller(0).Stats().Fenced == 0 {
+		t.Fatal("the deposed shard's drain move was not attempted")
+	}
+}
+
+// awaitCond polls cond for up to eight seconds.
+func awaitCond(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(8 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

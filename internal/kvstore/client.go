@@ -19,7 +19,8 @@ import (
 // its value from TimingFor(DefaultLeaseTTL); a negative MaxRetries disables
 // retries.
 type Options struct {
-	// DialTimeout bounds each connection attempt.
+	// DialTimeout bounds each connection attempt: one pass over the
+	// addresses, however many there are.
 	DialTimeout time.Duration
 	// IOTimeout is the per-command read/write deadline.
 	IOTimeout time.Duration
@@ -178,14 +179,21 @@ func DialFailover(addrs []string, opts Options) (*Client, error) {
 	return c, nil
 }
 
-// connect dials addrs starting at cur, rotating on failure; each dial is
-// bounded by DialTimeout and by deadline when set. Landing on a different
-// address than the previous connection counts as a failover.
+// connect dials addrs starting at cur, rotating on failure. The whole pass
+// shares one deadline, the earlier of deadline (when set) and DialTimeout
+// from now, so trying N addresses costs no more than trying one; each dial
+// gets an equal share of what is left, so a hung address cannot starve the
+// ones after it. Landing on a different address than the previous
+// connection counts as a failover.
 func (c *Client) connect(ctx context.Context, deadline time.Time) error {
 	var lastErr error
-	dialer := net.Dialer{Timeout: c.opts.DialTimeout, Deadline: deadline}
-	for i := 0; i < len(c.addrs); i++ {
-		idx := (c.cur + i) % len(c.addrs)
+	if pass := time.Now().Add(c.opts.DialTimeout); deadline.IsZero() || pass.Before(deadline) {
+		deadline = pass
+	}
+	n := len(c.addrs)
+	for i := 0; i < n; i++ {
+		idx := (c.cur + i) % n
+		dialer := net.Dialer{Deadline: time.Now().Add(time.Until(deadline) / time.Duration(n-i))}
 		conn, err := dialer.DialContext(ctx, "tcp", c.addrs[idx])
 		if err != nil {
 			lastErr = err
@@ -551,14 +559,10 @@ func (c *Client) ClearFence() {
 	c.fenceKey, c.fenceEpoch = "", 0
 }
 
-// SetLease acquires or renews the TTL lease on key for owner, returning the
-// lease epoch. While another owner's grant is live the error satisfies
-// IsLeaseHeldError, and LeaseHolder names the owner.
-func (c *Client) SetLease(key, owner string, ttl time.Duration) (int64, error) {
-	return c.SetLeaseContext(context.Background(), key, owner, ttl)
-}
-
-// SetLeaseContext is SetLease under a context (see DoContext).
+// SetLeaseContext acquires or renews the TTL lease on key for owner under a
+// context (see DoContext), returning the lease epoch. While another owner's
+// grant is live the error satisfies IsLeaseHeldError, and LeaseHolder names
+// the owner.
 func (c *Client) SetLeaseContext(ctx context.Context, key, owner string, ttl time.Duration) (int64, error) {
 	r, err := c.DoContext(ctx, "SETLEASE", key, owner, strconv.FormatInt(ttl.Milliseconds(), 10))
 	if err != nil {
@@ -597,24 +601,7 @@ func (c *Client) GetLeaseContext(ctx context.Context, key string) (owner string,
 	return owner, epoch, time.Duration(remainMS) * time.Millisecond, nil
 }
 
-// PingContext round-trips a PING under a context (see DoContext).
-func (c *Client) PingContext(ctx context.Context) error {
-	r, err := c.DoContext(ctx, "PING") //sblint:allowalloc(health probe, not a data-path command; the argument slice is probe-rate)
-	if err != nil {
-		return err
-	}
-	if s, ok := r.(string); !ok || s != "PONG" {
-		return fmt.Errorf("kvstore: unexpected PING reply %v", r) //sblint:allowalloc(protocol-error path)
-	}
-	return nil
-}
-
-// Set stores a string value.
-func (c *Client) Set(key, value string) error {
-	return c.SetContext(context.Background(), key, value)
-}
-
-// SetContext is Set under a context (see DoContext).
+// SetContext stores a string value under a context (see DoContext).
 func (c *Client) SetContext(ctx context.Context, key, value string) error {
 	r, err := c.DoContext(ctx, "SET", key, value)
 	if err != nil {
@@ -626,12 +613,8 @@ func (c *Client) SetContext(ctx context.Context, key, value string) error {
 	return nil
 }
 
-// Get fetches a string value; ErrNil when absent.
-func (c *Client) Get(key string) (string, error) {
-	return c.GetContext(context.Background(), key)
-}
-
-// GetContext is Get under a context (see DoContext).
+// GetContext fetches a string value under a context (see DoContext);
+// ErrNil when absent.
 func (c *Client) GetContext(ctx context.Context, key string) (string, error) {
 	r, err := c.DoContext(ctx, "GET", key)
 	if err != nil {

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"context"
 	"errors"
 	"net"
 	"sync/atomic"
@@ -66,13 +67,13 @@ func TestClientPoisonedFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Set("k", "v"); err != nil {
+	if err := c.SetContext(context.Background(), "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 
 	srv.Close()
 	// The in-flight command hits a transport error and poisons the client.
-	if _, err := c.Get("k"); err == nil {
+	if _, err := c.GetContext(context.Background(), "k"); err == nil {
 		t.Fatal("command against a dead store succeeded")
 	}
 	if c.Poisonings() < 1 {
@@ -81,9 +82,9 @@ func TestClientPoisonedFailsFast(t *testing.T) {
 	// One redial attempt fails (nothing listens), opening the backoff
 	// window; within it, commands fail fast with ErrBroken instead of
 	// re-touching the network.
-	c.Get("k")
+	c.GetContext(context.Background(), "k")
 	start := time.Now()
-	_, err = c.Get("k")
+	_, err = c.GetContext(context.Background(), "k")
 	if !errors.Is(err, ErrBroken) {
 		t.Fatalf("err = %v, want ErrBroken", err)
 	}
@@ -114,7 +115,7 @@ func TestClientNonIdempotentNotRetried(t *testing.T) {
 		t.Errorf("non-idempotent command was retried (%d connections)", got)
 	}
 	// An idempotent command IS retried (each retry redials).
-	if _, err := c.Get("k"); err == nil {
+	if _, err := c.GetContext(context.Background(), "k"); err == nil {
 		t.Fatal("GET against flaky server succeeded")
 	}
 	if got := waitAccepted(t, accepted, 3); got < 3 {
@@ -131,7 +132,7 @@ func TestClientRedialsAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Set("k", "v"); err != nil {
+	if err := c.SetContext(context.Background(), "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
@@ -154,14 +155,14 @@ func TestClientRedialsAfterRestart(t *testing.T) {
 
 	// The idempotent command survives transparently: the first attempt
 	// fails on the dead connection, the retry redials into the new server.
-	if _, err := c.Get("k"); !errors.Is(err, ErrNil) {
+	if _, err := c.GetContext(context.Background(), "k"); !errors.Is(err, ErrNil) {
 		t.Fatalf("GET after restart = %v, want ErrNil (fresh store)", err)
 	}
 	if c.Redials() < 1 {
 		t.Errorf("Redials = %d, want >= 1", c.Redials())
 	}
 	redials := c.Redials()
-	if _, err := c.Get("k"); !errors.Is(err, ErrNil) || c.Redials() != redials {
+	if _, err := c.GetContext(context.Background(), "k"); !errors.Is(err, ErrNil) || c.Redials() != redials {
 		t.Errorf("GET after redial = %v with %d more redials, want ErrNil on the live connection", err, c.Redials()-redials)
 	}
 }
@@ -197,7 +198,7 @@ func TestClientDeadlineOnStalledServer(t *testing.T) {
 	}
 	defer c.Close()
 	start := time.Now()
-	_, err = c.Get("k")
+	_, err = c.GetContext(context.Background(), "k")
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("command against stalled server succeeded")

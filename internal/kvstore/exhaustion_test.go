@@ -63,7 +63,7 @@ func TestMovedMutualRedirectLoop(t *testing.T) {
 	})
 	c, m := dialMetered(t, addrA)
 	start := time.Now()
-	err := c.Set("k", "v")
+	err := c.SetContext(context.Background(), "k", "v")
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrRedirectLoop) {
 		t.Fatalf("mutual MOVED loop: got %v, want ErrRedirectLoop", err)
@@ -75,7 +75,7 @@ func TestMovedMutualRedirectLoop(t *testing.T) {
 		t.Fatalf("redirect loop took %v to terminate", elapsed)
 	}
 	// The client is still usable against the non-gated read path.
-	if err := c.PingContext(context.Background()); err != nil {
+	if _, err := c.DoContext(context.Background(), "PING"); err != nil {
 		t.Fatal(err)
 	}
 }

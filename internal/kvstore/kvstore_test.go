@@ -53,10 +53,10 @@ func dialMetered(t *testing.T, addr string) (*Client, *ClientMetrics) {
 func TestSetGet(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialT(t, addr)
-	if err := c.Set("k", "v"); err != nil {
+	if err := c.SetContext(context.Background(), "k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Get("k")
+	v, err := c.GetContext(context.Background(), "k")
 	if err != nil || v != "v" {
 		t.Fatalf("Get = %q, %v", v, err)
 	}
@@ -65,7 +65,7 @@ func TestSetGet(t *testing.T) {
 func TestGetMissing(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialT(t, addr)
-	if _, err := c.Get("nope"); !errors.Is(err, ErrNil) {
+	if _, err := c.GetContext(context.Background(), "nope"); !errors.Is(err, ErrNil) {
 		t.Fatalf("err = %v, want ErrNil", err)
 	}
 }
@@ -102,15 +102,15 @@ func TestDelExistsDbsize(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialT(t, addr)
 	ctx := context.Background()
-	c.Set("a", "1")
-	c.Set("b", "2")
+	c.SetContext(context.Background(), "a", "1")
+	c.SetContext(context.Background(), "b", "2")
 	if keys, err := c.KeysPrefixContext(ctx, ""); err != nil || len(keys) != 2 {
 		t.Fatalf("KEYS * = %v, %v", keys, err)
 	}
 	if r, _ := c.Do("DEL", "a", "b", "c"); r.(int64) != 2 {
 		t.Fatalf("DEL = %v", r)
 	}
-	if _, err := c.Get("a"); !errors.Is(err, ErrNil) {
+	if _, err := c.GetContext(context.Background(), "a"); !errors.Is(err, ErrNil) {
 		t.Fatalf("GET after DEL = %v, want ErrNil", err)
 	}
 	c.HSet("h", "f", "v")
@@ -144,7 +144,7 @@ func TestUnknownCommandAndArity(t *testing.T) {
 		t.Error("bad arity should error")
 	}
 	// Connection survives server-side errors.
-	if err := c.Set("k", "v"); err != nil {
+	if err := c.SetContext(context.Background(), "k", "v"); err != nil {
 		t.Fatalf("connection dead after error: %v", err)
 	}
 }
@@ -251,7 +251,7 @@ func TestConcurrentClients(t *testing.T) {
 					errCh <- err
 					return
 				}
-				if err := c.Set("w"+strconv.Itoa(id), strconv.Itoa(j)); err != nil {
+				if err := c.SetContext(context.Background(), "w"+strconv.Itoa(id), strconv.Itoa(j)); err != nil {
 					errCh <- err
 					return
 				}
@@ -281,7 +281,7 @@ func TestHGetAllAndKeys(t *testing.T) {
 	c := dialT(t, addr)
 	c.HSet("call:1", "dc", "8")
 	c.HSet("call:1", "config", "audio|US:2")
-	c.Set("plain", "x")
+	c.SetContext(context.Background(), "plain", "x")
 
 	m, err := c.HGetAll("call:1")
 	if err != nil {
@@ -330,7 +330,7 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PingContext(context.Background()); err != nil {
+	if _, err := c.DoContext(context.Background(), "PING"); err != nil {
 		t.Fatalf("PING while serving: %v", err)
 	}
 	c.Close()
@@ -363,7 +363,7 @@ func BenchmarkSetGet(b *testing.B) {
 	defer c.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Set("bench", "value"); err != nil {
+		if err := c.SetContext(context.Background(), "bench", "value"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -409,7 +409,7 @@ func TestHCopy(t *testing.T) {
 		t.Fatalf("self HCOPY = %d, %v", n, err)
 	}
 	// Copying over a plain string key replaces it with the hash.
-	c.Set("plain", "v")
+	c.SetContext(context.Background(), "plain", "v")
 	if _, err := c.HCopyContext(ctx, "src", "plain"); err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,12 @@ func TestLeaseAcquireRenewRelease(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialT(t, addr)
 
-	e1, err := c.SetLease("leader", "ctrl-A", 10*time.Second)
+	e1, err := c.SetLeaseContext(context.Background(), "leader", "ctrl-A", 10*time.Second)
 	if err != nil || e1 != 1 {
 		t.Fatalf("acquire = %d, %v (want epoch 1)", e1, err)
 	}
 	// Renewal by the holder keeps the epoch: the lease is the same reign.
-	e2, err := c.SetLease("leader", "ctrl-A", 10*time.Second)
+	e2, err := c.SetLeaseContext(context.Background(), "leader", "ctrl-A", 10*time.Second)
 	if err != nil || e2 != e1 {
 		t.Fatalf("renew = %d, %v (want %d)", e2, err, e1)
 	}
@@ -37,7 +37,7 @@ func TestLeaseAcquireRenewRelease(t *testing.T) {
 	if _, _, _, err := c.GetLeaseContext(context.Background(), "leader"); err != ErrNil {
 		t.Fatalf("released lease GetLease err = %v, want ErrNil", err)
 	}
-	e3, err := c.SetLease("leader", "ctrl-B", 10*time.Second)
+	e3, err := c.SetLeaseContext(context.Background(), "leader", "ctrl-B", 10*time.Second)
 	if err != nil || e3 != 2 {
 		t.Fatalf("takeover = %d, %v (want epoch 2)", e3, err)
 	}
@@ -49,10 +49,10 @@ func TestLeaseHeldAndExpiry(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialT(t, addr)
 
-	if _, err := c.SetLease("leader", "ctrl-A", 50*time.Millisecond); err != nil {
+	if _, err := c.SetLeaseContext(context.Background(), "leader", "ctrl-A", 50*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.SetLease("leader", "ctrl-B", time.Second)
+	_, err := c.SetLeaseContext(context.Background(), "leader", "ctrl-B", time.Second)
 	if err == nil || !IsLeaseHeldError(err) {
 		t.Fatalf("contended acquire: got %v, want LEASEHELD", err)
 	}
@@ -67,7 +67,7 @@ func TestLeaseHeldAndExpiry(t *testing.T) {
 		t.Fatalf("non-holder release took the lease: owner %q", owner)
 	}
 	time.Sleep(60 * time.Millisecond)
-	e, err := c.SetLease("leader", "ctrl-B", time.Second)
+	e, err := c.SetLeaseContext(context.Background(), "leader", "ctrl-B", time.Second)
 	if err != nil || e != 2 {
 		t.Fatalf("post-expiry acquire = %d, %v (want epoch 2)", e, err)
 	}
@@ -82,21 +82,21 @@ func TestFenceEpochs(t *testing.T) {
 
 	// Fencing against a key with no lease history fails closed.
 	c.SetFence("leader", 1)
-	if err := c.Set("k", "v"); err == nil || !IsFencedError(err) {
+	if err := c.SetContext(context.Background(), "k", "v"); err == nil || !IsFencedError(err) {
 		t.Fatalf("no-lease fenced write: got %v, want FENCED", err)
 	}
 	c.ClearFence()
 
-	e1, err := c.SetLease("leader", "ctrl-A", 10*time.Second)
+	e1, err := c.SetLeaseContext(context.Background(), "leader", "ctrl-A", 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.SetFence("leader", e1)
-	if err := c.Set("k", "v1"); err != nil {
+	if err := c.SetContext(context.Background(), "k", "v1"); err != nil {
 		t.Fatalf("current-epoch fenced write: %v", err)
 	}
 	// Reads are never fenced, whatever the client's fence state.
-	if v, err := c.Get("k"); err != nil || v != "v1" {
+	if v, err := c.GetContext(context.Background(), "k"); err != nil || v != "v1" {
 		t.Fatalf("fenced-client read = %q, %v", v, err)
 	}
 
@@ -105,19 +105,19 @@ func TestFenceEpochs(t *testing.T) {
 	if err := c.DelLease("leader", "ctrl-A"); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := c.SetLease("leader", "ctrl-B", 10*time.Second)
+	e2, err := c.SetLeaseContext(context.Background(), "leader", "ctrl-B", 10*time.Second)
 	if err != nil || e2 != e1+1 {
 		t.Fatalf("takeover epoch = %d, %v", e2, err)
 	}
 	c.SetFence("leader", e1)
-	if err := c.Set("k", "stale"); err == nil || !IsFencedError(err) {
+	if err := c.SetContext(context.Background(), "k", "stale"); err == nil || !IsFencedError(err) {
 		t.Fatalf("stale-epoch write: got %v, want FENCED", err)
 	}
 	c.SetFence("leader", e2)
-	if err := c.Set("k", "v2"); err != nil {
+	if err := c.SetContext(context.Background(), "k", "v2"); err != nil {
 		t.Fatalf("new-epoch write: %v", err)
 	}
-	if v, _ := c.Get("k"); v != "v2" {
+	if v, _ := c.GetContext(context.Background(), "k"); v != "v2" {
 		t.Fatalf("k = %q after fencing dance, want v2", v)
 	}
 }
@@ -134,7 +134,7 @@ func TestMovedRedirectLoopTerminates(t *testing.T) {
 		return ""
 	})
 	c, m := dialMetered(t, addr)
-	err := c.Set("k", "v")
+	err := c.SetContext(context.Background(), "k", "v")
 	if !errors.Is(err, ErrRedirectLoop) {
 		t.Fatalf("redirect loop: got %v, want ErrRedirectLoop", err)
 	}
@@ -142,7 +142,7 @@ func TestMovedRedirectLoopTerminates(t *testing.T) {
 		t.Fatalf("redirects = %d, want the cap %d", got, maxMovedHops)
 	}
 	// Reads pass the gate untouched.
-	if err := c.PingContext(context.Background()); err != nil {
+	if _, err := c.DoContext(context.Background(), "PING"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -73,7 +73,7 @@ func chaosFailover(t *testing.T, partition bool) {
 
 	// The stale leader-to-be acquires the lease and fences its writes. A
 	// short TTL lets the successor take over quickly after the fault.
-	epochA, err := cli.SetLease("leader", "ctrl-A", time.Second)
+	epochA, err := cli.SetLeaseContext(context.Background(), "leader", "ctrl-A", time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func chaosFailover(t *testing.T, partition bool) {
 	newLeader := dial(t, saddr)
 	var epochB int64
 	waitFor(t, 5*time.Second, "lease takeover", func() bool {
-		e, err := newLeader.SetLease("leader", "ctrl-B", 10*time.Second)
+		e, err := newLeader.SetLeaseContext(context.Background(), "leader", "ctrl-B", 10*time.Second)
 		if err != nil {
 			return false
 		}

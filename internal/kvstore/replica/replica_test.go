@@ -132,11 +132,11 @@ func TestSnapshotCatchUp(t *testing.T) {
 	psrv, paddr := bootServer(t)
 	NewPrimary(psrv, 0, PrimaryOptions{LogCap: 8, Heartbeat: 20 * time.Millisecond, Metrics: m})
 	cli := dial(t, paddr)
-	if _, err := cli.SetLease("leader", "ctrl-A", 10*time.Second); err != nil {
+	if _, err := cli.SetLeaseContext(context.Background(), "leader", "ctrl-A", 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := cli.Set("k"+strconv.Itoa(i), strconv.Itoa(i)); err != nil {
+		if err := cli.SetContext(context.Background(), "k"+strconv.Itoa(i), strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,7 +153,7 @@ func TestSnapshotCatchUp(t *testing.T) {
 
 	rdr := dial(t, saddr)
 	for i := 0; i < 100; i++ {
-		v, err := rdr.Get("k" + strconv.Itoa(i))
+		v, err := rdr.GetContext(context.Background(), "k"+strconv.Itoa(i))
 		if err != nil || v != strconv.Itoa(i) {
 			t.Fatalf("standby GET k%d = %q, %v", i, v, err)
 		}
@@ -185,7 +185,7 @@ func TestStandbyGateMoved(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = cli.Close() })
-	if err := cli.Set("via-standby", "ok"); err != nil {
+	if err := cli.SetContext(context.Background(), "via-standby", "ok"); err != nil {
 		t.Fatalf("redirected SET: %v", err)
 	}
 	if m.Redirects.Value() == 0 {
@@ -193,7 +193,7 @@ func TestStandbyGateMoved(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, "replication", func() bool { return sb.LastSeq() >= prim.LastSeq() })
 	rdr := dial(t, saddr)
-	if v, err := rdr.Get("via-standby"); err != nil || v != "ok" {
+	if v, err := rdr.GetContext(context.Background(), "via-standby"); err != nil || v != "ok" {
 		t.Fatalf("standby read = %q, %v", v, err)
 	}
 }
@@ -219,12 +219,12 @@ func TestAckTimeoutRefusesWrite(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // let the stream register
 
 	cli := dial(t, paddr)
-	err = cli.Set("k", "v")
+	err = cli.SetContext(context.Background(), "k", "v")
 	if err == nil || !kvstore.IsReplWaitError(err) {
 		t.Fatalf("want REPLWAIT error, got %v", err)
 	}
 	// Reads are unaffected by the ack policy.
-	if err := cli.PingContext(context.Background()); err != nil {
+	if _, err := cli.DoContext(context.Background(), "PING"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -248,7 +248,7 @@ func TestRelaxedAckMode(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond)
 	cli := dial(t, paddr)
-	if err := cli.Set("k", "v"); err != nil {
+	if err := cli.SetContext(context.Background(), "k", "v"); err != nil {
 		t.Fatalf("relaxed write should ack locally: %v", err)
 	}
 }
@@ -266,7 +266,7 @@ func TestPromoteIdempotent(t *testing.T) {
 	}
 	<-sb.Done()
 	cli := dial(t, saddr)
-	if err := cli.Set("after-promote", "ok"); err != nil {
+	if err := cli.SetContext(context.Background(), "after-promote", "ok"); err != nil {
 		t.Fatalf("write to promoted standby: %v", err)
 	}
 	if got := p1.LastSeq(); got == 0 {

@@ -79,8 +79,8 @@ func Mutates(cmd string) bool {
 	return false
 }
 
-// mutatingCmds lists every verb the store treats as a mutation (fenced,
-// replicated, journaled).
+// mutatingCmds lists every verb the store treats as a mutation (fenced and
+// replicated).
 var mutatingCmds = [...]string{
 	"SET", "DEL", "HSET", "HCOPY", "FLUSHALL",
 	"SETLEASE", "DELLEASE", "LEASEGRANT", "LEASEDEL",

@@ -27,14 +27,13 @@ type Timing struct {
 	// standby's per-read deadline; FailoverTimeout is the primary silence
 	// after which the standby promotes itself.
 	AckTimeout, Heartbeat, SyncTimeout, FailoverTimeout time.Duration
-	// EpochPoll paces a sharded node's ring-epoch reads; ProbeInterval
-	// paces a degraded controller's store probes.
-	EpochPoll, ProbeInterval time.Duration
+	// EpochPoll paces a sharded node's ring-epoch reads.
+	EpochPoll time.Duration
 }
 
 // minIOTimeout is the shortest store I/O timeout Validate accepts: below a
 // few loopback round trips under load, every write would time out, poison
-// its connection and degrade the controller.
+// its connection and fail its request.
 const minIOTimeout = 10 * time.Millisecond
 
 // TimingFor derives every deadline from the lease TTL as a fraction of the
@@ -49,7 +48,7 @@ func TimingFor(ttl time.Duration) Timing {
 		TTL: ttl, Renew: r,
 		DialTimeout: r / 20, IOTimeout: 3 * r / 10, MaxRetries: 1, BackoffMin: r / 20, BackoffMax: 2 * r,
 		AckTimeout: r / 5, Heartbeat: r / 10, SyncTimeout: 3 * r / 10, FailoverTimeout: 2 * r,
-		EpochPoll: r / 4, ProbeInterval: r,
+		EpochPoll: r / 4,
 	}
 }
 
@@ -87,7 +86,7 @@ func (t Timing) Validate() error {
 		ok   bool
 	}{
 		{"positive values", t.DialTimeout > 0 && t.MaxRetries >= 0 &&
-			t.BackoffMin > 0 && t.Heartbeat > 0 && t.EpochPoll > 0 && t.ProbeInterval > 0},
+			t.BackoffMin > 0 && t.Heartbeat > 0 && t.EpochPoll > 0},
 		{"I/O floor: kv I/O timeout >= 10ms", t.IOTimeout >= minIOTimeout},
 		{"renew interval: 3 x renew <= TTL", 3*t.Renew <= t.TTL},
 		{"renewal budget: store call budget <= renew", t.storeCallBudget() <= t.Renew},

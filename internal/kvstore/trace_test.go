@@ -54,7 +54,7 @@ func TestTracedDoContext(t *testing.T) {
 		if _, err := c.DoContext(ctx, "GET", "missing"); !errors.Is(err, ErrNil) {
 			t.Fatalf("GET missing = %v, want ErrNil", err)
 		}
-		if err := c.PingContext(ctx); err != nil {
+		if _, err := c.DoContext(ctx, "PING"); err != nil {
 			t.Fatal(err)
 		}
 		// A fence no lease backs: the write is refused, but its frame still

@@ -12,8 +12,8 @@ import (
 )
 
 // FenceFlowAnalyzer guards the epoch-fencing contract: every kvstore
-// mutation issued from a controller persist/journal-drain path must go
-// through the fence-arming typed wrappers (HSet, Set, DelContext, ...), never
+// mutation issued from a controller persist or handoff-ack path must go
+// through the fence-arming typed wrappers (HSet, SetContext, DelContext, ...), never
 // a raw Do/DoContext call that would bypass the FENCE prefix the client
 // prepends to mutating commands.
 //

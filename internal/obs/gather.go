@@ -10,7 +10,7 @@ import (
 // histogram buckets merge in exact integer arithmetic, so the merged sums
 // equal the per-instance sums; gauges merge by addition too, which is the
 // right semantic for the level-style gauges this repo exposes (in-flight
-// requests, journal depth, active calls) — ratio-style gauges (SLO burns)
+// requests, active calls) — ratio-style gauges (SLO burns)
 // should be read per instance.
 
 // SnapExemplar is one histogram bucket's exemplar in a snapshot: the trace ID

@@ -41,9 +41,6 @@ type Decision struct {
 	// Shard is the control-plane shard that took the decision (-1 when the
 	// controller is unsharded).
 	Shard int `json:"shard"`
-	// Degraded and JournalDepth snapshot the store path at decision time.
-	Degraded     bool `json:"degraded,omitempty"`
-	JournalDepth int  `json:"journal_depth,omitempty"`
 	// Duration is how long the decision took end to end.
 	Duration time.Duration `json:"duration_ns"`
 }

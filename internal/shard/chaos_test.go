@@ -2,11 +2,12 @@ package shard
 
 import (
 	"context"
+	"errors"
+	"strconv"
 	"testing"
 	"time"
 
-	"strconv"
-
+	"switchboard/internal/controller"
 	"switchboard/internal/faults"
 	"switchboard/internal/kvstore"
 )
@@ -22,11 +23,13 @@ import (
 //   - every write acked before the fault is still in the store (audited with
 //     a fresh direct client),
 //   - B recovered A's in-flight call state (ending a pre-fault call works),
-//   - a write A journaled while deposed is fenced on replay, not landed over
-//     the successor's state.
+//   - a start A takes while cut off fails with ErrStoreUnavailable and
+//     leaves nothing behind, and its retry once A's data path heals is
+//     fenced — still ErrStoreUnavailable, never landed over the successor's
+//     state.
 //
 // Healing only the data path keeps A's electors dark, so A provably cannot
-// have re-won the shard when its stale-epoch replay goes through — the fence
+// have re-won the shard when its stale-epoch retry goes through — the fence
 // verdict is deterministic, not a race against A's next campaign.
 func chaosShard(t *testing.T, partition bool) {
 	storeAddr := startStore(t)
@@ -58,11 +61,7 @@ func chaosShard(t *testing.T, partition bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		a.Stop(ctx)
-		cancel()
-	})
+	t.Cleanup(a.Stop)
 	b := newManager(t, storeAddr, "node-b", 3, []int{2}, 50)
 
 	a.Start()
@@ -110,16 +109,10 @@ func chaosShard(t *testing.T, partition bool) {
 		elecProxy.Cut()
 	}
 
-	// A, not yet aware it is deposed, accepts one more call on shard 0. The
-	// store is unreachable so the write lands in the journal — the fencing
-	// assertion below proves it can never reach the store under A's epoch.
+	// A, not yet aware it is deposed, is sent one more call on shard 0. The
+	// store is unreachable, so the start fails and A forgets the call.
 	fencedCall := confOn(0)
-	if _, err := a.Controller(0).CallStarted(ctx, fencedCall, "US", now); err != nil {
-		t.Fatalf("CallStarted during fault should journal, got %v", err)
-	}
-	if a.Controller(0).JournalDepth() == 0 {
-		t.Fatal("fault-time write did not journal")
-	}
+	startDeposed(t, a.Controller(0), fencedCall)
 
 	// B must take over A's shards — and the untouched shard 2 must keep
 	// placing calls through B at every poll on the way there.
@@ -159,19 +152,45 @@ func chaosShard(t *testing.T, partition bool) {
 	}
 
 	// Heal the data path only (electors stay dark: A cannot re-campaign).
-	// A's journal replay now reaches the store carrying the deposed epoch and
-	// must be fenced, leaving no trace of fencedCall.
+	// The client's retry of the start now reaches the store carrying the
+	// deposed epoch and must be fenced, leaving no trace of fencedCall.
 	if partition {
 		dataProxy.Heal()
 	} else {
 		dataProxy.Restore()
 	}
-	await(t, "stale-epoch journal replay to be fenced", 8*time.Second, func() bool {
-		_, _ = a.Controller(0).ReplayJournal(ctx)
-		return a.Controller(0).Stats().Fenced >= 1
-	})
+	retryDeposed(t, a.Controller(0), fencedCall)
 	if dc, err := audit.HGet(KeyPrefix(0)+"call:"+strconv.FormatUint(fencedCall, 10), "dc"); err == nil && dc != "" {
 		t.Fatalf("fenced write landed in the store: dc=%q", dc)
+	}
+}
+
+// startDeposed sends a start to a controller whose store path is down: it
+// must fail with ErrStoreUnavailable and leave the call unknown.
+func startDeposed(t *testing.T, c *controller.Controller, id uint64) {
+	t.Helper()
+	if _, err := c.CallStarted(context.Background(), id, "US", time.Now()); !errors.Is(err, controller.ErrStoreUnavailable) {
+		t.Fatalf("CallStarted with the store unreachable = %v, want ErrStoreUnavailable", err)
+	}
+	if c.Knows(id) {
+		t.Fatal("a shed start left the call in memory")
+	}
+}
+
+// retryDeposed re-sends a start to a deposed controller whose data path has
+// healed, as a client retrying a 503 would, until the store fences it. Every
+// attempt must fail with ErrStoreUnavailable: a transport error while the
+// client redials, then FENCED.
+func retryDeposed(t *testing.T, c *controller.Controller, id uint64) {
+	t.Helper()
+	await(t, "the deposed leader's retried write to be fenced", 8*time.Second, func() bool {
+		if _, err := c.CallStarted(context.Background(), id, "US", time.Now()); !errors.Is(err, controller.ErrStoreUnavailable) {
+			t.Fatalf("deposed leader's retried start = %v, want ErrStoreUnavailable", err)
+		}
+		return c.Stats().Fenced >= 1
+	})
+	if c.Knows(id) {
+		t.Fatal("a fenced start left the call in memory")
 	}
 }
 

@@ -44,16 +44,17 @@ const (
 	PhasePrepare = "prepare"
 	PhaseCopy    = "copy"
 	// PhaseHandoff is the journal-handoff barrier: writes to moving keys are
-	// held (503 + Retry-After) while every source shard's leader drains its
-	// journal and acks at its lease epoch, after which the coordinator delta
-	// copies the quiesced keys.
+	// held (503 + Retry-After) while every source shard's leader acks at its
+	// lease epoch, after which the coordinator delta copies the quiesced
+	// keys. The name is older than the barrier's current form; it is
+	// persisted in EpochState and shown by /v1/shards and sbtop, so it stays.
 	PhaseHandoff = "journal-handoff"
 	// PhaseCutover serves writes from the target ring while reads double up
 	// on the previous owner's prefix for calls not yet recovered.
 	PhaseCutover = "cutover"
 )
 
-// AckKey returns the key source shard s's leader acks journal handoff under.
+// AckKey returns the key source shard s's leader acks the journal-handoff barrier under.
 func AckKey(shard int) string {
 	return ackPrefix + strconv.Itoa(shard)
 }

@@ -291,19 +291,15 @@ func (m *Manager) runElectorLocked(i int) {
 
 // lead is the per-shard OnLead hook: sync the ring epoch (a successor must
 // know whether a handoff or cutover is in flight before serving a single
-// write), arm the controller's fence for this shard's lease epoch, drain
-// anything it journaled while standing by, and rebuild in-flight call state
-// the previous leader persisted (controller.RecoverCalls), so calls started
-// under the previous leader keep their freeze and end transitions.
+// write), arm the controller's fence for this shard's lease epoch, and
+// rebuild in-flight call state the previous leader persisted
+// (controller.RecoverCalls), so calls started under the previous leader keep
+// their freeze and end transitions.
 func (m *Manager) lead(shard int, epoch int64) {
 	m.pollEpoch()
 	ctrl := m.Controller(shard)
 	ctrl.SetLease(LeaseKey(shard), epoch)
-	ctx := context.Background()
-	if _, err := ctrl.ReplayJournal(ctx); err != nil && m.cfg.Logger != nil {
-		m.cfg.Logger.Warn("shard journal replay on takeover", "shard", shard, "err", err)
-	}
-	if n, err := ctrl.RecoverCalls(ctx); err != nil {
+	if n, err := ctrl.RecoverCalls(context.Background()); err != nil {
 		if m.cfg.Logger != nil {
 			m.cfg.Logger.Warn("shard call-state recovery failed", "shard", shard, "err", err)
 		}
@@ -319,11 +315,10 @@ func (m *Manager) lead(shard int, epoch int64) {
 }
 
 // lose is the per-shard OnLose hook. The controller's fence is deliberately
-// LEFT ARMED at the deposed epoch: anything still journaled on this shard
-// belongs to the lost leadership, and replaying it under the old epoch makes
-// the store reject it (fenced, counted in Stats) instead of landing it over
-// the successor's state. Re-winning the shard re-arms the fence at the new
-// epoch via lead.
+// LEFT ARMED at the deposed epoch: a write this node still issues for the
+// shard belongs to the lost leadership, so the store rejects it (fenced,
+// counted in Stats, answered 503) instead of landing it over the successor's
+// state. Re-winning the shard re-arms the fence at the new epoch via lead.
 func (m *Manager) lose(shard int) {
 	m.mu.Lock()
 	delete(m.owned, shard)
@@ -484,14 +479,12 @@ func (m *Manager) OwnerHint(shard int) string {
 	return m.electors[shard].LeaderHint()
 }
 
-// Stop performs an orderly shutdown with live shard handoff: for every shard
-// this process leads it first drains the controller's journal into the store
-// (the fence is still armed, so the writes land under this leadership's
-// epoch), then resigns the lease so a successor takes over within a renew
-// interval instead of waiting out the TTL; the successor's OnLead replays its
-// own journal and rebuilds call state from the store. Elector
-// store clients are closed on the way out. ctx bounds the journal drains.
-func (m *Manager) Stop(ctx context.Context) {
+// Stop performs an orderly shutdown with live shard handoff: it resigns the
+// lease of every shard this process leads, so a successor takes over within
+// a renew interval instead of waiting out the TTL; the successor's OnLead
+// rebuilds call state from the store, which holds every write this node
+// answered 2xx. Elector store clients are closed on the way out.
+func (m *Manager) Stop() {
 	m.mu.Lock()
 	if m.stopped {
 		m.mu.Unlock()
@@ -501,23 +494,17 @@ func (m *Manager) Stop(ctx context.Context) {
 	for _, t := range m.timers {
 		t.Stop()
 	}
-	ownedNow := make([]int, 0, len(m.owned))
-	for s := range m.owned {
-		ownedNow = append(ownedNow, s)
-	}
+	handoffs := len(m.owned)
 	running := make([]int, 0, len(m.running))
 	for i := range m.running {
 		running = append(running, i)
 	}
-	ctrls := make([]*controller.Controller, len(m.ctrls))
-	copy(ctrls, m.ctrls)
 	electors := make([]*controller.Elector, len(m.electors))
 	copy(electors, m.electors)
 	stores := make([]*kvstore.Client, len(m.stores))
 	copy(stores, m.stores)
 	watchStop := m.watchStop
 	m.mu.Unlock()
-	sort.Ints(ownedNow)
 
 	if watchStop != nil {
 		close(watchStop)
@@ -527,16 +514,8 @@ func (m *Manager) Stop(ctx context.Context) {
 		m.watchMu.Unlock()
 	}
 
-	// Drain before resigning: an owned shard's journal must land under the
-	// epoch this node still holds, or the successor can never see the writes.
-	for _, s := range ownedNow {
-		if _, err := ctrls[s].ReplayJournal(ctx); err != nil && m.cfg.Logger != nil {
-			m.cfg.Logger.WarnContext(ctx, "shard handoff drain failed; successor will fence stragglers",
-				"shard", s, "err", err)
-		}
-		if m.cfg.Metrics != nil {
-			m.cfg.Metrics.Handoffs.Inc()
-		}
+	if m.cfg.Metrics != nil {
+		m.cfg.Metrics.Handoffs.Add(uint64(handoffs))
 	}
 	for _, i := range running {
 		electors[i].Stop()

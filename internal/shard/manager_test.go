@@ -60,11 +60,10 @@ func newShardCtrls(t *testing.T, addr string, shards int, seed int64) []*control
 		store := dialFast(t, addr, seed+int64(i))
 		t.Cleanup(func() { _ = store.Close() })
 		c, err := controller.New(controller.Config{
-			World:         world,
-			Store:         store,
-			KeyPrefix:     KeyPrefix(i),
-			Shard:         i,
-			ProbeInterval: 20 * time.Millisecond,
+			World:     world,
+			Store:     store,
+			KeyPrefix: KeyPrefix(i),
+			Shard:     i,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -95,11 +94,7 @@ func newManager(t *testing.T, addr, id string, shards int, prefer []int, seed in
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		m.Stop(ctx)
-		cancel()
-	})
+	t.Cleanup(m.Stop)
 	return m
 }
 
@@ -230,9 +225,7 @@ func TestOrderlyHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	a.Stop(ctx)
-	cancel()
+	a.Stop()
 	await(t, "node-b to take over after handoff", 5*time.Second, func() bool {
 		return len(b.Owned()) == 2
 	})

@@ -22,7 +22,7 @@ type Metrics struct {
 	Renewals  *obs.Counter
 	Losses    *obs.Counter
 	Takeovers *obs.Counter
-	// Handoffs counts orderly shard handoffs (drain + resign) on Stop.
+	// Handoffs counts orderly shard handoffs (lease resigned) on Stop.
 	Handoffs *obs.Counter
 	// RingEpoch is the serving ring's epoch as last observed by this node
 	// (1 for the boot ring; bumps once per completed reshard).
@@ -61,7 +61,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		Takeovers: r.Counter("sb_shard_lease_takeovers_total",
 			"Shard leaderships acquired over a lapsed lease, all shards."),
 		Handoffs: r.Counter("sb_shard_handoffs_total",
-			"Orderly shard handoffs (journal drained, lease resigned)."),
+			"Orderly shard handoffs (lease resigned on Stop)."),
 		RingEpoch: r.Gauge("sb_shard_ring_epoch",
 			"Serving ring epoch as last observed (1 = boot ring)."),
 		ReshardPhase: r.Gauge("sb_shard_reshard_phase",

@@ -9,9 +9,9 @@
 //
 //	prepare          publish the target ring; fleet grows, new shards elect
 //	copy             bulk-copy moving keys old→new prefix (racy, resumable)
-//	journal-handoff  hold writes to moving keys; every source leader drains
-//	                 its journal and acks at its lease epoch; delta-copy the
-//	                 now-quiescent keys
+//	journal-handoff  hold writes to moving keys; every source leader acks
+//	                 at its lease epoch once its moved writes are done;
+//	                 delta-copy the now-quiescent keys
 //	cutover          bump the epoch: target ring serves, double reads cover
 //	                 stragglers; then retire moved keys and go stable
 //
@@ -393,12 +393,11 @@ func (co *Coordinator) copy(ctx context.Context, st *ReshardState) error {
 
 // handoff runs the barrier that makes the final copy exact: writes to moving
 // keys are held fleet-wide (the phase flip does that), every source shard's
-// leader drains its journal and acks at its current lease epoch, and the
-// delta copy then runs against provably quiescent keys. If any source
-// shard's leadership changes while the delta runs, its new leader may have
-// landed journaled writes the scan missed — so the lease epochs are
-// re-checked after the delta and the barrier re-runs until a pass sees no
-// churn.
+// leader acks at its current lease epoch once its moved writes are done, and
+// the delta copy then runs against provably quiescent keys. If any source
+// shard's leadership changes while the delta runs, a write of the old or new
+// reign may have landed after the scan — so the lease epochs are re-checked
+// after the delta and the barrier re-runs until a pass sees no churn.
 func (co *Coordinator) handoff(ctx context.Context, st *ReshardState) error {
 	if err := co.publishEpoch(ctx, EpochState{
 		Epoch: st.Epoch, Shards: st.From, VNodes: st.VNodes,
@@ -601,9 +600,8 @@ func (co *Coordinator) waitLeader(ctx context.Context, s int) error {
 
 // waitAcks blocks until every source shard's handoff ack matches its current
 // lease epoch, returning the matched epochs. A shard whose leader died
-// mid-drain re-acks at the successor's epoch (the successor drains its own
-// journal before serving), so the wait converges as long as leaders keep
-// getting elected.
+// before acking re-acks at the successor's epoch, so the wait converges as
+// long as leaders keep getting elected.
 func (co *Coordinator) waitAcks(ctx context.Context, st *ReshardState) (map[int]int64, error) {
 	acked := make(map[int]int64, st.From)
 	for {

@@ -29,11 +29,10 @@ func newReshardManager(t *testing.T, dataAddr, elecAddr, id string, shards int, 
 			return nil, err
 		}
 		c, err := controller.New(controller.Config{
-			World:         world,
-			Store:         store,
-			KeyPrefix:     KeyPrefix(i),
-			Shard:         i,
-			ProbeInterval: 20 * time.Millisecond,
+			World:     world,
+			Store:     store,
+			KeyPrefix: KeyPrefix(i),
+			Shard:     i,
 		})
 		if err != nil {
 			_ = store.Close()
@@ -64,11 +63,7 @@ func newReshardManager(t *testing.T, dataAddr, elecAddr, id string, shards int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		m.Stop(ctx)
-		cancel()
-	})
+	t.Cleanup(m.Stop)
 	return m
 }
 
@@ -113,9 +108,10 @@ func newTestCoordinator(t *testing.T, storeAddr, id string, seed int64, hook fun
 //     placement survives under its post-split owner (audited with a fresh
 //     direct client), moved source copies are retired, and a call started
 //     pre-split can be ended on its new owner;
-//   - heal A's data path only (electors stay dark, so A provably has not
-//     re-won anything) and assert A's stale-epoch journal replay is FENCED,
-//     leaving no trace in the store.
+//   - assert a start sent to A while it is cut off fails and leaves nothing
+//     behind, then heal A's data path only (electors stay dark, so A
+//     provably has not re-won anything) and assert the start's retry is
+//     FENCED and fails too, leaving no trace in the store.
 func chaosReshard(t *testing.T, partition bool) {
 	storeAddr := startStore(t)
 	dataProxy, err := faults.NewProxy(storeAddr, nil)
@@ -209,17 +205,13 @@ func chaosReshard(t *testing.T, partition bool) {
 		c1done <- err
 	}()
 
-	// A, cut off and not yet aware it is deposed, accepts one more call on an
-	// unmoved shard-0 key. The store is unreachable, so the write journals —
-	// the fencing assertion at the end proves it can never land.
+	// A, cut off and not yet aware it is deposed, is sent one more call on
+	// an unmoved shard-0 key. The store is unreachable, so the start fails
+	// and A forgets the call; the fencing assertion at the end proves its
+	// retry can never land either.
 	await(t, "coordinator C1 to start copying", 8*time.Second, func() bool { return copies.Load() >= 1 })
 	fencedCall := confOn(0, false)
-	if _, err := a.Controller(0).CallStarted(ctx, fencedCall, "US", now); err != nil {
-		t.Fatalf("CallStarted during fault should journal, got %v", err)
-	}
-	if a.Controller(0).JournalDepth() == 0 {
-		t.Fatal("fault-time write did not journal")
-	}
+	startDeposed(t, a.Controller(0), fencedCall)
 
 	// B must take over A's shards — and shard 2's untouched keys must keep
 	// placing through B at every poll on the way there.
@@ -285,18 +277,15 @@ func chaosReshard(t *testing.T, partition bool) {
 		}
 	}
 
-	// Heal the data path only (electors stay dark: A cannot re-campaign). A's
-	// journal replay now reaches the store carrying the deposed epoch and
-	// must be fenced, leaving no trace of fencedCall.
+	// Heal the data path only (electors stay dark: A cannot re-campaign).
+	// The client's retry of the start now reaches the store carrying the
+	// deposed epoch and must be fenced, leaving no trace of fencedCall.
 	if partition {
 		dataProxy.Heal()
 	} else {
 		dataProxy.Restore()
 	}
-	await(t, "stale-epoch journal replay to be fenced", 8*time.Second, func() bool {
-		_, _ = a.Controller(0).ReplayJournal(ctx)
-		return a.Controller(0).Stats().Fenced >= 1
-	})
+	retryDeposed(t, a.Controller(0), fencedCall)
 	if dc, err := audit.HGet(KeyPrefix(0)+"call:"+strconv.FormatUint(fencedCall, 10), "dc"); err == nil && dc != "" {
 		t.Fatalf("fenced write landed in the store: dc=%q", dc)
 	}

@@ -26,7 +26,7 @@ func LeaseKey(shard int) string {
 }
 
 // KeyPrefix returns the store-key namespace for shard i's call state, fed to
-// controller.Config.KeyPrefix so shard journals and state never collide.
+// controller.Config.KeyPrefix so shard state never collides.
 func KeyPrefix(shard int) string {
 	return "shard/" + strconv.Itoa(shard) + "/"
 }

@@ -58,8 +58,8 @@ func (m *Manager) watchLoop() {
 
 // pollEpoch makes one watch pass: read the fleet's EpochState, reconcile the
 // routing view, mirror the coordinator's checkpoint for progress reporting,
-// and during journal-handoff drain-and-ack the source shards this node
-// leads. Also called synchronously from lead(), so a fresh shard leader
+// and during journal-handoff ack the source shards this node leads. Also
+// called synchronously from lead(), so a fresh shard leader
 // serves its first write from the fleet's current view, never a stale one.
 func (m *Manager) pollEpoch() {
 	m.watchMu.Lock()
@@ -247,8 +247,8 @@ func (m *Manager) recoverShard(shard int) {
 // ackHandoffs runs the leader side of the journal-handoff barrier for every
 // source shard this node leads: once the shard's moved-write in-flight count
 // has drained (BeginWrite holds new ones by now — the route flipped before
-// this runs), drain the journal and write the ack stamped with this reign's
-// lease epoch, atomically under the controller's store lock. The coordinator
+// this runs), write the ack stamped with this reign's lease epoch under the
+// controller's store lock, after every write that lock let through. The coordinator
 // only proceeds when each shard's ack matches its CURRENT lease epoch, so an
 // ack from a deposed reign never green-lights the delta copy — and the ack
 // write itself is fenced anyway. Non-blocking: shards that still have writes
@@ -281,7 +281,7 @@ func (m *Manager) ackHandoffs(ctx context.Context, es EpochState) {
 		m.acked[s] = epoch
 		m.mu.Unlock()
 		if m.cfg.Logger != nil {
-			m.cfg.Logger.InfoContext(ctx, "journal handoff acked", "shard", s, "epoch", epoch)
+			m.cfg.Logger.InfoContext(ctx, "journal-handoff acked", "shard", s, "epoch", epoch)
 		}
 	}
 }
