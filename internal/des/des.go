@@ -11,7 +11,8 @@
 // precomputed from internal/model, exposes pluggable policy interfaces for
 // placement, admission, and failover timing, injects DC failure/recovery
 // events mid-run, and sustains millions of calls per second of simulated
-// traffic on one core. As a plan checker it replays recorded calls
+// traffic on one dispatch goroutine, with the workload drawn on a second
+// (Engine.Run). As a plan checker it replays recorded calls
 // (RecordSource) against a provisioning plan's capacities on a fleet built
 // from the plan's load model (NewPlanFleet), under the plan-quota or
 // greedy-local policy; Engine.RunUntil splits a DC-failure drill's books at

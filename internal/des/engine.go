@@ -83,11 +83,16 @@ type Result struct {
 	TraceLines uint64
 }
 
-// Engine executes one run. It is single-use and single-threaded: the shared
-// virtual clock is the determinism contract, so there is nothing to lock.
+// Engine executes one run. It is single-use, and its state belongs to the
+// goroutine that calls Run or RunUntil: the shared virtual clock is the
+// determinism contract, so there is nothing to lock. Run pulls the Source on
+// a second goroutine it starts and stops itself (feed.go), so Source.Next
+// may run off the caller's goroutine, but always on one goroutine at a time,
+// in stream order, and never after Run returns.
 type Engine struct {
 	f          *Fleet
 	src        Source
+	feed       *feed // Run's arrival producer; nil while RunUntil pulls src directly
 	place      PlacementPolicy
 	rel        Releaser // place's release hook, if it has one
 	admit      AdmissionPolicy
@@ -189,9 +194,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 // Run drains the event sources and returns the aggregate result. Everything
 // step reaches is the annotated hot path: a call costs a slot fill, one
-// departure-queue push and pop, and pooled bookkeeping, which is what holds
-// 10M calls to single-digit seconds on one core.
+// departure-queue push and pop, and pooled bookkeeping. The arrivals come
+// from a producer goroutine that pulls the Source a chunk or two ahead, so
+// the workload's draws run beside the dispatch loop; Run stops the producer
+// before it returns or panics, and re-raises a panic of Source.Next here.
 func (e *Engine) Run() (Result, error) {
+	if !e.started || e.arrival != nil { // else RunUntil drained the source
+		e.feed = startFeed(e.src)
+		defer e.stopFeed()
+	}
 	e.start()
 	for src, at := e.next(); src != srcNone; src, at = e.next() {
 		e.step(src, at)
@@ -205,6 +216,8 @@ func (e *Engine) Run() (Result, error) {
 // RunUntil processes every event before virtual time t and returns the
 // totals so far: the run as it stood the instant before t. A later Run
 // continues from there, so a drill can split its books at a failure.
+// RunUntil pulls the Source on the caller's goroutine, one arrival ahead,
+// so it never reads past the arrival that ends it.
 func (e *Engine) RunUntil(t time.Duration) Result {
 	e.start()
 	for src, at := e.next(); src != srcNone && at < int64(t); src, at = e.next() {
@@ -218,6 +231,12 @@ func (e *Engine) RunUntil(t time.Duration) Result {
 // that Result stays a comparable value.
 func (e *Engine) Peaks() (cores, gbps []float64) {
 	return append([]float64(nil), e.peakCores...), append([]float64(nil), e.peakGbps...)
+}
+
+// stopFeed ends Run's producer; the Source is the caller's again.
+func (e *Engine) stopFeed() {
+	e.feed.stop()
+	e.feed = nil
 }
 
 // start schedules the first arrival, once.
@@ -340,10 +359,10 @@ func (e *Engine) schedule(kind uint8, dc int32, at int64) {
 	e.pushed()
 }
 
-// scheduleNextArrival pulls one arrival from the source into the slot, so
-// pending events track concurrency, not total calls.
+// scheduleNextArrival pulls one arrival into the slot, so pending events
+// track concurrency, not total calls.
 func (e *Engine) scheduleNextArrival() {
-	if !e.src.Next(&e.pending) { //sblint:allowalloc(source is an injected interface; built-in sources are allocation-free)
+	if !e.pull(&e.pending) {
 		return
 	}
 	a := &e.pending
@@ -353,6 +372,15 @@ func (e *Engine) scheduleNextArrival() {
 	call.end = a.At + a.Dur
 	e.arrival = call
 	e.pushed()
+}
+
+// pull fills a with the stream's next arrival: from Run's producer, or
+// straight from the source under RunUntil.
+func (e *Engine) pull(a *Arrival) bool {
+	if e.feed != nil {
+		return e.feed.next(a)
+	}
+	return e.src.Next(a) //sblint:allowalloc(source is an injected interface; built-in sources are allocation-free)
 }
 
 // alloc takes a call from the free list, growing the pool a slab of 256 at a

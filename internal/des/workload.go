@@ -24,8 +24,11 @@ type Arrival struct {
 
 // Source produces the arrival stream, one call at a time in nondecreasing At
 // order. Pull-based generation keeps the pending events few: the engine holds
-// exactly one pending arrival at any moment, in a slot, so a 10M-call run
-// never materializes 10M arrival events.
+// one pending arrival in a slot, and Engine.Run at most three fixed chunks of
+// arrivals pulled ahead, so a 10M-call run never materializes 10M arrival
+// events. The engine calls Next on one goroutine at a time, in stream order:
+// under Run that is a producer goroutine Run starts, not the caller's, and
+// Next is never called after Run returns.
 type Source interface {
 	// Next fills a with the next arrival, returning false at end of stream.
 	Next(a *Arrival) bool

@@ -519,6 +519,54 @@ func TestDCFailIgnoresDeposedShard(t *testing.T) {
 	}
 }
 
+// TestRewonShardForgetsEndedCall: a node deposed from a shard keeps the
+// shard's calls in memory; if its successor ends one and the node later wins
+// the shard back, the call stays ended: re-winning reloads the shard from the
+// store instead of keeping the earlier reign's memory.
+func TestRewonShardForgetsEndedCall(t *testing.T) {
+	store := startShardStore(t)
+	ring, _ := shard.NewRing(1, 16)
+	a := startShardNode(t, store, ring, []int{0}, nil, true)
+	a.mgr.Start()
+	awaitCond(t, "a to lead shard 0", func() bool { return a.mgr.Owns(0) })
+	if resp := postStart(t, a.addr, 1, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("start: %d, want 200", resp.StatusCode)
+	}
+
+	admin, err := kvstore.Dial(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	ctx := context.Background()
+	if err := admin.DelLease(shard.LeaseKey(0), a.addr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := admin.SetLeaseContext(ctx, shard.LeaseKey(0), "elsewhere", time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	awaitCond(t, "a to notice it is deposed", func() bool { return !a.mgr.Owns(0) })
+	if !a.mgr.Controller(0).Knows(1) {
+		t.Fatal("the deposed node dropped call 1; this test needs lose to keep it")
+	}
+
+	// The successor ends call 1, then gives the shard up.
+	if err := admin.HSet(controller.CallKey(shard.KeyPrefix(0), 1), "state", "ended"); err != nil {
+		t.Fatal(err)
+	}
+	if err := admin.DelLease(shard.LeaseKey(0), "elsewhere"); err != nil {
+		t.Fatal(err)
+	}
+	awaitCond(t, "a to win shard 0 back", func() bool { return a.mgr.Owns(0) })
+
+	if code := postCall(t, a.addr, "/v1/call/end", EndRequest{ID: 1}); code != http.StatusNotFound {
+		t.Fatalf("end of a call the successor ended: %d, want 404", code)
+	}
+	if n := a.mgr.Controller(0).ActiveCalls(); n != 0 {
+		t.Fatalf("shard 0's controller holds %d live calls after the re-win, want 0", n)
+	}
+}
+
 // awaitCond polls cond for up to eight seconds.
 func awaitCond(t *testing.T, what string, cond func() bool) {
 	t.Helper()

@@ -294,11 +294,15 @@ func (m *Manager) runElectorLocked(i int) {
 // write), arm the controller's fence for this shard's lease epoch, and
 // rebuild in-flight call state the previous leader persisted
 // (controller.RecoverCalls), so calls started under the previous leader keep
-// their freeze and end transitions.
+// their freeze and end transitions. Calls still in memory from an earlier
+// reign of this node (lose keeps them) are evicted first: a successor may
+// have ended or moved them since, and until lead returns the node serves
+// nothing for the shard, so the store is the one authority.
 func (m *Manager) lead(shard int, epoch int64) {
 	m.pollEpoch()
 	ctrl := m.Controller(shard)
 	ctrl.SetLease(LeaseKey(shard), epoch)
+	ctrl.EvictCalls(func(uint64) bool { return true })
 	if n, err := ctrl.RecoverCalls(context.Background()); err != nil {
 		if m.cfg.Logger != nil {
 			m.cfg.Logger.Warn("shard call-state recovery failed", "shard", shard, "err", err)
@@ -318,7 +322,8 @@ func (m *Manager) lead(shard int, epoch int64) {
 // LEFT ARMED at the deposed epoch: a write this node still issues for the
 // shard belongs to the lost leadership, so the store rejects it (fenced,
 // counted in Stats, answered 503) instead of landing it over the successor's
-// state. Re-winning the shard re-arms the fence at the new epoch via lead.
+// state. Re-winning the shard re-arms the fence at the new epoch via lead,
+// which also swaps these calls for the store's.
 func (m *Manager) lose(shard int) {
 	m.mu.Lock()
 	delete(m.owned, shard)
@@ -397,12 +402,6 @@ func (m *Manager) Controllers() []*controller.Controller {
 	out := make([]*controller.Controller, len(m.ctrls))
 	copy(out, m.ctrls)
 	return out
-}
-
-// Route resolves a conference ID under the current ring epoch without
-// registering a write (for reads and redirects).
-func (m *Manager) Route(conf uint64) RouteDecision {
-	return m.route.Load().decide(conf)
 }
 
 // BeginWrite resolves the shard that must serve a call-state write under the

@@ -136,7 +136,10 @@ func TestSingleNodeOwnsAll(t *testing.T) {
 		return len(m.Owned()) == 3
 	})
 	for conf := uint64(0); conf < 100; conf++ {
-		d := m.Route(conf)
+		d, release := m.BeginWrite(conf)
+		if release != nil {
+			t.Fatalf("BeginWrite(%d) tracked a write with no reshard in flight", conf)
+		}
 		if ctrl := m.Serving(context.Background(), conf, d); ctrl == nil || ctrl.Shard() != d.Shard {
 			t.Fatalf("Serving(%d) on shard %d = %v, want the owned shard's controller", conf, d.Shard, ctrl)
 		}

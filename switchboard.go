@@ -158,10 +158,6 @@ type (
 // NewRecordsDB returns an empty records database anchored at origin.
 func NewRecordsDB(origin time.Time, world *World) *RecordsDB { return records.New(origin, world) }
 
-// LoadRecordsDB reads a snapshot written with RecordsDB.Save; the world must
-// match the one the data was built with.
-func LoadRecordsDB(r io.Reader, world *World) (*RecordsDB, error) { return records.Load(r, world) }
-
 // EnvelopeFromSeries builds a provisioning demand envelope from explicit
 // (observed or forecast) config series.
 func EnvelopeFromSeries(series []ConfigSeries, cushion float64) *Demand {
