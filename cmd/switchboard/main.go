@@ -5,9 +5,12 @@
 // serving placement decisions backed by a RESP kvstore (in-process by
 // default, or an external Redis-compatible store via -kv).
 //
-// API (see internal/httpapi):
+// API (see internal/httpapi). POST bodies follow one grammar (DESIGN.md
+// "Call-control API"): exact lower-case keys, unsigned decimal numbers,
+// printable-ASCII strings without escapes, every field but series_id
+// required; any other body answers 400 with the reason.
 //
-//	POST /v1/call/start  {"id": 1, "country": "JP"}
+//	POST /v1/call/start  {"id": 1, "country": "JP", "series_id": 7}
 //	  -> {"dc": 8, "dc_name": "tokyo"}
 //	POST /v1/call/config {"id": 1, "config": "video|ID:5,JP:3"}
 //	  -> {"dc": 9, "dc_name": "singapore", "migrated": true}
@@ -71,7 +74,6 @@ import (
 
 	"switchboard"
 	"switchboard/internal/controller"
-	"switchboard/internal/faults"
 	"switchboard/internal/httpapi"
 	"switchboard/internal/kvstore"
 	"switchboard/internal/kvstore/replica"
@@ -118,8 +120,6 @@ func main() {
 	profileDir := flag.String("profile-dir", "", "harvest rotated pprof snapshots (CPU + heap) into this directory for post-hoc analysis (empty disables)")
 	profileInterval := flag.Duration("profile-interval", obs.DefaultProfileInterval, "how often -profile-dir harvests a snapshot pair")
 	profileKeep := flag.Int("profile-keep", obs.DefaultProfileKeep, "how many snapshots of each kind -profile-dir keeps (older slots are overwritten)")
-	chaosProb := flag.Float64("chaos-prob", 0, "per-operation probability of an injected store-path latency fault (0 disables; a live resilience drill, see internal/faults)")
-	chaosDelay := flag.Duration("chaos-latency", time.Millisecond, "injected latency per chaos fault")
 	flag.Parse()
 
 	// Logs carry trace_id/span_id whenever the context has a span, so a
@@ -267,21 +267,6 @@ func main() {
 		default:
 			fatal("bad -repl-role", errFlag(*replRole))
 		}
-	}
-	// The injection family is registered up front (zero-valued when the drill
-	// is off) so scrapers and dashboards always see it.
-	injections := faults.NewInjectionCounter(reg)
-	if *chaosProb > 0 {
-		inj := faults.NewInjector(*seed, faults.Rule{Kind: faults.Latency, Prob: *chaosProb, Delay: *chaosDelay})
-		inj.SetMetrics(injections)
-		// The drill wraps the preferred store; failover addresses stay direct.
-		proxy, err := faults.NewProxy(kvAddrs[0], inj)
-		if err != nil {
-			fatal("starting chaos proxy", err)
-		}
-		defer func() { _ = proxy.Close() }()
-		slog.Info("chaos drill on", "via", proxy.Addr(), "prob", *chaosProb, "latency", *chaosDelay)
-		kvAddrs[0] = proxy.Addr()
 	}
 	kvOpts := timing.Client(*seed)
 	kvOpts.Metrics = kvstore.NewClientMetrics(reg)

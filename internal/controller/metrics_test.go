@@ -232,8 +232,10 @@ func TestObsOverheadOnPlacement(t *testing.T) {
 	// cells the full bundle (counters, gauge, histogram, decision ring, two
 	// clock reads) measures ~200 ns/op on the reference container. The gate
 	// is 3x that — far below what any locking or allocation regression costs
-	// (microseconds), but tight enough to catch one outright.
-	if overhead > 600 {
+	// (microseconds), but tight enough to catch one outright. The race
+	// detector adds microseconds to every run of the bundle, so the bound
+	// holds only without it.
+	if overhead > 600 && !raceEnabled {
 		t.Errorf("telemetry costs +%d ns/op (%.2fx), want <= 600 ns; hot-path sinks regressed", overhead, ratio)
 	}
 	// And allocation-free: the metrics/ring path must add zero allocs over

@@ -13,8 +13,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"switchboard/internal/obs"
 )
 
 // Kind classifies an injected fault.
@@ -80,28 +78,10 @@ type Rule struct {
 // the order of operations (time-windowed rules additionally depend on the
 // wall clock, as a scenario schedule must).
 type Injector struct {
-	mu       sync.Mutex
-	rules    []Rule          // guarded by mu
-	start    time.Time       // guarded by mu
-	rng      uint64          // guarded by mu
-	injected [5]*obs.Counter // guarded by mu; per-Kind, resolved in SetMetrics
-}
-
-// NewInjectionCounter registers the fault-injection counter family on r:
-// sb_faults_injected_total{kind=...}. Pass the result to SetMetrics.
-func NewInjectionCounter(r *obs.Registry) *obs.CounterVec {
-	return r.CounterVec("sb_faults_injected_total", "Faults injected, by kind.", "kind")
-}
-
-// SetMetrics attaches an injections-by-kind counter vector (see
-// NewInjectionCounter). Children are resolved once here so the per-operation
-// pick path never does a label lookup.
-func (in *Injector) SetMetrics(vec *obs.CounterVec) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for k := Latency; k <= Blackhole; k++ {
-		in.injected[k] = vec.With(k.String())
-	}
+	mu    sync.Mutex
+	rules []Rule    // guarded by mu
+	start time.Time // guarded by mu
+	rng   uint64    // guarded by mu
 }
 
 // NewInjector returns an injector with the given seed and scenario schedule.
@@ -137,9 +117,6 @@ func (in *Injector) pick() (Rule, bool) {
 			p = 1
 		}
 		if in.next() < p {
-			if r.Kind >= 0 && int(r.Kind) < len(in.injected) {
-				in.injected[r.Kind].Inc()
-			}
 			return r, true
 		}
 	}

@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,8 +21,32 @@ import (
 	"switchboard/internal/obs/span"
 )
 
-// referenceDecode is the route's reference decoder: encoding/json with
-// DisallowUnknownFields and the trailing-data check, as decodeBytes runs it.
+// The bodies the routes take, as encoding/json structs: tests build
+// request bodies with them, and referenceDecode decodes with them.
+type (
+	startBody struct {
+		ID       uint64 `json:"id"`
+		Country  string `json:"country"`
+		SeriesID uint64 `json:"series_id,omitempty"`
+	}
+	configBody struct {
+		ID     uint64 `json:"id"`
+		Config string `json:"config"`
+	}
+	endBody struct {
+		ID uint64 `json:"id"`
+	}
+	dcBody struct {
+		DC int `json:"dc"`
+	}
+	reshardBody struct {
+		TargetShards int `json:"target_shards"`
+	}
+)
+
+// referenceDecode decodes body with encoding/json into the route's body
+// struct, with DisallowUnknownFields and nothing but whitespace after the
+// document.
 func referenceDecode(body []byte, fields uint8) (callBody, error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -29,36 +56,127 @@ func referenceDecode(body []byte, fields uint8) (callBody, error) {
 	)
 	switch fields {
 	case startFields:
-		var v StartRequest
+		var v startBody
 		err = dec.Decode(&v)
 		req = callBody{id: v.ID, country: []byte(v.Country), seriesID: v.SeriesID}
 	case configFields:
-		var v ConfigRequest
+		var v configBody
 		err = dec.Decode(&v)
 		req = callBody{id: v.ID, config: []byte(v.Config)}
-	default:
-		var v EndRequest
+	case endFields:
+		var v endBody
 		err = dec.Decode(&v)
 		req = callBody{id: v.ID}
+	case dcFields:
+		var v dcBody
+		err = dec.Decode(&v)
+		req = callBody{dc: v.DC}
+	default:
+		var v reshardBody
+		err = dec.Decode(&v)
+		req = callBody{targetShards: v.TargetShards}
 	}
-	if err == nil && dec.More() {
+	if err == nil && len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
 		err = errors.New("trailing data after JSON body")
 	}
 	return req, err
 }
 
+// The grammar as regular expressions: a whole body, and one member of it.
+// Strings hold no quote, so the members of a body that refBody matches are
+// found left to right without ambiguity.
+const (
+	refSpace  = `[ \t\r\n]*`
+	refMember = `"([a-z_]*)"` + refSpace + `:` + refSpace + `("[ !#-\[\]-~]*"|0|[1-9][0-9]*)`
+)
+
+var (
+	refBody    = regexp.MustCompile(`^` + refSpace + `\{` + refSpace + `(?:` + refMember + `(?:` + refSpace + `,` + refSpace + refMember + `)*` + refSpace + `)?\}` + refSpace + `$`)
+	refMembers = regexp.MustCompile(refMember)
+)
+
+// refField is one field as the recognizer knows it: whether its value is a
+// string, its bound when it is a number, and whether a body may leave it out.
+type refField struct {
+	str      bool
+	max      uint64
+	optional bool
+}
+
+var refRoutes = map[uint8]map[string]refField{
+	startFields:   {"id": {max: math.MaxUint64}, "country": {str: true}, "series_id": {max: math.MaxUint64, optional: true}},
+	configFields:  {"id": {max: math.MaxUint64}, "config": {str: true}},
+	endFields:     {"id": {max: math.MaxUint64}},
+	dcFields:      {"dc": {max: 65535}},
+	reshardFields: {"target_shards": {max: 1024}},
+}
+
+// recognize is the reference recognizer of the grammar, written apart from
+// the parser: it reports whether body is a body of the route and, if so,
+// its field values.
+func recognize(body []byte, fields uint8) (callBody, bool) {
+	if !refBody.Match(body) {
+		return callBody{}, false
+	}
+	route := refRoutes[fields]
+	var req callBody
+	seen := map[string]bool{}
+	for _, m := range refMembers.FindAllSubmatch(body, -1) {
+		name, val := string(m[1]), m[2]
+		f, ok := route[name]
+		if !ok || seen[name] || f.str != (val[0] == '"') {
+			return callBody{}, false
+		}
+		seen[name] = true
+		if f.str {
+			val = val[1 : len(val)-1]
+			if name == "country" {
+				req.country = val
+			} else {
+				req.config = val
+			}
+			continue
+		}
+		v, err := strconv.ParseUint(string(val), 10, 64)
+		if err != nil || v > f.max {
+			return callBody{}, false
+		}
+		switch name {
+		case "id":
+			req.id = v
+		case "series_id":
+			req.seriesID = v
+		case "dc":
+			req.dc = int(v)
+		default:
+			req.targetShards = int(v)
+		}
+	}
+	for name, f := range route {
+		if !f.optional && !seen[name] {
+			return callBody{}, false
+		}
+	}
+	return req, true
+}
+
 var routeFields = []struct {
 	name   string
 	fields uint8
-}{{"start", startFields}, {"config", configFields}, {"end", endFields}}
+}{
+	{"start", startFields}, {"config", configFields}, {"end", endFields},
+	{"dc", dcFields}, {"reshard", reshardFields},
+}
 
 func sameBody(a, b callBody) bool {
-	return a.id == b.id && a.seriesID == b.seriesID &&
+	return a.id == b.id && a.seriesID == b.seriesID && a.dc == b.dc && a.targetShards == b.targetShards &&
 		bytes.Equal(a.country, b.country) && bytes.Equal(a.config, b.config)
 }
 
-// FuzzCallBodies: whenever the byte-level parser accepts a body for a route,
-// the reference decoder accepts it too, with identical field values.
+// FuzzCallBodies checks the parser against two references on every route:
+// the grammar's recognizer accepts exactly the bodies the parser accepts,
+// with the same field values; and encoding/json accepts every body the
+// parser accepts, with the same field values.
 func FuzzCallBodies(f *testing.F) {
 	for _, b := range []string{
 		// The benchmark generator's bodies: IDs right-aligned in spaces.
@@ -74,58 +192,81 @@ func FuzzCallBodies(f *testing.F) {
 		"{\"id\":1,\"country\":\"J\x01P\"}", "{\"id\":1,\"country\":\"\xff\"}",
 		`{"id":1,"config":"audio|US:2","series_id":3}`, `{"id":1,"country":null}`,
 		`{"id":1`, `{"id"`, `{`, ``, `null`, `[]`, `{"id":1 2}`,
+		// The admin bodies.
+		`{"dc":3}`, ` {"dc" : 0}`, `{"dc":65535}`, `{"dc":65536}`, `{"dc":-1}`, `{"dc":"3"}`,
+		`{"target_shards":4}`, `{"target_shards":1024}`, `{"target_shards":1025}`, `{"target_shards":4,"dc":1}`,
 	} {
 		f.Add([]byte(b))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, r := range routeFields {
-			got, ok := parseCallBody(body, r.fields)
+			got, err := parseCallBody(body, r.fields)
+			want, ok := recognize(body, r.fields)
+			if (err == nil) != ok {
+				t.Fatalf("%s: parser says %v on %q, recognizer accepts it: %v", r.name, err, body, ok)
+			}
 			if !ok {
 				continue
 			}
-			want, err := referenceDecode(body, r.fields)
-			if err != nil {
-				t.Fatalf("%s: parser accepted %q, reference decoder refused it: %v", r.name, body, err)
-			}
 			if !sameBody(got, want) {
-				t.Fatalf("%s: %q parsed as %+v, reference decoder read %+v", r.name, body, got, want)
+				t.Fatalf("%s: %q parsed as %+v, recognizer read %+v", r.name, body, got, want)
+			}
+			ref, err := referenceDecode(body, r.fields)
+			if err != nil {
+				t.Fatalf("%s: parser accepted %q, encoding/json refused it: %v", r.name, body, err)
+			}
+			if !sameBody(got, ref) {
+				t.Fatalf("%s: %q parsed as %+v, encoding/json read %+v", r.name, body, got, ref)
 			}
 		}
 	})
 }
 
-// TestCallBodyFastPath pins what the byte-level parser takes itself and what
-// it leaves to the reference decoder, so the fuzz property above cannot hold
-// vacuously.
+// TestCallBodyFastPath pins what the parser takes and the reason it gives
+// for what it refuses, so the fuzz properties above cannot hold vacuously.
 func TestCallBodyFastPath(t *testing.T) {
 	for _, tc := range []struct {
 		fields uint8
 		body   string
-		want   *callBody // nil: declined
+		want   *callBody // nil: refused with err
+		err    error
 	}{
-		{startFields, `{"id":      4711,"country":"JP","series_id":7}`, &callBody{id: 4711, country: []byte("JP"), seriesID: 7}},
-		{startFields, ` { "country" : "US" , "id" : 0 } `, &callBody{country: []byte("US")}},
-		{configFields, `{"id":18446744073709551615,"config":"video|ID:5,JP:3"}`, &callBody{id: 1<<64 - 1, config: []byte("video|ID:5,JP:3")}},
-		{endFields, "{\"id\":3}\n", &callBody{id: 3}},
-		{endFields, `{}`, &callBody{}},
-		{endFields, `{"id":18446744073709551616}`, nil},
-		{endFields, `{"id":03}`, nil},
-		{endFields, `{"id":3.0}`, nil},
-		{endFields, `{"ID":3}`, nil},
-		{endFields, `{"id":3,"id":4}`, nil},
-		{endFields, `{"id":3,"country":"US"}`, nil},
-		{endFields, `{"id":3} `, &callBody{id: 3}},
-		{endFields, `{"id":3}}`, nil},
-		{startFields, `{"id":3,"country":"U\u0053"}`, nil},
-		{startFields, `{"id":3,"country":null}`, nil},
-		{configFields, `{"id":3,"series_id":1}`, nil},
+		{startFields, `{"id":      4711,"country":"JP","series_id":7}`, &callBody{id: 4711, country: []byte("JP"), seriesID: 7}, nil},
+		{startFields, ` { "country" : "US" , "id" : 0 } `, &callBody{country: []byte("US")}, nil},
+		{configFields, `{"id":18446744073709551615,"config":"video|ID:5,JP:3"}`, &callBody{id: 1<<64 - 1, config: []byte("video|ID:5,JP:3")}, nil},
+		{endFields, "{\"id\":3}\n", &callBody{id: 3}, nil},
+		{endFields, `{}`, nil, bodyFields[0].missing},
+		{endFields, `{"id":18446744073709551616}`, nil, bodyFields[0].invalid},
+		{endFields, `{"id":03}`, nil, bodyFields[0].invalid},
+		{endFields, `{"id":3.0}`, nil, bodyFields[0].invalid},
+		{endFields, `{"id":3e0}`, nil, bodyFields[0].invalid},
+		{endFields, `{"id":null}`, nil, bodyFields[0].invalid},
+		{endFields, `{"ID":3}`, nil, errUnknownField},
+		{endFields, `{"id":3,"id":4}`, nil, errDuplicateField},
+		{endFields, `{"id":3,"country":"US"}`, nil, errUnknownField},
+		{endFields, `{"id":3} `, &callBody{id: 3}, nil},
+		{endFields, `{"id":3}}`, nil, errTrailing},
+		{endFields, `{"id":3 4}`, nil, errSyntax},
+		{endFields, `{"id":3,}`, nil, errFieldName},
+		{endFields, `[3]`, nil, errNotObject},
+		{startFields, `{"id":3}`, nil, bodyFields[1].missing},
+		{startFields, `{"id":3,"country":"U\u0053"}`, nil, bodyFields[1].invalid},
+		{startFields, `{"id":3,"country":null}`, nil, bodyFields[1].invalid},
+		{configFields, `{"id":3,"series_id":1}`, nil, errUnknownField},
+		{configFields, `{"id":3}`, nil, bodyFields[3].missing},
+		{dcFields, `{"dc":65535}`, &callBody{dc: 65535}, nil},
+		{dcFields, `{"dc":65536}`, nil, bodyFields[4].invalid},
+		{dcFields, `{}`, nil, bodyFields[4].missing},
+		{reshardFields, `{"target_shards":1024}`, &callBody{targetShards: 1024}, nil},
+		{reshardFields, `{"target_shards":1025}`, nil, bodyFields[5].invalid},
+		{reshardFields, `{"target_shards":-4}`, nil, bodyFields[5].invalid},
 	} {
-		got, ok := parseCallBody([]byte(tc.body), tc.fields)
+		got, err := parseCallBody([]byte(tc.body), tc.fields)
 		switch {
-		case tc.want == nil && ok:
-			t.Errorf("%q: parsed as %+v, want it declined", tc.body, got)
-		case tc.want != nil && (!ok || !sameBody(got, *tc.want)):
-			t.Errorf("%q: parsed as %+v (ok=%v), want %+v", tc.body, got, ok, *tc.want)
+		case tc.want == nil && err != tc.err:
+			t.Errorf("%q: parsed as %+v, %v; want refused with %q", tc.body, got, err, tc.err)
+		case tc.want != nil && (err != nil || !sameBody(got, *tc.want)):
+			t.Errorf("%q: parsed as %+v (%v), want %+v", tc.body, got, err, *tc.want)
 		}
 	}
 }

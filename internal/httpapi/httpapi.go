@@ -4,7 +4,6 @@
 package httpapi
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -181,36 +180,20 @@ type callHandler func(ctrl *controller.Controller, req *callBody, w http.Respons
 // body fields (startFields, configFields or endFields).
 func (s *Server) callRoute(fields uint8, h callHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, ok := s.readBody(w, r)
+		body, req, ok := s.readRequest(w, r, fields)
 		if !ok {
 			return
 		}
-		req, parsed := parseCallBody(body, fields)
 		if s.Shards == nil {
-			if parsed || s.decodeCall(w, body, fields, &req) {
-				h(s.ctrl, &req, w, r)
-			}
+			h(s.ctrl, &req, w, r)
 			return
-		}
-		// Routing only needs the conference ID; the handler's strict decode
-		// still validates the full body once the request lands on its owner.
-		id := req.id
-		if !parsed {
-			var probe struct {
-				ID uint64 `json:"id"`
-			}
-			if err := json.Unmarshal(body, &probe); err != nil {
-				httpError(w, http.StatusBadRequest, err)
-				return
-			}
-			id = probe.ID
 		}
 		m := s.Shards.Manager
 		// BeginWrite pins the request to the current ring epoch: while a
 		// reshard is copying, writes to moving keys are registered so the
 		// journal-handoff barrier can wait them out; during the barrier
 		// itself they are Held (503, nothing admitted, nothing to lose).
-		d, release := m.BeginWrite(id)
+		d, release := m.BeginWrite(req.id)
 		if release != nil {
 			defer release()
 		}
@@ -220,40 +203,12 @@ func (s *Server) callRoute(fields uint8, h callHandler) http.HandlerFunc {
 			return
 		}
 		// An unknown call stays a clean 404 after the cutover double-read.
-		if ctrl := m.Serving(r.Context(), id, d); ctrl != nil {
-			if parsed || s.decodeCall(w, body, fields, &req) {
-				h(ctrl, &req, w, r)
-			}
+		if ctrl := m.Serving(r.Context(), req.id, d); ctrl != nil {
+			h(ctrl, &req, w, r)
 			return
 		}
 		s.Shards.relay(d, body, w, r)
 	}
-}
-
-// decodeCall decodes a call body parseCallBody declined through the
-// reference decoder into the route's request type, answering 400 on error.
-func (s *Server) decodeCall(w http.ResponseWriter, body []byte, fields uint8, req *callBody) bool {
-	switch fields {
-	case startFields:
-		var v StartRequest
-		if !s.decodeBytes(w, body, &v) {
-			return false
-		}
-		*req = callBody{id: v.ID, country: []byte(v.Country), seriesID: v.SeriesID}
-	case configFields:
-		var v ConfigRequest
-		if !s.decodeBytes(w, body, &v) {
-			return false
-		}
-		*req = callBody{id: v.ID, config: []byte(v.Config)}
-	default:
-		var v EndRequest
-		if !s.decodeBytes(w, body, &v) {
-			return false
-		}
-		*req = callBody{id: v.ID}
-	}
-	return true
 }
 
 // controllers returns every controller this process hosts: the single
@@ -263,13 +218,6 @@ func (s *Server) controllers() []*controller.Controller {
 		return s.Shards.Manager.Controllers()
 	}
 	return []*controller.Controller{s.ctrl}
-}
-
-// StartRequest is the body of POST /v1/call/start.
-type StartRequest struct {
-	ID       uint64 `json:"id"`
-	Country  string `json:"country"`
-	SeriesID uint64 `json:"series_id,omitempty"`
 }
 
 // StartResponse is the reply to POST /v1/call/start.
@@ -289,12 +237,6 @@ func (s *Server) handleStart(ctrl *controller.Controller, req *callBody, w http.
 		return
 	}
 	writeJSON(w, s.startReplies[dc])
-}
-
-// ConfigRequest is the body of POST /v1/call/config.
-type ConfigRequest struct {
-	ID     uint64 `json:"id"`
-	Config string `json:"config"`
 }
 
 // ConfigResponse is the reply to POST /v1/call/config.
@@ -320,11 +262,6 @@ func (s *Server) handleConfig(ctrl *controller.Controller, req *callBody, w http
 		m = 1
 	}
 	writeJSON(w, s.configReplies[m][dc])
-}
-
-// EndRequest is the body of POST /v1/call/end.
-type EndRequest struct {
-	ID uint64 `json:"id"`
 }
 
 // endReply is the reply to POST /v1/call/end.
@@ -360,14 +297,9 @@ func replyBodies(dcs []geo.DC) (start [][]byte, config [2][][]byte) {
 	return start, config
 }
 
-// DCRequest is the body of POST /v1/dc/fail and /v1/dc/recover.
-type DCRequest struct {
-	DC int `json:"dc"`
-}
-
 func (s *Server) handleDCFail(w http.ResponseWriter, r *http.Request) {
-	var req DCRequest
-	if !s.decode(w, r, &req) {
+	_, req, ok := s.readRequest(w, r, dcFields)
+	if !ok {
 		return
 	}
 	// A DC failure is world state, not call state: every controller this
@@ -378,7 +310,7 @@ func (s *Server) handleDCFail(w http.ResponseWriter, r *http.Request) {
 	moved := 0
 	var drainErr error
 	for i, c := range s.controllers() {
-		n, err := c.FailDC(r.Context(), req.DC)
+		n, err := c.FailDC(r.Context(), req.dc)
 		if errors.Is(err, controller.ErrInvalidDC) {
 			controllerError(w, err)
 			return
@@ -392,21 +324,21 @@ func (s *Server) handleDCFail(w http.ResponseWriter, r *http.Request) {
 		controllerError(w, drainErr)
 		return
 	}
-	s.reply(w, map[string]any{"failed": req.DC, "drained": moved})
+	s.reply(w, map[string]any{"failed": req.dc, "drained": moved})
 }
 
 func (s *Server) handleDCRecover(w http.ResponseWriter, r *http.Request) {
-	var req DCRequest
-	if !s.decode(w, r, &req) {
+	_, req, ok := s.readRequest(w, r, dcFields)
+	if !ok {
 		return
 	}
 	for _, c := range s.controllers() {
-		if err := c.RecoverDC(req.DC); err != nil {
+		if err := c.RecoverDC(req.dc); err != nil {
 			controllerError(w, err)
 			return
 		}
 	}
-	s.reply(w, map[string]any{"recovered": req.DC})
+	s.reply(w, map[string]any{"recovered": req.dc})
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
@@ -537,30 +469,20 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 	return body, true
 }
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+// readRequest reads the request body and decodes it as a body of the
+// route's fields, answering 413 or 400 itself when it cannot. It returns the
+// raw bytes too, for a sharded route to forward.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, fields uint8) ([]byte, callBody, bool) {
 	body, ok := s.readBody(w, r)
 	if !ok {
-		return false
+		return nil, callBody{}, false
 	}
-	return s.decodeBytes(w, body, v)
-}
-
-// decodeBytes strictly unmarshals one JSON document from body.
-func (s *Server) decodeBytes(w http.ResponseWriter, body []byte, v any) bool {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	req, err := parseCallBody(body, fields)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
-		return false
+		return nil, callBody{}, false
 	}
-	// Exactly one JSON document per request: trailing garbage is a client
-	// bug we refuse rather than silently ignore. Only whitespace may follow
-	// (dec.More alone misses a stray '}' or ']').
-	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
-		httpError(w, http.StatusBadRequest, errors.New("trailing data after JSON body"))
-		return false
-	}
-	return true
+	return body, req, true
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

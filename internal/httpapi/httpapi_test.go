@@ -68,19 +68,19 @@ func TestCallLifecycle(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	// Start in Japan: assigned to tokyo.
-	resp, out := post(t, ts, "/v1/call/start", StartRequest{ID: 1, Country: "JP"})
+	resp, out := post(t, ts, "/v1/call/start", startBody{ID: 1, Country: "JP"})
 	if resp.StatusCode != http.StatusOK || out["dc_name"] != "tokyo" {
 		t.Fatalf("start: %d %v", resp.StatusCode, out)
 	}
 	// Config turns out Indonesia-majority: migrate (the §5.4 example).
-	resp, out = post(t, ts, "/v1/call/config", ConfigRequest{ID: 1, Config: "video|ID:5,JP:3"})
+	resp, out = post(t, ts, "/v1/call/config", configBody{ID: 1, Config: "video|ID:5,JP:3"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("config: %d %v", resp.StatusCode, out)
 	}
 	if out["migrated"] != true {
 		t.Errorf("expected migration: %v", out)
 	}
-	resp, _ = post(t, ts, "/v1/call/end", EndRequest{ID: 1})
+	resp, _ = post(t, ts, "/v1/call/end", endBody{ID: 1})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("end: %d", resp.StatusCode)
 	}
@@ -94,23 +94,23 @@ func TestCallLifecycle(t *testing.T) {
 func TestErrorPaths(t *testing.T) {
 	_, ts := newTestServer(t)
 	// Unknown country: a bad request, not a conflict.
-	resp, _ := post(t, ts, "/v1/call/start", StartRequest{ID: 9, Country: "ZZ"})
+	resp, _ := post(t, ts, "/v1/call/start", startBody{ID: 9, Country: "ZZ"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown country -> %d, want 400", resp.StatusCode)
 	}
 	// Malformed config string.
-	post(t, ts, "/v1/call/start", StartRequest{ID: 2, Country: "US"})
-	resp, _ = post(t, ts, "/v1/call/config", ConfigRequest{ID: 2, Config: "nope"})
+	post(t, ts, "/v1/call/start", startBody{ID: 2, Country: "US"})
+	resp, _ = post(t, ts, "/v1/call/config", configBody{ID: 2, Config: "nope"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad config -> %d, want 400", resp.StatusCode)
 	}
 	// Duplicate start: conflict.
-	resp, _ = post(t, ts, "/v1/call/start", StartRequest{ID: 2, Country: "US"})
+	resp, _ = post(t, ts, "/v1/call/start", startBody{ID: 2, Country: "US"})
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate start -> %d, want 409", resp.StatusCode)
 	}
 	// Unknown call ID: not found.
-	resp, _ = post(t, ts, "/v1/call/end", EndRequest{ID: 777})
+	resp, _ = post(t, ts, "/v1/call/end", endBody{ID: 777})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown call end -> %d, want 404", resp.StatusCode)
 	}
@@ -139,24 +139,29 @@ func TestRequestValidation(t *testing.T) {
 	_, ts := newTestServer(t)
 	big := bytes.Repeat([]byte("x"), maxRequestBody+1024)
 	cases := []struct {
-		name string
-		path string
-		body string
-		want int
+		name   string
+		path   string
+		body   string
+		want   int
+		reason string // the error text, when the case pins it
 	}{
-		{"malformed json", "/v1/call/start", `{"id":`, http.StatusBadRequest},
-		{"wrong type", "/v1/call/start", `{"id":"one","country":"US"}`, http.StatusBadRequest},
-		{"unknown field", "/v1/call/start", `{"id":3,"country":"US","bogus":1}`, http.StatusBadRequest},
-		{"trailing garbage", "/v1/call/start", `{"id":3,"country":"US"} extra`, http.StatusBadRequest},
-		{"trailing brace", "/v1/call/start", `{"id":8,"country":"US"}}`, http.StatusBadRequest},
-		{"trailing bracket", "/v1/call/start", `{"id":8,"country":"US"}]`, http.StatusBadRequest},
-		{"trailing brace dc fail", "/v1/dc/fail", `{"dc":1}}`, http.StatusBadRequest},
-		{"trailing bracket dc fail", "/v1/dc/fail", `{"dc":1}]`, http.StatusBadRequest},
-		{"oversized body", "/v1/call/start", `{"id":3,"country":"` + string(big) + `"}`, http.StatusRequestEntityTooLarge},
-		{"unknown call config", "/v1/call/config", `{"id":555,"config":"audio|US:2"}`, http.StatusNotFound},
-		{"unknown call end", "/v1/call/end", `{"id":556}`, http.StatusNotFound},
-		{"bad dc fail", "/v1/dc/fail", `{"dc":-3}`, http.StatusBadRequest},
-		{"bad dc recover", "/v1/dc/recover", `{"dc":9999}`, http.StatusBadRequest},
+		{"malformed json", "/v1/call/start", `{"id":`, http.StatusBadRequest, ""},
+		{"wrong type", "/v1/call/start", `{"id":"one","country":"US"}`, http.StatusBadRequest, `"id" must be an unsigned decimal integer from 0 to 18446744073709551615`},
+		{"unknown field", "/v1/call/start", `{"id":3,"country":"US","bogus":1}`, http.StatusBadRequest, "unknown field for this route"},
+		{"trailing garbage", "/v1/call/start", `{"id":3,"country":"US"} extra`, http.StatusBadRequest, "trailing data after JSON body"},
+		{"trailing brace", "/v1/call/start", `{"id":8,"country":"US"}}`, http.StatusBadRequest, ""},
+		{"trailing bracket", "/v1/call/start", `{"id":8,"country":"US"}]`, http.StatusBadRequest, ""},
+		{"trailing brace dc fail", "/v1/dc/fail", `{"dc":1}}`, http.StatusBadRequest, ""},
+		{"trailing bracket dc fail", "/v1/dc/fail", `{"dc":1}]`, http.StatusBadRequest, ""},
+		{"oversized body", "/v1/call/start", `{"id":3,"country":"` + string(big) + `"}`, http.StatusRequestEntityTooLarge, ""},
+		{"unknown call config", "/v1/call/config", `{"id":555,"config":"audio|US:2"}`, http.StatusNotFound, ""},
+		{"unknown call end", "/v1/call/end", `{"id":556}`, http.StatusNotFound, ""},
+		{"bad dc fail", "/v1/dc/fail", `{"dc":-3}`, http.StatusBadRequest, `"dc" must be an unsigned decimal integer from 0 to 65535`},
+		{"bad dc recover", "/v1/dc/recover", `{"dc":9999}`, http.StatusBadRequest, "controller: invalid DC: 9999"},
+		{"empty dc fail", "/v1/dc/fail", `{}`, http.StatusBadRequest, `missing field "dc"`},
+		{"empty dc recover", "/v1/dc/recover", `{}`, http.StatusBadRequest, `missing field "dc"`},
+		{"missing id", "/v1/call/start", `{"country":"US"}`, http.StatusBadRequest, `missing field "id"`},
+		{"upper-case key", "/v1/call/end", `{"ID":7}`, http.StatusBadRequest, "unknown field for this route"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -171,6 +176,14 @@ func TestRequestValidation(t *testing.T) {
 			var out map[string]any
 			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || out["error"] == "" {
 				t.Errorf("error body = %v, %v; want an error field", out, err)
+			}
+			if tc.reason != "" && out["error"] != tc.reason {
+				t.Errorf("%s %s error = %q, want %q", tc.path, tc.name, out["error"], tc.reason)
+			}
+			// A refused body fails no DC.
+			_, stats := get(t, ts, "/v1/stats")
+			if dcs, _ := stats["failed_dcs"].([]any); len(dcs) != 0 {
+				t.Errorf("failed_dcs after %s %s = %v, want none", tc.path, tc.name, dcs)
 			}
 		})
 	}
@@ -269,23 +282,23 @@ func TestShedWritesAnswer503(t *testing.T) {
 	proxy, audit, ctrl, ts := storeBehindProxy(t)
 	// Call 10 awaits its config, call 20 its end.
 	for _, id := range []uint64{10, 20} {
-		if resp, out := post(t, ts, "/v1/call/start", StartRequest{ID: id, Country: "JP"}); resp.StatusCode != http.StatusOK {
+		if resp, out := post(t, ts, "/v1/call/start", startBody{ID: id, Country: "JP"}); resp.StatusCode != http.StatusOK {
 			t.Fatalf("start %d: %d %v", id, resp.StatusCode, out)
 		}
 	}
-	if resp, out := post(t, ts, "/v1/call/config", ConfigRequest{ID: 20, Config: "audio|JP:2"}); resp.StatusCode != http.StatusOK {
+	if resp, out := post(t, ts, "/v1/call/config", configBody{ID: 20, Config: "audio|JP:2"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("config 20: %d %v", resp.StatusCode, out)
 	}
 
 	proxy.Cut()
-	resp, _ := post(t, ts, "/v1/call/start", StartRequest{ID: 2, Country: "JP"})
+	resp, _ := post(t, ts, "/v1/call/start", startBody{ID: 2, Country: "JP"})
 	wantShed(t, "start", resp)
 	if n := ctrl.ActiveCalls(); n != 2 {
 		t.Errorf("active calls after a shed start = %d, want 2", n)
 	}
-	resp, _ = post(t, ts, "/v1/call/config", ConfigRequest{ID: 10, Config: "video|ID:5,JP:3"})
+	resp, _ = post(t, ts, "/v1/call/config", configBody{ID: 10, Config: "video|ID:5,JP:3"})
 	wantShed(t, "config", resp)
-	resp, _ = post(t, ts, "/v1/call/end", EndRequest{ID: 20})
+	resp, _ = post(t, ts, "/v1/call/end", endBody{ID: 20})
 	wantShed(t, "end", resp)
 	if !ctrl.Knows(20) {
 		t.Error("a shed end took the call out of memory")
@@ -299,11 +312,11 @@ func TestShedWritesAnswer503(t *testing.T) {
 	}
 
 	proxy.Restore()
-	start := retryUntilOK(t, ts, "/v1/call/start", StartRequest{ID: 2, Country: "JP"})
+	start := retryUntilOK(t, ts, "/v1/call/start", startBody{ID: 2, Country: "JP"})
 	if dc, err := audit.HGet("call:2", "dc"); err != nil || dc != strconv.Itoa(int(start["dc"].(float64))) {
 		t.Errorf("call 2 answered dc %v, store holds %q (%v)", start["dc"], dc, err)
 	}
-	config := retryUntilOK(t, ts, "/v1/call/config", ConfigRequest{ID: 10, Config: "video|ID:5,JP:3"})
+	config := retryUntilOK(t, ts, "/v1/call/config", configBody{ID: 10, Config: "video|ID:5,JP:3"})
 	if got, err := audit.HGet("call:10", "config"); err != nil || got != "video|ID:5,JP:3" {
 		t.Errorf("call 10 config answered 200, store holds %q (%v)", got, err)
 	}
@@ -313,7 +326,7 @@ func TestShedWritesAnswer503(t *testing.T) {
 	if config["migrated"] != true {
 		t.Errorf("call 10's retried config answered %v; the freeze migrated it", config)
 	}
-	retryUntilOK(t, ts, "/v1/call/end", EndRequest{ID: 20})
+	retryUntilOK(t, ts, "/v1/call/end", endBody{ID: 20})
 	if state, err := audit.HGet("call:20", "state"); err != nil || state != "ended" {
 		t.Errorf("call 20 end answered 200, store holds state %q (%v)", state, err)
 	}
@@ -332,14 +345,14 @@ func TestFencedWriteAnswers503(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl.SetLease("leader", epoch)
-	if resp, out := post(t, ts, "/v1/call/start", StartRequest{ID: 1, Country: "JP"}); resp.StatusCode != http.StatusOK {
+	if resp, out := post(t, ts, "/v1/call/start", startBody{ID: 1, Country: "JP"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("start while leading: %d %v", resp.StatusCode, out)
 	}
 	time.Sleep(100 * time.Millisecond) // node-a's grant lapses
 	if _, err := audit.SetLeaseContext(ctx, "leader", "node-b", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	resp, _ := post(t, ts, "/v1/call/start", StartRequest{ID: 2, Country: "JP"})
+	resp, _ := post(t, ts, "/v1/call/start", startBody{ID: 2, Country: "JP"})
 	wantShed(t, "deposed start", resp)
 	if ctrl.Stats().Fenced != 1 {
 		t.Errorf("fenced writes = %d, want 1", ctrl.Stats().Fenced)
@@ -389,7 +402,7 @@ func TestStatsKVCounters(t *testing.T) {
 
 	// Sever the store: the shed write poisons the connection.
 	srv.Close()
-	post(t, ts, "/v1/call/start", StartRequest{ID: 1, Country: "JP"})
+	post(t, ts, "/v1/call/start", startBody{ID: 1, Country: "JP"})
 	_, stats = get(t, ts, "/v1/stats")
 	if stats["kv_poisonings"].(float64) < 1 {
 		t.Errorf("kv_poisonings after outage = %v, want >= 1", stats["kv_poisonings"])
@@ -406,10 +419,10 @@ func TestMuxMetrics(t *testing.T) {
 	ts := httptest.NewServer(s.Mux())
 	defer ts.Close()
 
-	if resp, _ := post(t, ts, "/v1/call/start", StartRequest{ID: 1, Country: "JP"}); resp.StatusCode != http.StatusOK {
+	if resp, _ := post(t, ts, "/v1/call/start", startBody{ID: 1, Country: "JP"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("start: %d", resp.StatusCode)
 	}
-	if resp, _ := post(t, ts, "/v1/call/start", StartRequest{ID: 2, Country: "ZZ"}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := post(t, ts, "/v1/call/start", startBody{ID: 2, Country: "ZZ"}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad start: %d", resp.StatusCode)
 	}
 	if resp, _ := get(t, ts, "/v1/stats"); resp.StatusCode != http.StatusOK {
@@ -436,13 +449,13 @@ func TestMuxMetrics(t *testing.T) {
 
 func TestDCFailEndpointDrains(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, out := post(t, ts, "/v1/call/start", StartRequest{ID: 1, Country: "JP"})
+	resp, out := post(t, ts, "/v1/call/start", startBody{ID: 1, Country: "JP"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("start: %d", resp.StatusCode)
 	}
 	dc := int(out["dc"].(float64))
 
-	resp, out = post(t, ts, "/v1/dc/fail", DCRequest{DC: dc})
+	resp, out = post(t, ts, "/v1/dc/fail", dcBody{DC: dc})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fail: %d %v", resp.StatusCode, out)
 	}
@@ -458,12 +471,12 @@ func TestDCFailEndpointDrains(t *testing.T) {
 		t.Errorf("failed_dcs = %v", stats["failed_dcs"])
 	}
 	// A new JP call avoids the failed DC.
-	resp, out = post(t, ts, "/v1/call/start", StartRequest{ID: 2, Country: "JP"})
+	resp, out = post(t, ts, "/v1/call/start", startBody{ID: 2, Country: "JP"})
 	if resp.StatusCode != http.StatusOK || int(out["dc"].(float64)) == dc {
 		t.Errorf("post-fail start: %d %v", resp.StatusCode, out)
 	}
 
-	resp, _ = post(t, ts, "/v1/dc/recover", DCRequest{DC: dc})
+	resp, _ = post(t, ts, "/v1/dc/recover", dcBody{DC: dc})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("recover: %d", resp.StatusCode)
 	}

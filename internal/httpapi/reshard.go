@@ -100,23 +100,18 @@ func (ra *ReshardAdmin) Abort(ctx context.Context) (shard.ReshardState, error) {
 	return co.Abort(ctx)
 }
 
-// ReshardStartRequest is the body of POST /v1/reshard.
-type ReshardStartRequest struct {
-	TargetShards int `json:"target_shards"`
-}
-
 func (s *Server) handleReshardStart(w http.ResponseWriter, r *http.Request) {
-	var req ReshardStartRequest
-	if !s.decode(w, r, &req) {
+	_, req, ok := s.readRequest(w, r, reshardFields)
+	if !ok {
 		return
 	}
-	if req.TargetShards <= s.Reshard.Manager.Ring().Shards() {
+	if req.targetShards <= s.Reshard.Manager.Ring().Shards() {
 		httpError(w, http.StatusBadRequest,
 			fmt.Errorf("target_shards %d does not grow the %d-shard ring",
-				req.TargetShards, s.Reshard.Manager.Ring().Shards()))
+				req.targetShards, s.Reshard.Manager.Ring().Shards()))
 		return
 	}
-	if err := s.Reshard.Start(r.Context(), req.TargetShards); err != nil {
+	if err := s.Reshard.Start(r.Context(), req.targetShards); err != nil {
 		code := http.StatusInternalServerError
 		if _, busy := err.(errReshardBusy); busy {
 			code = http.StatusConflict
@@ -125,7 +120,7 @@ func (s *Server) handleReshardStart(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusAccepted)
-	s.reply(w, map[string]any{"status": "started", "target_shards": req.TargetShards})
+	s.reply(w, map[string]any{"status": "started", "target_shards": req.targetShards})
 }
 
 func (s *Server) handleReshardStatus(w http.ResponseWriter, _ *http.Request) {

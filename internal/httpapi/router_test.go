@@ -469,10 +469,10 @@ func TestHAPairTakeoverKeepsCalls(t *testing.T) {
 	if owned := ownedShards(t, b.addr); len(owned) != 1 || owned[0] != 0 {
 		t.Fatalf("new leader owned_shards = %v, want [0]", owned)
 	}
-	if code := postCall(t, b.addr, "/v1/call/config", ConfigRequest{ID: 1, Config: "video|ID:5,JP:3"}); code != http.StatusOK {
+	if code := postCall(t, b.addr, "/v1/call/config", configBody{ID: 1, Config: "video|ID:5,JP:3"}); code != http.StatusOK {
 		t.Fatalf("config on the new leader: %d, want 200", code)
 	}
-	if code := postCall(t, b.addr, "/v1/call/end", EndRequest{ID: 1}); code != http.StatusOK {
+	if code := postCall(t, b.addr, "/v1/call/end", endBody{ID: 1}); code != http.StatusOK {
 		t.Fatalf("end on the new leader: %d, want 200", code)
 	}
 }
@@ -511,7 +511,7 @@ func TestDCFailIgnoresDeposedShard(t *testing.T) {
 	}
 	awaitCond(t, "a to notice it is deposed", func() bool { return !a.mgr.Owns(0) })
 
-	if code := postCall(t, a.addr, "/v1/dc/fail", DCRequest{DC: started.DC}); code != http.StatusOK {
+	if code := postCall(t, a.addr, "/v1/dc/fail", dcBody{DC: started.DC}); code != http.StatusOK {
 		t.Fatalf("dc fail on a node with a deposed shard: %d, want 200", code)
 	}
 	if a.mgr.Controller(0).Stats().Fenced == 0 {
@@ -559,7 +559,7 @@ func TestRewonShardForgetsEndedCall(t *testing.T) {
 	}
 	awaitCond(t, "a to win shard 0 back", func() bool { return a.mgr.Owns(0) })
 
-	if code := postCall(t, a.addr, "/v1/call/end", EndRequest{ID: 1}); code != http.StatusNotFound {
+	if code := postCall(t, a.addr, "/v1/call/end", endBody{ID: 1}); code != http.StatusNotFound {
 		t.Fatalf("end of a call the successor ended: %d, want 404", code)
 	}
 	if n := a.mgr.Controller(0).ActiveCalls(); n != 0 {

@@ -28,7 +28,7 @@
 //     Counters end in _total; durations are histograms in seconds.
 //
 // The package is stdlib-only and imports nothing from the rest of the
-// module, so every layer (controller, kvstore, faults, httpapi, sim, eval)
+// module, so every layer (controller, kvstore, httpapi, eval)
 // can depend on it without cycles.
 package obs
 
